@@ -22,9 +22,18 @@ until the ledger refuses to fund them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .config import REVIEW_FUND_SEED, REVIEW_SUBSIDY, ProtocolConfig, parse_protocol_config
+from .config import (
+    REVIEW_FUND_SEED,
+    REVIEW_SUBSIDY,
+    ProtocolConfig,
+    _as_bool,
+    _as_int,
+    _as_wei,
+    _require_keys,
+    parse_protocol_config,
+)
 from .endorsement import (
     BADGE_AUTHENTIC,
     BADGE_FRAUDULENT,
@@ -113,39 +122,36 @@ class AttackScenario:
             raise ConfigError("honest_vote_probability must lie in [0, 1]")
 
 
+_SCENARIO_INT_KEYS = ("seed", "rounds", "attacker_count", "fake_identities_per_attacker", "honest_count")
+
+
 def parse_scenario(doc, index: int = 0) -> AttackScenario:
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario #{index} must be an object")
     allowed = {
-        "name", "kind", "seed", "rounds", "attacker_count", "fake_identities_per_attacker",
-        "honest_count", "service_cost_ether", "target_own", "honest_vote_probability", "protocol",
+        "name", "kind", "service_cost_ether", "target_own", "honest_vote_probability", "protocol",
+        *_SCENARIO_INT_KEYS,
     }
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in scenario #{index}: {', '.join(sorted(unknown))}")
+    _require_keys(doc, allowed, f"scenario #{index}")
     if "kind" not in doc:
         raise ConfigError(f"scenario #{index} missing 'kind'")
     kwargs: dict = {"kind": doc["kind"], "name": doc.get("name", f"{doc['kind']}-{index}")}
-    for key in ("seed", "rounds", "attacker_count", "fake_identities_per_attacker", "honest_count"):
+    where = f"scenario {kwargs['name']}"
+    for key in _SCENARIO_INT_KEYS:
         if key in doc:
-            value = doc[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"scenario {kwargs['name']}: {key} must be an integer")
-            kwargs[key] = value
+            kwargs[key] = _as_int(doc[key], f"{where}: {key}")
     if "service_cost_ether" in doc:
-        kwargs["service_cost_wei"] = ether(doc["service_cost_ether"])
+        kwargs["service_cost_wei"] = _as_wei(doc["service_cost_ether"], f"{where}: service_cost_ether")
     if "target_own" in doc:
-        if not isinstance(doc["target_own"], bool):
-            raise ConfigError(f"scenario {kwargs['name']}: target_own must be a boolean")
-        kwargs["target_own"] = doc["target_own"]
+        kwargs["target_own"] = _as_bool(doc["target_own"], f"{where}: target_own")
     if "honest_vote_probability" in doc:
         hvp = doc["honest_vote_probability"]
         if isinstance(hvp, bool) or not isinstance(hvp, (int, float)):
-            raise ConfigError(f"scenario {kwargs['name']}: honest_vote_probability must be a number")
+            raise ConfigError(f"{where}: honest_vote_probability must be a number")
         kwargs["honest_vote_probability"] = float(hvp)
     overrides = doc.get("protocol", {})
     if not isinstance(overrides, dict):
-        raise ConfigError(f"scenario {kwargs['name']}: protocol overrides must be an object")
+        raise ConfigError(f"{where}: protocol overrides must be an object")
     kwargs["overrides"] = overrides
     scenario = AttackScenario(**kwargs)
     scenario.validate()
@@ -163,15 +169,7 @@ class ScenarioMetrics:
     provider_dret_delta: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "badge_accuracy": self.badge_accuracy,
-            "attacker_spend_wei": self.attacker_spend_wei,
-            "attacker_reviews_accepted": self.attacker_reviews_accepted,
-            "attacker_reviews_branded": self.attacker_reviews_branded,
-            "exclusions": self.exclusions,
-            "refund_fraud_approved": self.refund_fraud_approved,
-            "provider_dret_delta": self.provider_dret_delta,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioMetrics":
@@ -776,15 +774,15 @@ def replay_verify(log) -> ScenarioMetrics:
             elif kind == "DretAwarded":
                 if p["provider"] in targets:
                     dret += 1
+        # A badged service missing from the setup's ground truth is a KeyError too.
+        matched = sum(
+            1 for b in badged if b["badge"] == expected_badge(b["rating"], truth[b["service"]])
+        )
+        branded = sum(
+            1 for b in badged if b["badge"] == BADGE_FRAUDULENT and b["reviewer"] in attackers
+        )
     except (KeyError, TypeError) as exc:
-        raise MalformedEvent(f"event payload missing field: {exc}") from exc
-
-    matched = sum(
-        1 for b in badged if b["badge"] == expected_badge(b["rating"], truth[b["service"]])
-    )
-    branded = sum(
-        1 for b in badged if b["badge"] == BADGE_FRAUDULENT and b["reviewer"] in attackers
-    )
+        raise MalformedEvent(f"event payload missing or mistyped field: {exc}") from exc
     return ScenarioMetrics(
         badge_accuracy=matched / len(badged) if badged else 0.0,
         attacker_spend_wei=spend,

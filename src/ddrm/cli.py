@@ -41,6 +41,8 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConf
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config {path} is nested too deeply") from exc
     if seed is not None:
         doc["seed"] = seed
     if out is not None:
@@ -58,7 +60,9 @@ def cmd_run(args) -> int:
         log_text = result.log_text()
         check = result.sim.ledger.verify_chain()
         if not check.ok:
-            raise InvariantViolation(f"scenario {scenario.name}: chain broken at {check.bad_seq}")
+            raise InvariantViolation(
+                f"scenario {scenario.name}: chain broken at {check.bad_seq}: {check.reason}"
+            )
         replayed = replay_verify(log_text)
         if replayed != result.metrics:
             raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")

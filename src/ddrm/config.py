@@ -8,12 +8,13 @@ rejected so typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+import typing
+from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal, InvalidOperation, Overflow
 from fractions import Fraction
 
 from .errors import ConfigError
-from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasRow, GasSchedule, ether
+from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasRow, GasSchedule
 
 # Fixed by the protocol's funding equations: every listing seeds its review
 # fund with 1 Ether, which underwrites one hundred review submissions.
@@ -47,18 +48,27 @@ class ProtocolConfig:
 
     def validate(self) -> None:
         self.gas.validate()
-        positive = (
-            "genesis_balance", "faucet_balance", "srat_lifetime", "srdt_lifetime",
-            "endorsement_quorum", "penalty_threshold", "bootstrap_count",
-            "panel_size", "claim_window", "voting_window", "dret_interval",
-        )
-        for name in positive:
+        for name in _INT_FIELDS:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
         if not 0 <= self.srdt_discount <= 1:
             raise ConfigError("srdt_discount must lie in [0, 1]")
         if self.faucet_balance < self.genesis_balance:
             raise ConfigError("faucet cannot cover a single registration")
+
+
+_FIELD_TYPES = typing.get_type_hints(ProtocolConfig)
+_INT_FIELDS = tuple(f.name for f in fields(ProtocolConfig) if _FIELD_TYPES[f.name] is int)
+
+# Fields the run config exposes under another key: Ether amounts and a rate.
+_DOC_KEYS = {
+    "genesis_balance": "genesis_balance_ether",
+    "faucet_balance": "faucet_balance_ether",
+    "srdt_discount": "srdt_discount_rate",
+}
+_PROTOCOL_INT_KEYS = tuple(name for name in _INT_FIELDS if name not in _DOC_KEYS)
+_PROTOCOL_BOOL_KEYS = tuple(f.name for f in fields(ProtocolConfig) if _FIELD_TYPES[f.name] is bool)
+_PROTOCOL_KEYS = frozenset(_DOC_KEYS.get(f.name, f.name) for f in fields(ProtocolConfig))
 
 
 @dataclass(frozen=True)
@@ -91,14 +101,27 @@ def _as_bool(value, where: str) -> bool:
 
 
 def _as_decimal(value, where: str) -> Decimal:
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
         raise ConfigError(f"{where} must be a number")
     try:
-        return Decimal(str(value))
+        number = Decimal(str(value))
     except InvalidOperation as exc:
         raise ConfigError(f"{where} is not a valid number: {value!r}") from exc
+    if not number.is_finite():
+        raise ConfigError(f"{where} must be finite, not {value!r}")
+    return number
+
+
+def _as_wei(value, where: str, unit: int = WEI_PER_ETHER) -> int:
+    """An amount from outside the program, in Ether unless `unit` says otherwise, as whole Wei."""
+    number = _as_decimal(value, where)
+    try:
+        wei = number * unit
+    except Overflow as exc:  # past the decimal context's exponent range
+        raise ConfigError(f"{where} is out of range: {value!r}") from exc
+    if wei != wei.to_integral_value():
+        raise ConfigError(f"{where} is not a whole number of Wei: {value!r}")
+    return int(wei)
 
 
 def parse_gas_schedule(doc: dict) -> GasSchedule:
@@ -106,11 +129,7 @@ def parse_gas_schedule(doc: dict) -> GasSchedule:
     defaults = GasSchedule()
     price_wei = defaults.price_wei
     if "gas_price_gwei" in doc:
-        gwei = _as_decimal(doc["gas_price_gwei"], "gas.gas_price_gwei")
-        price = gwei * WEI_PER_GWEI
-        if price != price.to_integral_value():
-            raise ConfigError("gas price must be a whole number of Wei")
-        price_wei = int(price)
+        price_wei = _as_wei(doc["gas_price_gwei"], "gas.gas_price_gwei", WEI_PER_GWEI)
     rows = dict(defaults.rows)
     for op in GAS_OPS:
         if op in doc:
@@ -127,19 +146,8 @@ def parse_gas_schedule(doc: dict) -> GasSchedule:
     return schedule
 
 
-_PROTOCOL_INT_KEYS = (
-    "srat_lifetime", "srdt_lifetime", "endorsement_quorum", "penalty_threshold",
-    "bootstrap_count", "panel_size", "claim_window", "voting_window", "dret_interval",
-)
-_PROTOCOL_BOOL_KEYS = ("literal_alg2_ties", "refund_fund_on_withdraw", "check_conservation")
-
-
 def parse_protocol_config(doc: dict, base: ProtocolConfig | None = None) -> ProtocolConfig:
-    allowed = {
-        "gas", "genesis_balance_ether", "faucet_balance_ether", "srdt_discount_rate",
-        *_PROTOCOL_INT_KEYS, *_PROTOCOL_BOOL_KEYS,
-    }
-    _require_keys(doc, allowed, "protocol")
+    _require_keys(doc, _PROTOCOL_KEYS, "protocol")
     cfg = base or ProtocolConfig()
     updates: dict = {}
     if "gas" in doc:
@@ -147,9 +155,9 @@ def parse_protocol_config(doc: dict, base: ProtocolConfig | None = None) -> Prot
             raise ConfigError("protocol.gas must be an object")
         updates["gas"] = parse_gas_schedule(doc["gas"])
     if "genesis_balance_ether" in doc:
-        updates["genesis_balance"] = ether(_as_decimal(doc["genesis_balance_ether"], "genesis_balance_ether"))
+        updates["genesis_balance"] = _as_wei(doc["genesis_balance_ether"], "genesis_balance_ether")
     if "faucet_balance_ether" in doc:
-        updates["faucet_balance"] = ether(_as_decimal(doc["faucet_balance_ether"], "faucet_balance_ether"))
+        updates["faucet_balance"] = _as_wei(doc["faucet_balance_ether"], "faucet_balance_ether")
     if "srdt_discount_rate" in doc:
         rate = _as_decimal(doc["srdt_discount_rate"], "srdt_discount_rate")
         updates["srdt_discount"] = Fraction(rate)
@@ -212,8 +220,6 @@ def default_config_doc() -> dict:
         },
         "scenarios": [],
     }
-    for key in _PROTOCOL_INT_KEYS:
-        doc["protocol"][key] = getattr(proto, key)
-    for key in _PROTOCOL_BOOL_KEYS:
+    for key in _PROTOCOL_INT_KEYS + _PROTOCOL_BOOL_KEYS:
         doc["protocol"][key] = getattr(proto, key)
     return doc

@@ -116,7 +116,6 @@ class ReviewBoard:
         self.market = market
         self.tokens = tokens
         self.reviews: dict[str, Review] = {}
-        self.review_by_purchase: dict[str, str] = {}
         self.annotations: dict[str, list[EndorsementAnnotation]] = {}
         self.rosters: dict[str, set[str]] = {}
         self.penalties: dict[str, int] = {}
@@ -160,7 +159,6 @@ class ReviewBoard:
             tick=self.ledger.tick,
         )
         self.reviews[review_id] = review
-        self.review_by_purchase[purchase_id] = review_id
         self.annotations[review_id] = []
         self.identity.grant_role(consumer, ROLE_REVIEWER)
         self.ledger.append_event(
@@ -446,10 +444,6 @@ class ReviewBoard:
         return claim.outcome
 
     # -- queries --
-
-    def review_of_purchase(self, purchase_id: str) -> Review | None:
-        rid = self.review_by_purchase.get(purchase_id)
-        return self.reviews.get(rid) if rid else None
 
     def pending_reviews(self, service_id: str) -> list[Review]:
         return [

@@ -26,7 +26,6 @@ ROLE_PROVIDER = "ServiceProvider"
 ROLE_CONSUMER = "Consumer"
 ROLE_REVIEWER = "Reviewer"
 ROLE_ENDORSER = "Endorser"
-ALL_ROLES = frozenset({ROLE_PROVIDER, ROLE_CONSUMER, ROLE_REVIEWER, ROLE_ENDORSER})
 REGISTRABLE_ROLES = frozenset({ROLE_PROVIDER, ROLE_CONSUMER})
 
 FAUCET = "FAUCET"

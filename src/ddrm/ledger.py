@@ -143,6 +143,8 @@ class EventRecord:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedEvent(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MalformedEvent("JSON nested too deeply") from exc
         if not isinstance(doc, dict):
             raise MalformedEvent("event line is not a JSON object")
         try:
@@ -162,22 +164,27 @@ class EventRecord:
 class ChainCheck:
     ok: bool
     bad_seq: int | None = None
+    reason: str | None = None     # which check failed at bad_seq
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def verify_records(records) -> ChainCheck:
-    """Recompute every hash and link; report the first bad sequence number."""
+    """Recompute every hash and link; report the first bad sequence number and why."""
     prev = ZERO_DIGEST
     expected_seq = 0
     last_tick = 0
     for rec in records:
-        if rec.seq != expected_seq or rec.prev_hash != prev or rec.tick < last_tick:
-            return ChainCheck(False, rec.seq)
+        if rec.seq != expected_seq:
+            return ChainCheck(False, rec.seq, f"seq gap: expected {expected_seq}")
+        if rec.prev_hash != prev:
+            return ChainCheck(False, rec.seq, "prev-hash mismatch: does not link to the previous record")
+        if rec.tick < last_tick:
+            return ChainCheck(False, rec.seq, f"tick regression: {rec.tick} after {last_tick}")
         recomputed = record_hash(rec.seq, rec.tick, rec.kind, canonical_payload(rec.payload), rec.prev_hash)
         if recomputed != rec.hash:
-            return ChainCheck(False, rec.seq)
+            return ChainCheck(False, rec.seq, "hash mismatch: record contents were altered")
         prev = rec.hash
         expected_seq += 1
         last_tick = rec.tick
@@ -345,4 +352,4 @@ def verify_log_records(records: list[EventRecord]) -> None:
     """Raise ChainBroken unless the records form an intact chain."""
     check = verify_records(records)
     if not check.ok:
-        raise ChainBroken(check.bad_seq if check.bad_seq is not None else -1)
+        raise ChainBroken(check.bad_seq if check.bad_seq is not None else -1, check.reason)

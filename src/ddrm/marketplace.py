@@ -22,7 +22,7 @@ from .errors import (
 )
 from .identity import ROLE_PROVIDER, IdentityRegistry
 from .ledger import OP_ADD_SERVICE, OP_REQUEST_SERVICE, Ledger
-from .tokens import ACTIVE, PURPOSE_DISCOUNT, TokenBook
+from .tokens import PURPOSE_DISCOUNT, TokenBook
 
 STATUS_LISTED = "Listed"
 STATUS_WITHDRAWN = "Withdrawn"
@@ -117,8 +117,7 @@ class Marketplace:
                 token is None
                 or token.holder != consumer
                 or token.service_id != service_id
-                or token.state != ACTIVE
-                or self.ledger.tick >= token.expiry_tick
+                or not token.usable_at(self.ledger.tick)
             ):
                 raise NoValidSrdt(f"{srdt_token_id} is not usable by {consumer} for {service_id}")
             discount = service.s_cost * token.discount_rate.numerator // token.discount_rate.denominator
@@ -207,12 +206,12 @@ class Marketplace:
         return service.review_fund
 
     def withdraw_all_for(self, provider: str) -> dict:
-        """Exclusion hook: excluded providers stop selling immediately."""
+        """Exclusion hook: withdraw every listed service, as withdraw_service would."""
         withdrawn = []
         for service_id in sorted(self.services):
             service = self.services[service_id]
             if service.provider == provider and service.status == STATUS_LISTED:
-                service.status = STATUS_WITHDRAWN
+                self._withdraw(service)
                 withdrawn.append(service_id)
         return {"services_withdrawn": withdrawn}
 

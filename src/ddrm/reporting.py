@@ -65,12 +65,21 @@ def gas_table_rows(schedule: GasSchedule, usd_per_ether: Decimal) -> list[GasRep
     return rows
 
 
+def _render_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, with a dashed rule under the header."""
+    cells = [headers, *rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
 def format_gas_table(rows: list[GasReportRow]) -> str:
     headers = (
         "Function Caller", "Function Name", "Gas Limit (Units)", "Gas Used (Units)",
         "Gas Price (Gwei)", "Total (Ether)", "Total (USD)",
     )
-    cells = [headers] + [
+    return _render_table(headers, [
         (
             r.caller,
             r.function_name,
@@ -81,14 +90,7 @@ def format_gas_table(rows: list[GasReportRow]) -> str:
             f"{r.total_usd:.3f}",
         )
         for r in rows
-    ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    ])
 
 
 def gas_table_json(rows: list[GasReportRow]) -> list[dict]:
@@ -111,7 +113,7 @@ def format_metrics_table(named_metrics: list[tuple[str, ScenarioMetrics]]) -> st
         "Scenario", "BadgeAcc", "Spend (Wei)", "RevAccepted", "RevBranded",
         "Exclusions", "RefundFraud", "DretDelta",
     )
-    cells = [headers] + [
+    return _render_table(headers, [
         (
             name,
             f"{m.badge_accuracy:.4f}",
@@ -123,11 +125,4 @@ def format_metrics_table(named_metrics: list[tuple[str, ScenarioMetrics]]) -> st
             str(m.provider_dret_delta),
         )
         for name, m in named_metrics
-    ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    ])

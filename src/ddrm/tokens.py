@@ -30,8 +30,15 @@ PURPOSE_ENDORSEMENT = "Endorsement"
 PURPOSE_DISCOUNT = "DiscountedPurchase"
 
 
+class _Lifetime:
+    """The usability rule both spendable token kinds share."""
+
+    def usable_at(self, tick: int) -> bool:
+        return self.state == ACTIVE and tick < self.expiry_tick
+
+
 @dataclass
-class SratToken:
+class SratToken(_Lifetime):
     token_id: str
     holder: str
     service_id: str
@@ -42,7 +49,7 @@ class SratToken:
 
 
 @dataclass
-class SrdtToken:
+class SrdtToken(_Lifetime):
     token_id: str
     holder: str
     service_id: str
@@ -50,7 +57,6 @@ class SrdtToken:
     expiry_tick: int
     discount_rate: Fraction
     state: str = ACTIVE
-    consumed_for: str | None = None
 
 
 class TokenBook:
@@ -86,25 +92,27 @@ class TokenBook:
         self.srat_by_purchase[purchase_id] = token_id
         return token_id
 
-    def burn_srat(self, token_id: str) -> str:
-        token = self.srats.get(token_id)
+    def _spend(self, tokens: dict, token_id: str, new_state: str) -> str:
+        """Move one usable token to its terminal state, or say why it is not usable."""
+        token = tokens.get(token_id)
         if token is None:
             raise TokenNotActive(f"no such token {token_id}")
-        if token.state == EXPIRED:
-            raise TokenExpired(token_id)
-        if token.state != ACTIVE:
+        if not token.usable_at(self.ledger.tick):
+            if token.state in (ACTIVE, EXPIRED):  # Active but unusable: expired before the sweep
+                raise TokenExpired(token_id)
             raise TokenNotActive(f"{token_id} is {token.state}")
-        if self.ledger.tick >= token.expiry_tick:
-            raise TokenExpired(token_id)
-        token.state = BURNED
-        return BURNED
+        token.state = new_state
+        return new_state
+
+    def burn_srat(self, token_id: str) -> str:
+        return self._spend(self.srats, token_id, BURNED)
 
     def srat_for_purchase(self, purchase_id: str) -> SratToken | None:
         token_id = self.srat_by_purchase.get(purchase_id)
         return self.srats.get(token_id) if token_id else None
 
     def srat_usable(self, token: SratToken | None) -> bool:
-        return token is not None and token.state == ACTIVE and self.ledger.tick < token.expiry_tick
+        return token is not None and token.usable_at(self.ledger.tick)
 
     # -- SRDT --
 
@@ -125,29 +133,14 @@ class TokenBook:
     def consume_srdt(self, token_id: str, purpose: str) -> str:
         if purpose not in (PURPOSE_ENDORSEMENT, PURPOSE_DISCOUNT):
             raise ValidationError(f"unknown consumption purpose {purpose!r}")
-        token = self.srdts.get(token_id)
-        if token is None:
-            raise TokenNotActive(f"no such token {token_id}")
-        if token.state == EXPIRED:
-            raise TokenExpired(token_id)
-        if token.state != ACTIVE:
-            raise TokenNotActive(f"{token_id} is {token.state}")
-        if self.ledger.tick >= token.expiry_tick:
-            raise TokenExpired(token_id)
-        token.state = CONSUMED
-        token.consumed_for = purpose
-        return CONSUMED
+        return self._spend(self.srdts, token_id, CONSUMED)
 
     def active_srdt_for(self, holder: str, service_id: str) -> SrdtToken | None:
         """Lowest-id active unexpired SRDT bound to the service, if any."""
+        tick = self.ledger.tick
         for token_id in sorted(self.srdts):
             token = self.srdts[token_id]
-            if (
-                token.holder == holder
-                and token.service_id == service_id
-                and token.state == ACTIVE
-                and self.ledger.tick < token.expiry_tick
-            ):
+            if token.holder == holder and token.service_id == service_id and token.usable_at(tick):
                 return token
         return None
 
@@ -174,16 +167,12 @@ class TokenBook:
     def expiry_sweep(self, tick: int) -> list[str]:
         """Expire every active token whose expiry tick has been reached."""
         expired = []
-        for token_id in sorted(self.srats):
-            token = self.srats[token_id]
-            if token.state == ACTIVE and token.expiry_tick <= tick:
-                token.state = EXPIRED
-                expired.append(token_id)
-        for token_id in sorted(self.srdts):
-            token = self.srdts[token_id]
-            if token.state == ACTIVE and token.expiry_tick <= tick:
-                token.state = EXPIRED
-                expired.append(token_id)
+        for tokens in (self.srats, self.srdts):
+            for token_id in sorted(tokens):
+                token = tokens[token_id]
+                if token.state == ACTIVE and token.expiry_tick <= tick:
+                    token.state = EXPIRED
+                    expired.append(token_id)
         if expired:
             self.ledger.append_event("TokensExpired", {"tokens": expired})
         return expired
@@ -191,16 +180,12 @@ class TokenBook:
     def void_all(self, holder: str) -> dict:
         """Void every active token a participant holds (exclusion hook)."""
         voided = []
-        for token_id in sorted(self.srats):
-            token = self.srats[token_id]
-            if token.holder == holder and token.state == ACTIVE:
-                token.state = VOIDED
-                voided.append(token_id)
-        for token_id in sorted(self.srdts):
-            token = self.srdts[token_id]
-            if token.holder == holder and token.state == ACTIVE:
-                token.state = VOIDED
-                voided.append(token_id)
+        for tokens in (self.srats, self.srdts):
+            for token_id in sorted(tokens):
+                token = tokens[token_id]
+                if token.holder == holder and token.state == ACTIVE:
+                    token.state = VOIDED
+                    voided.append(token_id)
         return {"voided_tokens": voided}
 
     def srat_counts(self) -> dict[str, int]:

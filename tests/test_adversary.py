@@ -20,6 +20,14 @@ from ddrm.adversary import (
 )
 from ddrm.endorsement import BADGE_AUTHENTIC, BADGE_FRAUDULENT, BADGE_PENDING
 from ddrm.errors import ChainBroken, ConfigError, MalformedEvent
+from ddrm.ledger import (
+    ZERO_DIGEST,
+    EventRecord,
+    canonical_payload,
+    load_log_lines,
+    record_hash,
+    verify_log_records,
+)
 
 
 def scenario(kind, **kw):
@@ -181,6 +189,30 @@ class TestDeterminismAndReplay:
     def test_garbage_log_malformed(self):
         with pytest.raises(MalformedEvent):
             replay_verify("not json at all\n")
+
+    def test_intact_chain_missing_ground_truth_malformed(self):
+        # A forger drops a badged service from the setup and re-hashes the
+        # chain: the log verifies, but its metrics cannot be computed.
+        res = run_scenario(scenario(KIND_COLLUSION, rounds=6))
+        records = load_log_lines(res.log_text())
+        badged = next(
+            r.payload["service"] for r in records if r.kind == "SelectionRun" and r.payload["badged"]
+        )
+        prev = ZERO_DIGEST
+        forged = []
+        for rec in records:
+            payload = rec.payload
+            if rec.kind == "ScenarioSetup":
+                truth = {k: v for k, v in payload["ground_truth"].items() if k != badged}
+                payload = {**payload, "ground_truth": truth}
+            digest = record_hash(rec.seq, rec.tick, rec.kind, canonical_payload(payload), prev)
+            forged.append(EventRecord(rec.seq, rec.tick, rec.kind, payload, prev, digest))
+            prev = digest
+        verify_log_records(forged)
+        with pytest.raises(MalformedEvent):
+            replay_verify(forged)
+        with pytest.raises(MalformedEvent):
+            replay_verify("".join(r.to_json_line() + "\n" for r in forged))
 
 
 class TestPopulationAndConfig:

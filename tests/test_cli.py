@@ -66,6 +66,49 @@ class TestRun:
         assert "demo" in doc and "badge_accuracy" in doc["demo"]
 
 
+class TestUntrustedNumbers:
+    SCENARIO = {"name": "s", "kind": "sybil", "rounds": 1, "honest_count": 1}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"usd_per_ether": float("nan")},
+            {"usd_per_ether": float("inf")},
+            {"protocol": {"srdt_discount_rate": float("nan")}},
+            {"protocol": {"genesis_balance_ether": 1e-30}},
+            {"protocol": {"genesis_balance_ether": "1e999999"}},
+            {"scenarios": [{**SCENARIO, "service_cost_ether": 1e-30}]},
+            {"scenarios": [{**SCENARIO, "service_cost_ether": float("nan")}]},
+            {"scenarios": [{**SCENARIO, "service_cost_ether": "abc"}]},
+            {"scenarios": [{**SCENARIO, "service_cost_ether": [1]}]},
+        ],
+        ids=[
+            "usd-nan", "usd-inf", "discount-nan", "genesis-sub-wei", "genesis-overflow",
+            "cost-sub-wei", "cost-nan", "cost-string", "cost-list",
+        ],
+    )
+    def test_bad_number_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+
+class TestDeepNesting:
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def test_deep_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(self.DEEP)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_deep_log_line_exits_4(self, tmp_path):
+        path = tmp_path / "deep.events.ndjson"
+        path.write_text(self.DEEP + "\n")
+        assert main(["verify", str(path)]) == EXIT_CHAIN
+
+
 class TestGasTable:
     def test_default_table_reproduces_published_numbers(self, capsys):
         assert main(["gas-table"]) == EXIT_OK
@@ -115,12 +158,13 @@ class TestVerify:
         log.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(log)]) == EXIT_CHAIN
 
-    def test_reordered_lines_exit_4(self, tmp_path, config_path):
+    def test_reordered_lines_exit_4(self, tmp_path, config_path, capsys):
         log, _ = self._run(tmp_path, config_path)
         lines = log.read_text().splitlines()
         lines[2], lines[3] = lines[3], lines[2]
         log.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(log)]) == EXIT_CHAIN
+        assert "chain broken at seq 3: seq gap" in capsys.readouterr().err
 
     def test_wrong_metrics_exit_5(self, tmp_path, config_path):
         log, metrics = self._run(tmp_path, config_path)
@@ -152,6 +196,14 @@ class TestInvariantExit:
 
         monkeypatch.setattr(cli_mod, "replay_verify", lambda log: ScenarioMetrics(exclusions=999))
         assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
+
+    def test_broken_live_chain_names_the_check(self, config_path, monkeypatch, capsys):
+        from ddrm.ledger import ChainCheck, Ledger
+
+        broken = ChainCheck(False, 5, "tick regression: 1 after 2")
+        monkeypatch.setattr(Ledger, "verify_chain", lambda self: broken)
+        assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
+        assert "chain broken at 5: tick regression" in capsys.readouterr().err
 
 
 class TestUsdRateDerivation:

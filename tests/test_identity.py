@@ -104,6 +104,19 @@ class TestExclusion:
         sim.exclude(provider)
         assert sim.market.get_service(service).status == "Withdrawn"
 
+    @pytest.mark.parametrize("refund", [False, True])
+    def test_exclusion_withdraws_listings_like_withdraw_service(self, refund):
+        sim = make_sim(refund_fund_on_withdraw=refund)
+        provider, service = provider_and_service(sim)
+        before = sim.ledger.balance(provider)
+        sim.exclude(provider)
+        withdrawn = sim.ledger.log[-2]
+        assert withdrawn.kind == "ServiceWithdrawn"
+        assert withdrawn.payload == {"service": service, "fund_refunded_wei": ether(1) if refund else 0}
+        assert sim.ledger.log[-1].payload["services_withdrawn"] == [service]
+        assert sim.ledger.balance(provider) == before + (ether(1) if refund else 0)
+        assert sim.market.get_service(service).review_fund == (0 if refund else ether(1))
+
     def test_excluded_participant_cannot_buy(self, sim):
         provider, service = provider_and_service(sim)
         consumer = sim.register("cons-card", {ROLE_CONSUMER})

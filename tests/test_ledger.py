@@ -1,5 +1,7 @@
 """Ledger: gas charges, hash chain, beacon, ticks."""
 
+from dataclasses import replace
+
 import pytest
 
 from ddrm import GasSchedule, RandomBeacon, ether, load_log_lines
@@ -92,17 +94,32 @@ class TestEventChain:
         ledger = fresh_ledger()
         for i in range(10):
             ledger.append_event("Ping", {"i": i})
+        pristine = ledger.log[7]
         ledger.log[7] = EventRecord(
             seq=7,
-            tick=ledger.log[7].tick,
-            kind=ledger.log[7].kind,
+            tick=pristine.tick,
+            kind=pristine.kind,
             payload={"i": 999},
-            prev_hash=ledger.log[7].prev_hash,
-            hash=ledger.log[7].hash,
+            prev_hash=pristine.prev_hash,
+            hash=pristine.hash,
         )
         check = ledger.verify_chain()
         assert not check.ok
         assert check.bad_seq == 7
+        assert check.reason.startswith("hash mismatch")
+
+        # Each of the other link checks names itself.
+        for tampered, reason in (
+            (replace(pristine, seq=8), "seq gap"),
+            (replace(pristine, prev_hash="f" * 64), "prev-hash mismatch"),
+            (replace(pristine, tick=pristine.tick - 1), "tick regression"),
+        ):
+            ledger.log[7] = tampered
+            check = ledger.verify_chain()
+            assert (check.ok, check.bad_seq) == (False, tampered.seq)
+            assert check.reason.startswith(reason)
+            with pytest.raises(ChainBroken, match=reason):
+                verify_log_records(ledger.log)
 
     def test_identical_runs_identical_final_hash(self):
         def build():

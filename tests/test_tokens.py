@@ -5,7 +5,7 @@ import pytest
 from ddrm import ether, text_digest
 from ddrm.errors import TokenExpired, TokenNotActive
 from ddrm.identity import ROLE_CONSUMER
-from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, PURPOSE_ENDORSEMENT
+from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, PURPOSE_ENDORSEMENT, VOIDED
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
 
@@ -50,6 +50,30 @@ class TestSratLifecycle:
         balance_after_buy = sim.ledger.balance(consumer)
         sim.submit_review(consumer, purchase, 5, text_digest("x"))
         assert sim.ledger.balance(consumer) == balance_after_buy
+
+
+class TestSpendErrors:
+    @pytest.mark.parametrize("kind", ["srat", "srdt"])
+    def test_errors_checked_in_order(self, sim, kind):
+        provider, service = provider_and_service(sim)
+        consumer = sim.register("cons", {ROLE_CONSUMER})
+        if kind == "srat":
+            token = sim.tokens.srat_for_purchase(sim.buy_service(consumer, service))
+            spend = sim.tokens.burn_srat
+        else:
+            token = sim.tokens.srdts[sim.tokens.mint_srdt(consumer, service)]
+            spend = lambda token_id: sim.tokens.consume_srdt(token_id, PURPOSE_ENDORSEMENT)
+        with pytest.raises(TokenNotActive):
+            spend("NO-SUCH-TOKEN")
+        token.expiry_tick = sim.ledger.tick  # past expiry, sweep not yet run
+        with pytest.raises(TokenExpired):
+            spend(token.token_id)
+        token.state = VOIDED  # a dead state outranks the expiry tick
+        with pytest.raises(TokenNotActive):
+            spend(token.token_id)
+        token.state = EXPIRED
+        with pytest.raises(TokenExpired):
+            spend(token.token_id)
 
 
 class TestExpirySweep:
