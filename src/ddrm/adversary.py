@@ -136,6 +136,8 @@ def parse_scenario(doc, index: int = 0) -> AttackScenario:
     if "kind" not in doc:
         raise ConfigError(f"scenario #{index} missing 'kind'")
     kwargs: dict = {"kind": doc["kind"], "name": doc.get("name", f"{doc['kind']}-{index}")}
+    if not isinstance(kwargs["name"], str):
+        raise ConfigError(f"scenario #{index}: name must be a string")
     where = f"scenario {kwargs['name']}"
     for key in _SCENARIO_INT_KEYS:
         if key in doc:
@@ -442,9 +444,9 @@ class ScenarioRunner:
                 continue
             if kind == KIND_FALSE_REFUND and member.attacker:
                 continue  # the fraud is the refund claim, not the review
-            for purchase_id in sorted(self.sim.market.purchases):
+            for purchase_id in sorted(self.sim.market.purchases_by_consumer.get(pid, ())):
                 purchase = self.sim.market.purchases[purchase_id]
-                if purchase.consumer != pid or purchase.reviewed:
+                if purchase.reviewed:
                     continue
                 rating = self._rating_for(member, purchase.service_id)
                 digest = text_digest(f"{pid}|{purchase_id}|round {rnd}")
@@ -457,7 +459,7 @@ class ScenarioRunner:
 
     def _constant_attack_reviews(self, member: Member) -> None:
         """Review attempts without any purchase: a foreign id and a bogus id."""
-        foreign = next(iter(sorted(self.sim.market.purchases)), None)
+        foreign = min(self.sim.market.purchases, default=None)
         for purchase_id in filter(None, [foreign, "PUR-99999"]):
             try:
                 self.sim.submit_review(member.pid, purchase_id, 1, text_digest("fabricated"))
@@ -472,9 +474,7 @@ class ScenarioRunner:
         self._round_votes = {}
         for service_id in sorted(self.ground_truth):
             roster = self.sim.reviews.rosters.get(service_id, set())
-            has_reviews = any(
-                r.service_id == service_id for r in self.sim.reviews.reviews.values()
-            )
+            has_reviews = bool(self.sim.reviews.reviews_by_service.get(service_id))
             if not roster and has_reviews:
                 try:
                     self.sim.bootstrap_endorsers(service_id)
@@ -543,9 +543,11 @@ class ScenarioRunner:
                 voted[choice.review_id].add(pid)
                 cast += 1
 
-        # Wave 2: honest endorsers, mismatched (suspect) reviews first.
+        # Wave 2: honest endorsers, mismatched (suspect) reviews first. Their
+        # votes spend only their own SRDTs and the tick stands still, so which
+        # attackers still hold one is fixed for the whole wave.
         available = [p for p in roster if not self._is_attacker(p) and has_srdt(p)]
-        attacker_pool = [p for p in roster if self._is_attacker(p)]
+        attacker_pool = [p for p in roster if self._is_attacker(p) and has_srdt(p)]
         suspects = [r for r in by_age if not band_matches(r.rating, quality)]
         ordinary = [r for r in by_age if band_matches(r.rating, quality)]
         for review in suspects + ordinary:
@@ -554,9 +556,7 @@ class ScenarioRunner:
             u, d = review.upvotes, review.downvotes
             total = u + d
             hostile = not band_matches(review.rating, quality)
-            a_rem = sum(
-                1 for p in attacker_pool if p not in voted[review.review_id] and has_srdt(p)
-            )
+            a_rem = sum(1 for p in attacker_pool if p not in voted[review.review_id])
             if hostile:
                 if total >= quorum and d > u:
                     continue  # already badgeable as Fraudulent this round
@@ -632,9 +632,8 @@ class ScenarioRunner:
         for pid in self._attackers():
             if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
                 continue
-            for purchase_id in sorted(self.sim.market.purchases):
-                purchase = self.sim.market.purchases[purchase_id]
-                if purchase.consumer != pid or purchase_id in self._claims_filed:
+            for purchase_id in sorted(self.sim.market.purchases_by_consumer.get(pid, ())):
+                if purchase_id in self._claims_filed:
                     continue
                 try:
                     self.sim.file_refund_claim(pid, purchase_id)

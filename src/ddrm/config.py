@@ -24,6 +24,10 @@ REVIEW_SUBSIDY = WEI_PER_ETHER // REVIEWS_PER_ETHER
 
 DEFAULT_USD_PER_ETHER = Decimal("1586.0")
 
+# srdt_discount_rate is refused past this many fractional digits (or this
+# decimal exponent), before it becomes a Fraction.
+RATE_DIGITS = 36
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -160,6 +164,12 @@ def parse_protocol_config(doc: dict, base: ProtocolConfig | None = None) -> Prot
         updates["faucet_balance"] = _as_wei(doc["faucet_balance_ether"], "faucet_balance_ether")
     if "srdt_discount_rate" in doc:
         rate = _as_decimal(doc["srdt_discount_rate"], "srdt_discount_rate")
+        # Fraction(rate) takes time and memory that grow with the exponent.
+        if abs(rate.as_tuple().exponent) > RATE_DIGITS:
+            raise ConfigError(
+                f"srdt_discount_rate allows at most {RATE_DIGITS} fractional digits"
+                f" and a decimal exponent of at most {RATE_DIGITS}: {doc['srdt_discount_rate']!r}"
+            )
         updates["srdt_discount"] = Fraction(rate)
     for key in _PROTOCOL_INT_KEYS:
         if key in doc:

@@ -116,10 +116,12 @@ class ReviewBoard:
         self.market = market
         self.tokens = tokens
         self.reviews: dict[str, Review] = {}
+        self.reviews_by_service: dict[str, list[str]] = {}      # append-only: keys never change
         self.annotations: dict[str, list[EndorsementAnnotation]] = {}
         self.rosters: dict[str, set[str]] = {}
         self.penalties: dict[str, int] = {}
         self.claims: dict[str, RefundClaim] = {}
+        self.claims_by_purchase: dict[str, list[RefundClaim]] = {}  # append-only, like reviews_by_service
         self._next_review = 1
         self._next_claim = 1
 
@@ -159,6 +161,7 @@ class ReviewBoard:
             tick=self.ledger.tick,
         )
         self.reviews[review_id] = review
+        self.reviews_by_service.setdefault(review.service_id, []).append(review_id)
         self.annotations[review_id] = []
         self.identity.grant_role(consumer, ROLE_REVIEWER)
         self.ledger.append_event(
@@ -238,10 +241,8 @@ class ReviewBoard:
         service = self.market.get_service(service_id)
         eligible = [
             r
-            for r in (self.reviews[rid] for rid in sorted(self.reviews))
-            if r.service_id == service_id
-            and r.badge == BADGE_PENDING
-            and r.upvotes + r.downvotes >= self.config.endorsement_quorum
+            for r in self._reviews_of(service_id)
+            if r.badge == BADGE_PENDING and r.upvotes + r.downvotes >= self.config.endorsement_quorum
         ]
         report = {
             "service": service_id,
@@ -310,11 +311,12 @@ class ReviewBoard:
         if n <= 0:
             raise ValidationError("bootstrap count must be positive")
         earliest: list[str] = []
-        for rid in sorted(self.reviews, key=lambda r: (self.reviews[r].tick, r)):
-            review = self.reviews[rid]
-            if review.service_id == service_id and review.reviewer not in earliest:
-                if self.identity.get(review.reviewer).active:
-                    earliest.append(review.reviewer)
+        seen: set[str] = set()
+        for review in sorted(self._reviews_of(service_id), key=lambda r: r.tick):  # stable: ties by id
+            reviewer = review.reviewer
+            if reviewer not in seen and self.identity.get(reviewer).active:
+                seen.add(reviewer)
+                earliest.append(reviewer)
         if not earliest:
             raise NoReviews(service_id)
         drawn = self.ledger.beacon.draw(earliest, min(n, len(earliest)))
@@ -352,8 +354,8 @@ class ReviewBoard:
             raise NoPurchase(f"{consumer} has no purchase {purchase_id}")
         if purchase.refunded:
             raise AlreadyRefunded(purchase_id)
-        for claim in self.claims.values():
-            if claim.purchase_id == purchase_id and claim.outcome in (OUTCOME_OPEN, OUTCOME_APPROVED):
+        for claim in self.claims_by_purchase.get(purchase_id, ()):
+            if claim.outcome in (OUTCOME_OPEN, OUTCOME_APPROVED):
                 raise DuplicateClaim(purchase_id)
         if self.ledger.tick > purchase.tick + self.config.claim_window:
             raise ClaimWindowClosed(purchase_id)
@@ -364,13 +366,15 @@ class ReviewBoard:
         panel = self.ledger.beacon.draw(sorted(roster), min(self.config.panel_size, len(roster)))
         claim_id = f"CLM-{self._next_claim:05d}"
         self._next_claim += 1
-        self.claims[claim_id] = RefundClaim(
+        claim = RefundClaim(
             claim_id=claim_id,
             purchase_id=purchase_id,
             claimant=consumer,
             panel=tuple(sorted(panel)),
             filed_tick=self.ledger.tick,
         )
+        self.claims[claim_id] = claim
+        self.claims_by_purchase.setdefault(purchase_id, []).append(claim)
         self.ledger.append_event(
             "RefundClaimFiled",
             {"claim": claim_id, "purchase": purchase_id, "claimant": consumer, "panel": sorted(panel)},
@@ -445,12 +449,12 @@ class ReviewBoard:
 
     # -- queries --
 
+    def _reviews_of(self, service_id: str) -> list[Review]:
+        """The service's reviews in id order."""
+        return [self.reviews[rid] for rid in sorted(self.reviews_by_service.get(service_id, ()))]
+
     def pending_reviews(self, service_id: str) -> list[Review]:
-        return [
-            self.reviews[rid]
-            for rid in sorted(self.reviews)
-            if self.reviews[rid].service_id == service_id and self.reviews[rid].badge == BADGE_PENDING
-        ]
+        return [review for review in self._reviews_of(service_id) if review.badge == BADGE_PENDING]
 
     def fraudulent_badge_count(self, pid: str) -> int:
         return self.penalties.get(pid, 0)

@@ -148,7 +148,7 @@ class EventRecord:
         if not isinstance(doc, dict):
             raise MalformedEvent("event line is not a JSON object")
         try:
-            return EventRecord(
+            record = EventRecord(
                 seq=doc["seq"],
                 tick=doc["tick"],
                 kind=doc["kind"],
@@ -158,6 +158,10 @@ class EventRecord:
             )
         except KeyError as exc:
             raise MalformedEvent(f"event missing field {exc}") from exc
+        # `type(...) is int` also refuses bools, which are ints to isinstance.
+        if type(record.seq) is not int or type(record.tick) is not int:
+            raise MalformedEvent(f"seq and tick must be integers, not {record.seq!r} and {record.tick!r}")
+        return record
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ class Marketplace:
         self.tokens = tokens
         self.services: dict[str, ServiceListing] = {}
         self.purchases: dict[str, PurchaseRecord] = {}
+        self.purchases_by_consumer: dict[str, list[str]] = {}   # append-only: keys never change
         self._next_service = 1
         self._next_purchase = 1
 
@@ -137,6 +138,7 @@ class Marketplace:
             price_paid=price,
             tick=self.ledger.tick,
         )
+        self.purchases_by_consumer.setdefault(consumer, []).append(purchase_id)
         srat_token = self.tokens.mint_srat(consumer, service_id, purchase_id)
         if srdt_token_id is not None:
             self.tokens.consume_srdt(srdt_token_id, PURPOSE_DISCOUNT)

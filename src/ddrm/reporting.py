@@ -8,7 +8,7 @@ the already-rounded Ether value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 from .adversary import ScenarioMetrics
 from .ledger import (
@@ -50,7 +50,16 @@ def gas_table_rows(schedule: GasSchedule, usd_per_ether: Decimal) -> list[GasRep
         row = schedule.rows[op]
         wei = row.gas_used * schedule.price_wei
         total_ether = (Decimal(wei) / WEI_PER_ETHER).quantize(_ETHER_Q, rounding=ROUND_HALF_UP)
-        total_usd = (total_ether * usd_per_ether).quantize(_USD_Q, rounding=ROUND_HALF_UP)
+        with localcontext() as ctx:
+            # Room for every digit of the exact product and for the three
+            # places the quantize pads it to: the default 28 digits overflow
+            # on a large usd_per_ether.
+            ctx.prec = max(
+                ctx.prec,
+                len(total_ether.as_tuple().digits) + len(usd_per_ether.as_tuple().digits),
+                total_ether.adjusted() + usd_per_ether.adjusted() + 5,
+            )
+            total_usd = (total_ether * usd_per_ether).quantize(_USD_Q, rounding=ROUND_HALF_UP)
         rows.append(
             GasReportRow(
                 caller=caller,

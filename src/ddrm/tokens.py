@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .config import ProtocolConfig
 from .errors import TokenExpired, TokenNotActive, ValidationError
@@ -28,6 +29,8 @@ VOIDED = "Voided"
 
 PURPOSE_ENDORSEMENT = "Endorsement"
 PURPOSE_DISCOUNT = "DiscountedPurchase"
+
+_by_id = attrgetter("token_id")
 
 
 class _Lifetime:
@@ -68,6 +71,12 @@ class TokenBook:
         self.srats: dict[str, SratToken] = {}
         self.srdts: dict[str, SrdtToken] = {}
         self.srat_by_purchase: dict[str, str] = {}
+        # Append-only indexes over keys a token never changes. Token ids sort
+        # every SRAT before every SRDT ("SRAT-" < "SRDT-"), so sorting a
+        # mixed list by id gives the order of walking srats, then srdts.
+        self.srdts_by_holder_service: dict[tuple[str, str], list[str]] = {}
+        self.tokens_by_holder: dict[str, list[SratToken | SrdtToken]] = {}
+        self.tokens_by_expiry: dict[int, list[SratToken | SrdtToken]] = {}
         self.dret: dict[str, int] = {}
         self._dret_rewarded: dict[str, int] = {}   # service -> crossings already paid
         self._next_srat = 1
@@ -81,7 +90,7 @@ class TokenBook:
         token_id = f"SRAT-{self._next_srat:05d}"
         self._next_srat += 1
         tick = self.ledger.tick
-        self.srats[token_id] = SratToken(
+        token = SratToken(
             token_id=token_id,
             holder=consumer,
             service_id=service_id,
@@ -89,8 +98,14 @@ class TokenBook:
             minted_tick=tick,
             expiry_tick=tick + self.config.srat_lifetime,
         )
+        self.srats[token_id] = token
         self.srat_by_purchase[purchase_id] = token_id
+        self._index(token)
         return token_id
+
+    def _index(self, token: SratToken | SrdtToken) -> None:
+        self.tokens_by_holder.setdefault(token.holder, []).append(token)
+        self.tokens_by_expiry.setdefault(token.expiry_tick, []).append(token)
 
     def _spend(self, tokens: dict, token_id: str, new_state: str) -> str:
         """Move one usable token to its terminal state, or say why it is not usable."""
@@ -120,7 +135,7 @@ class TokenBook:
         token_id = f"SRDT-{self._next_srdt:05d}"
         self._next_srdt += 1
         tick = self.ledger.tick
-        self.srdts[token_id] = SrdtToken(
+        token = SrdtToken(
             token_id=token_id,
             holder=holder,
             service_id=service_id,
@@ -128,6 +143,9 @@ class TokenBook:
             expiry_tick=tick + self.config.srdt_lifetime,
             discount_rate=self.config.srdt_discount,
         )
+        self.srdts[token_id] = token
+        self.srdts_by_holder_service.setdefault((holder, service_id), []).append(token_id)
+        self._index(token)
         return token_id
 
     def consume_srdt(self, token_id: str, purpose: str) -> str:
@@ -138,9 +156,9 @@ class TokenBook:
     def active_srdt_for(self, holder: str, service_id: str) -> SrdtToken | None:
         """Lowest-id active unexpired SRDT bound to the service, if any."""
         tick = self.ledger.tick
-        for token_id in sorted(self.srdts):
+        for token_id in sorted(self.srdts_by_holder_service.get((holder, service_id), ())):
             token = self.srdts[token_id]
-            if token.holder == holder and token.service_id == service_id and token.usable_at(tick):
+            if token.usable_at(tick):
                 return token
         return None
 
@@ -165,14 +183,21 @@ class TokenBook:
     # -- shared lifecycle --
 
     def expiry_sweep(self, tick: int) -> list[str]:
-        """Expire every active token whose expiry tick has been reached."""
+        """Expire every active token whose expiry tick has been reached.
+
+        Every bucket due by `tick` is emptied, not only the one at `tick`,
+        so a caller may jump ticks; tokens of a bucket emptied earlier were
+        expired then, or had already left Active for good. Buckets span at
+        most one token lifetime of ticks, however many tokens there are.
+        """
+        due = []
+        for expiry in [t for t in self.tokens_by_expiry if t <= tick]:
+            due.extend(self.tokens_by_expiry.pop(expiry))
         expired = []
-        for tokens in (self.srats, self.srdts):
-            for token_id in sorted(tokens):
-                token = tokens[token_id]
-                if token.state == ACTIVE and token.expiry_tick <= tick:
-                    token.state = EXPIRED
-                    expired.append(token_id)
+        for token in sorted(due, key=_by_id):
+            if token.state == ACTIVE:
+                token.state = EXPIRED
+                expired.append(token.token_id)
         if expired:
             self.ledger.append_event("TokensExpired", {"tokens": expired})
         return expired
@@ -180,12 +205,10 @@ class TokenBook:
     def void_all(self, holder: str) -> dict:
         """Void every active token a participant holds (exclusion hook)."""
         voided = []
-        for tokens in (self.srats, self.srdts):
-            for token_id in sorted(tokens):
-                token = tokens[token_id]
-                if token.holder == holder and token.state == ACTIVE:
-                    token.state = VOIDED
-                    voided.append(token_id)
+        for token in sorted(self.tokens_by_holder.get(holder, ()), key=_by_id):
+            if token.state == ACTIVE:
+                token.state = VOIDED
+                voided.append(token.token_id)
         return {"voided_tokens": voided}
 
     def srat_counts(self) -> dict[str, int]:

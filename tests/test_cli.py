@@ -1,10 +1,13 @@
 """Command-line interface: commands, exit codes, artifact stability."""
 
 import json
+import time
 
 import pytest
 
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
+from ddrm.config import RATE_DIGITS
+from ddrm.ledger import ZERO_DIGEST, canonical_payload, record_hash
 
 MINIMAL_CONFIG = {
     "seed": 77,
@@ -94,6 +97,31 @@ class TestUntrustedNumbers:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "rate", ["1e-9999999", "1e9999999", f"1e-{RATE_DIGITS + 1}"], ids=["tiny", "huge", "one-digit-over"]
+    )
+    def test_discount_rate_exponent_bounded(self, tmp_path, capsys, rate):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"protocol": {"srdt_discount_rate": rate}, "output_dir": str(tmp_path)}))
+        start = time.perf_counter()
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert "srdt_discount_rate" in capsys.readouterr().err
+
+    def test_discount_rate_at_the_digit_limit_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        rate = f"1e-{RATE_DIGITS}"
+        path.write_text(json.dumps({"protocol": {"srdt_discount_rate": rate}, "output_dir": str(tmp_path)}))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("name", [["x"], 5, {"a": 1}], ids=["list", "int", "object"])
+    def test_non_string_scenario_name_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": [{**self.SCENARIO, "name": name}], "output_dir": str(tmp_path)}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "name must be a string" in capsys.readouterr().err
+
+
 class TestDeepNesting:
     DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -125,6 +153,17 @@ class TestGasTable:
         main(["gas-table", "--format", "json"])
         rows = json.loads(capsys.readouterr().out)
         assert [r["total_usd"] for r in rows] == ["0.839", "0.293", "0.398"]
+
+    def test_huge_usd_rate_prints_exact_rows(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"usd_per_ether": 1e30}))
+        assert main(["gas-table", "--config", str(path), "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["total_usd"] for r in rows] == [
+            "529000000000000000000000000.000",
+            "185000000000000000000000000.000",
+            "251000000000000000000000000.000",
+        ]
 
     def test_gas_override_via_config(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -175,6 +214,22 @@ class TestVerify:
 
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.ndjson")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "seq, tick",
+        [(0, "a"), (0, True), (0, 0.5), (False, 0), (0.0, 0)],
+        ids=["tick-string", "tick-bool", "tick-float", "seq-bool", "seq-float"],
+    )
+    def test_non_integer_seq_or_tick_exits_4(self, tmp_path, capsys, seq, tick):
+        # Hashed over the bad values, so only the field types are wrong.
+        payload = {"note": "one event"}
+        digest = record_hash(seq, tick, "Note", canonical_payload(payload), ZERO_DIGEST)
+        line = {"seq": seq, "tick": tick, "kind": "Note", "payload": payload,
+                "prev_hash": ZERO_DIGEST, "hash": digest}
+        path = tmp_path / "one.events.ndjson"
+        path.write_text(json.dumps(line) + "\n")
+        assert main(["verify", str(path)]) == EXIT_CHAIN
+        assert "seq and tick must be integers" in capsys.readouterr().err
 
 
 class TestPrintDefaults:

@@ -1,11 +1,14 @@
-"""Property tests: conservation, atomicity, token state machine, determinism."""
+"""Property tests: conservation, atomicity, token state machine, determinism, indexes."""
 
+import copy
 import random
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrm import ether, text_digest
+from ddrm.endorsement import BADGE_PENDING, OUTCOME_OPEN
 from ddrm.errors import DdrmError
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
 from ddrm.tokens import ACTIVE
@@ -13,15 +16,120 @@ from ddrm.tokens import ACTIVE
 from conftest import make_sim
 
 
+def _group(records, key, value=attrgetter("token_id")):
+    groups = {}
+    for record in records:
+        groups.setdefault(key(record), []).append(value(record))
+    return {k: sorted(v) for k, v in groups.items()}
+
+
+def brute_force_indexes(sim):
+    """Every lookup index, rebuilt by scanning the primary records."""
+    tokens, board = sim.tokens, sim.reviews
+    every_token = [*tokens.srats.values(), *tokens.srdts.values()]
+    return {
+        "purchases_by_consumer": _group(
+            sim.market.purchases.values(), attrgetter("consumer"), attrgetter("purchase_id")
+        ),
+        "srdts_by_holder_service": _group(tokens.srdts.values(), attrgetter("holder", "service_id")),
+        "tokens_by_holder": _group(every_token, attrgetter("holder")),
+        # Buckets due by the current tick have been swept and dropped.
+        "tokens_by_expiry": _group(
+            [t for t in every_token if t.expiry_tick > sim.ledger.tick], attrgetter("expiry_tick")
+        ),
+        "reviews_by_service": _group(
+            board.reviews.values(), attrgetter("service_id"), attrgetter("review_id")
+        ),
+        "claims_by_purchase": _group(
+            board.claims.values(), attrgetter("purchase_id"), attrgetter("claim_id")
+        ),
+    }
+
+
+def live_indexes(sim):
+    """The same indexes as the simulation keeps them, in the oracle's shape."""
+    tokens, board = sim.tokens, sim.reviews
+
+    def ids(index, value=attrgetter("token_id")):
+        return {k: sorted(value(v) if not isinstance(v, str) else v for v in vs) for k, vs in index.items()}
+
+    return {
+        "purchases_by_consumer": ids(sim.market.purchases_by_consumer),
+        "srdts_by_holder_service": ids(tokens.srdts_by_holder_service),
+        "tokens_by_holder": ids(tokens.tokens_by_holder),
+        "tokens_by_expiry": ids(tokens.tokens_by_expiry),
+        "reviews_by_service": ids(board.reviews_by_service),
+        "claims_by_purchase": ids(board.claims_by_purchase, attrgetter("claim_id")),
+    }
+
+
+def check_indexes(sim):
+    """Each index, and each query it serves, equals the full scan it replaced."""
+    assert live_indexes(sim) == brute_force_indexes(sim)
+    tokens, board = sim.tokens, sim.reviews
+    tick = sim.ledger.tick
+    for service_id in sim.market.services:
+        for holder in sim.identity.participants:
+            scanned = next(
+                (
+                    tokens.srdts[tid]
+                    for tid in sorted(tokens.srdts)
+                    if tokens.srdts[tid].holder == holder
+                    and tokens.srdts[tid].service_id == service_id
+                    and tokens.srdts[tid].usable_at(tick)
+                ),
+                None,
+            )
+            assert tokens.active_srdt_for(holder, service_id) is scanned
+        assert board.pending_reviews(service_id) == [
+            board.reviews[rid]
+            for rid in sorted(board.reviews)
+            if board.reviews[rid].service_id == service_id and board.reviews[rid].badge == BADGE_PENDING
+        ]
+    # Dry-run the sweep on copies, one tick ahead and past every lifetime,
+    # and the exclusion hook for every participant.
+    for ahead in (1, max(sim.config.srat_lifetime, sim.config.srdt_lifetime)):
+        target = tick + ahead
+        scanned = [
+            tid
+            for book in (tokens.srats, tokens.srdts)
+            for tid in sorted(book)
+            if book[tid].state == ACTIVE and book[tid].expiry_tick <= target
+        ]
+        assert _detached_copy(tokens).expiry_sweep(target) == scanned
+    voiding = _detached_copy(tokens)
+    for holder in sim.identity.participants:
+        scanned = [
+            tid
+            for book in (tokens.srats, tokens.srdts)
+            for tid in sorted(book)
+            if book[tid].holder == holder and book[tid].state == ACTIVE
+        ]
+        assert voiding.void_all(holder) == {"voided_tokens": scanned}
+
+
+class _LogSink:
+    def append_event(self, kind, payload):
+        pass
+
+
+def _detached_copy(tokens):
+    """A deep copy of the token book that shares the config and logs nowhere."""
+    return copy.deepcopy(tokens, {id(tokens.config): tokens.config, id(tokens.ledger): _LogSink()})
+
+
 def random_protocol_walk(sim, rng, steps):
-    """Drive a random mix of protocol operations, tolerating denials."""
+    """Drive a random mix of protocol operations, tolerating denials.
+
+    After every step the lookup indexes are checked against full scans.
+    """
     providers = [sim.register(f"prov-{i}", {ROLE_PROVIDER}) for i in range(2)]
     consumers = [sim.register(f"cons-{i}", {ROLE_CONSUMER}) for i in range(3)]
     services = [sim.add_service(p, ether("0.2")) for p in providers]
     purchases = []
     reviews = []
     for _ in range(steps):
-        action = rng.randrange(6)
+        action = rng.randrange(11)
         try:
             if action == 0:
                 purchases.append(sim.buy_service(rng.choice(consumers), rng.choice(services)))
@@ -41,8 +149,32 @@ def random_protocol_walk(sim, rng, steps):
                     sim.run_endorser_selection(service)
             elif action == 5:
                 sim.modify_service(rng.choice(providers), rng.choice(services), ether("0.3"))
+            elif action == 6:
+                service = rng.choice(services)
+                roster = sorted(sim.reviews.rosters.get(service, ()))
+                pending = sim.reviews.pending_reviews(service)
+                if roster and pending:
+                    sim.endorse_review(rng.choice(roster), rng.choice(pending).review_id, rng.choice(["Up", "Down"]))
+            elif action == 7 and purchases:
+                pid = rng.choice(purchases)
+                sim.file_refund_claim(sim.market.purchases[pid].consumer, pid)
+            elif action == 8:
+                open_claims = [c for c in sim.reviews.claims.values() if c.outcome == OUTCOME_OPEN]
+                if open_claims:
+                    claim = rng.choice(open_claims)
+                    sim.vote_refund(rng.choice(claim.panel), claim.claim_id, rng.choice(["Approve", "Reject"]))
+            elif action == 9:
+                service = rng.choice(services)
+                holders = sorted(sim.reviews.rosters.get(service, ())) or consumers
+                consumer = rng.choice(holders)
+                token = sim.tokens.active_srdt_for(consumer, service)
+                if token is not None:
+                    purchases.append(sim.buy_service(consumer, service, token.token_id))
+            elif action == 10 and rng.random() < 0.1:
+                sim.exclude(rng.choice(consumers))
         except DdrmError:
             pass
+        check_indexes(sim)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -53,6 +185,15 @@ def test_conservation_holds_under_random_walks(seed):
     random_protocol_walk(sim, random.Random(seed), steps=25)
     assert sim.conservation_total() == genesis
     assert sim.ledger.verify_chain().ok
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_indexes_match_full_scans_on_long_walks(seed):
+    # Short token lifetimes, so sweeps expire tokens that indexes still hold.
+    sim = make_sim(seed=seed, srat_lifetime=6, srdt_lifetime=8)
+    random_protocol_walk(sim, random.Random(seed), steps=120)
+    assert sim.conservation_ok()
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
