@@ -39,7 +39,7 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConf
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError(f"config {path} is nested too deeply") from exc
@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
         try:
             doc = json.loads(metrics_path.read_text(encoding="utf-8"))
             recorded = ScenarioMetrics.from_dict(doc["metrics"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: cannot read metrics {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if replayed != recorded:

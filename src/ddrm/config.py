@@ -28,6 +28,11 @@ DEFAULT_USD_PER_ETHER = Decimal("1586.0")
 # decimal exponent), before it becomes a Fraction.
 RATE_DIGITS = 36
 
+# usd_per_ether is refused past this many integer digits: the gas table
+# prints every digit of its USD products, and past the decimal context's
+# exponent range they cannot be computed at all.
+USD_DIGITS = 36
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -190,6 +195,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     usd = _as_decimal(doc.get("usd_per_ether", DEFAULT_USD_PER_ETHER), "usd_per_ether")
     if usd <= 0:
         raise ConfigError("usd_per_ether must be strictly positive")
+    if usd.adjusted() >= USD_DIGITS:
+        raise ConfigError(f"usd_per_ether allows at most {USD_DIGITS} integer digits: {doc['usd_per_ether']!r}")
     out = doc.get("output_dir", "out")
     if not isinstance(out, str) or not out:
         raise ConfigError("output_dir must be a non-empty string")

@@ -300,7 +300,12 @@ class ReviewBoard:
         self.tokens.award_dret(service.provider, service_id, service.authentic_review_count)
         report["roster"] = sorted(self.rosters[service_id])
         self.ledger.append_event("SelectionRun", report)
-        return report
+        # The logged payload must stay as it was hashed, so the caller gets a
+        # copy; each value is a string or a list of strings and flat dicts.
+        return {
+            key: value if isinstance(value, str) else [dict(v) if isinstance(v, dict) else v for v in value]
+            for key, value in report.items()
+        }
 
     def bootstrap_endorsers(self, service_id: str, n: int | None = None) -> list[str]:
         """Seed an empty roster by drawing from the service's earliest reviewers."""

@@ -8,6 +8,8 @@ appends an EventRecord to a hash chain:
 
 where payload_json is the canonical JSON encoding (sorted keys, compact
 separators, UTF-8) and the genesis record's prev_hash is 64 zero hex digits.
+A record appended here keeps its payload_json, and export writes those
+bytes into its line, so each payload is encoded once.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -104,9 +106,14 @@ class GasSchedule:
         return self.rows[op].gas_used * self.price_wei
 
 
+# One encoder for every payload: json.dumps with options builds a new one per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def canonical_payload(payload: dict) -> str:
     """Canonical JSON used both for hashing and for log export."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def record_hash(seq: int, tick: int, kind: str, payload_json: str, prev_hash: str) -> str:
@@ -114,7 +121,7 @@ def record_hash(seq: int, tick: int, kind: str, payload_json: str, prev_hash: st
     return hashlib.sha256(preimage.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     seq: int
     tick: int
@@ -122,45 +129,45 @@ class EventRecord:
     payload: dict
     prev_hash: str
     hash: str
+    # The canonical payload JSON the hash was computed over, set by
+    # Ledger.append_event only; export writes these exact bytes.
+    # verify_records never reads it, so an edit to `payload` after append
+    # still shows as a hash mismatch.
+    _payload_json: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "tick": self.tick,
-                "kind": self.kind,
-                "payload": self.payload,
-                "prev_hash": self.prev_hash,
-                "hash": self.hash,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        """The record as one canonical JSON object (sorted keys, compact, ASCII)."""
+        payload_json = self._payload_json
+        if payload_json is None:
+            payload_json = canonical_payload(self.payload)
+        return (
+            f'{{"hash":{_encode_str(self.hash)},"kind":{_encode_str(self.kind)},'
+            f'"payload":{payload_json},"prev_hash":{_encode_str(self.prev_hash)},'
+            f'"seq":{self.seq},"tick":{self.tick}}}'
         )
 
     @staticmethod
     def from_json_line(line: str) -> "EventRecord":
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
             raise MalformedEvent(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise MalformedEvent("JSON nested too deeply") from exc
         if not isinstance(doc, dict):
             raise MalformedEvent("event line is not a JSON object")
         try:
-            record = EventRecord(
-                seq=doc["seq"],
-                tick=doc["tick"],
-                kind=doc["kind"],
-                payload=doc["payload"],
-                prev_hash=doc["prev_hash"],
-                hash=doc["hash"],
-            )
+            # Positional: keyword arguments cost a dataclass constructor more.
+            record = EventRecord(doc["seq"], doc["tick"], doc["kind"], doc["payload"], doc["prev_hash"], doc["hash"])
         except KeyError as exc:
             raise MalformedEvent(f"event missing field {exc}") from exc
         # `type(...) is int` also refuses bools, which are ints to isinstance.
         if type(record.seq) is not int or type(record.tick) is not int:
             raise MalformedEvent(f"seq and tick must be integers, not {record.seq!r} and {record.tick!r}")
+        if type(record.kind) is not str or type(record.hash) is not str or type(record.prev_hash) is not str:
+            raise MalformedEvent("kind, hash and prev_hash must be strings")
+        if type(record.payload) is not dict:
+            raise MalformedEvent(f"payload must be a JSON object, not {type(record.payload).__name__}")
         return record
 
 
@@ -310,14 +317,8 @@ class Ledger:
         seq = len(self.log)
         prev = self.log[-1].hash if self.log else ZERO_DIGEST
         payload_json = canonical_payload(payload)
-        rec = EventRecord(
-            seq=seq,
-            tick=self.tick,
-            kind=kind,
-            payload=payload,
-            prev_hash=prev,
-            hash=record_hash(seq, self.tick, kind, payload_json, prev),
-        )
+        rec = EventRecord(seq, self.tick, kind, payload, prev, record_hash(seq, self.tick, kind, payload_json, prev))
+        object.__setattr__(rec, "_payload_json", payload_json)
         self.log.append(rec)
         return rec
 

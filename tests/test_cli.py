@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from ddrm import run_scenario
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
-from ddrm.config import RATE_DIGITS
+from ddrm.config import RATE_DIGITS, USD_DIGITS
 from ddrm.ledger import ZERO_DIGEST, canonical_payload, record_hash
 
 MINIMAL_CONFIG = {
@@ -113,6 +114,32 @@ class TestUntrustedNumbers:
         rate = f"1e-{RATE_DIGITS}"
         path.write_text(json.dumps({"protocol": {"srdt_discount_rate": rate}, "output_dir": str(tmp_path)}))
         assert main(["run", "--config", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("gas-table", "usd_per_ether"), ("run", "usd_per_ether"), ("run", "seed")],
+        ids=["gas-table-usd", "run-usd", "run-seed"],
+    )
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys, command, key):
+        # Python refuses to parse an int literal of more than 4300 digits.
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"{key}": {"7" * 5000}, "output_dir": "{tmp_path}"}}')
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gas-table", "run"])
+    @pytest.mark.parametrize("usd", ["1e9999999", f"1e{USD_DIGITS}"], ids=["huge", "one-digit-over"])
+    def test_usd_rate_digits_bounded(self, tmp_path, capsys, command, usd):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"usd_per_ether": usd, "output_dir": str(tmp_path)}))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "usd_per_ether allows at most" in capsys.readouterr().err
+
+    def test_usd_rate_at_the_digit_limit_accepted(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"usd_per_ether": "9" * USD_DIGITS}))
+        assert main(["gas-table", "--config", str(path), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[0]["total_usd"].startswith("528999")
 
     @pytest.mark.parametrize("name", [["x"], 5, {"a": 1}], ids=["list", "int", "object"])
     def test_non_string_scenario_name_exits_2(self, tmp_path, capsys, name):
@@ -232,6 +259,42 @@ class TestVerify:
         assert "seq and tick must be integers" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "kind, payload, message",
+        [
+            (5, {"note": "x"}, "kind, hash and prev_hash must be strings"),
+            (["X"], {"note": "x"}, "kind, hash and prev_hash must be strings"),
+            ("Note", 5, "payload must be a JSON object, not int"),
+            ("Note", [1, 2], "payload must be a JSON object, not list"),
+        ],
+        ids=["kind-int", "kind-list", "payload-int", "payload-list"],
+    )
+    def test_mistyped_kind_or_payload_exits_4(self, tmp_path, capsys, kind, payload, message):
+        # Hashed over the bad values, so only the field types are wrong.
+        digest = record_hash(0, 0, kind, canonical_payload(payload), ZERO_DIGEST)
+        line = {"seq": 0, "tick": 0, "kind": kind, "payload": payload, "prev_hash": ZERO_DIGEST, "hash": digest}
+        path = tmp_path / "one.events.ndjson"
+        path.write_text(json.dumps(line) + "\n")
+        assert main(["verify", str(path)]) == EXIT_CHAIN
+        assert message in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "one.events.ndjson"
+        path.write_text(
+            f'{{"hash":"{ZERO_DIGEST}","kind":"Note","payload":{{}},'
+            f'"prev_hash":"{ZERO_DIGEST}","seq":{"1" * 5000},"tick":0}}\n'
+        )
+        assert main(["verify", str(path)]) == EXIT_CHAIN
+        assert "verification failed" in capsys.readouterr().err
+
+    def test_metrics_integer_past_the_digit_limit_exits_2(self, tmp_path, config_path, capsys):
+        log, metrics = self._run(tmp_path, config_path)
+        text = metrics.read_text()
+        metrics.write_text(text.replace('"exclusions": ', f'"exclusions": {"1" * 5000}', 1))
+        assert main(["verify", str(log)]) == EXIT_CONFIG
+        assert "cannot read metrics" in capsys.readouterr().err
+
+
 class TestPrintDefaults:
     def test_defaults_are_valid_config(self, capsys):
         assert main(["print-defaults"]) == EXIT_OK
@@ -259,6 +322,21 @@ class TestInvariantExit:
         monkeypatch.setattr(Ledger, "verify_chain", lambda self: broken)
         assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
         assert "chain broken at 5: tick regression" in capsys.readouterr().err
+
+
+    def test_payload_edited_after_append_exits_3(self, config_path, monkeypatch, capsys):
+        # The export still carries the hashed bytes, so only the live chain
+        # check can see the edit.
+        import ddrm.cli as cli_mod
+
+        def run_and_edit(*args):
+            result = run_scenario(*args)
+            result.sim.ledger.log[3].payload["edited"] = True
+            return result
+
+        monkeypatch.setattr(cli_mod, "run_scenario", run_and_edit)
+        assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
+        assert "chain broken at 3: hash mismatch" in capsys.readouterr().err
 
 
 class TestUsdRateDerivation:

@@ -303,6 +303,22 @@ class TestPenaltiesAndRoster:
         sim.run_endorser_selection(service)
         assert sim.tokens.active_srdt_for(fresh, service) is not None
 
+    def test_editing_the_selection_report_leaves_the_log_intact(self):
+        sim = make_sim(endorsement_quorum=1)
+        provider, service = provider_and_service(sim)
+        old, _, _ = reviewed_purchase(sim, service, "old")
+        fresh, purchase, review = reviewed_purchase(sim, service, "fresh")
+        sim.bootstrap_endorsers(service, 1)
+        sim.endorse_review(old, review, VOTE_UP)
+        report = sim.run_endorser_selection(service)
+        logged = sim.ledger.log[-1]
+        assert logged.kind == "SelectionRun" and logged.payload == report
+        report["roster"].append("intruder")
+        report["badged"][0]["badge"] = BADGE_FRAUDULENT
+        report["service"] = "elsewhere"
+        assert sim.ledger.verify_chain().ok
+        assert logged.payload["roster"] == [fresh]
+
 
 class TestBootstrap:
     def test_deterministic_roster_for_seed(self):

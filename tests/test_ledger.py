@@ -1,8 +1,11 @@
-"""Ledger: gas charges, hash chain, beacon, ticks."""
+"""Ledger: gas charges, hash chain, log codec, beacon, ticks."""
 
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddrm import GasSchedule, RandomBeacon, ether, load_log_lines
 from ddrm.errors import ChainBroken, InsufficientFunds, MalformedEvent, PoolTooSmall, ConfigError
@@ -151,6 +154,64 @@ class TestEventChain:
     def test_malformed_line_raises(self):
         with pytest.raises(MalformedEvent):
             load_log_lines('{"seq": 0, "oops"\n')
+
+
+# JSON-native values: what a log line can carry and json.loads gives back equal.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def reference_line(rec: EventRecord) -> str:
+    fields = {name: getattr(rec, name) for name in ("seq", "tick", "kind", "payload", "prev_hash", "hash")}
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
+class TestLogCodec:
+    @given(kind=st.text(), payload=st.dictionaries(st.text(), JSON_VALUES, max_size=6), tick=st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_line_equals_json_dumps_and_round_trips(self, kind, payload, tick):
+        ledger = fresh_ledger()
+        ledger.tick = tick
+        ledger.append_event("Ping", {})
+        appended = ledger.append_event(kind, payload)
+        built = EventRecord(appended.seq, tick, kind, payload, appended.prev_hash, appended.hash)
+        # Both paths are taken: the appended record writes the bytes it was
+        # hashed over, the directly built one encodes its payload.
+        assert appended._payload_json is not None and built._payload_json is None
+        for rec in (appended, built):
+            line = rec.to_json_line()
+            assert line == reference_line(rec)
+            assert EventRecord.from_json_line(line) == rec
+        verify_log_records(load_log_lines(ledger.export_log()))
+
+    def test_replace_drops_the_committed_bytes(self):
+        rec = fresh_ledger().append_event("Ping", {"i": 1})
+        assert replace(rec, payload={"i": 2})._payload_json is None
+        assert "_payload_json" not in repr(rec)
+
+
+class TestCommittedBytes:
+    """Export writes the hashed bytes; the live check still re-encodes each payload.
+
+    That an untouched export replays to the live metrics is checked for
+    every scenario kind by test_adversary's test_replay_metrics_equal_live_metrics.
+    """
+
+    def test_payload_edited_after_append_breaks_live_chain(self):
+        ledger = fresh_ledger()
+        for i in range(10):
+            ledger.append_event("Ping", {"i": i, "tags": ["a"]})
+        ledger.log[4].payload["tags"].append("b")
+        check = ledger.verify_chain()
+        assert (check.ok, check.bad_seq) == (False, 4)
+        assert check.reason.startswith("hash mismatch")
 
 
 class TestBeacon:
