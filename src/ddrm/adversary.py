@@ -46,16 +46,15 @@ from .endorsement import (
     VOTE_UP,
     text_digest,
 )
-from .errors import ConfigError, DdrmError, DuplicateCard
+from .errors import ConfigError, DdrmError, DuplicateCard, MalformedEvent
 from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
 from .ledger import (
     OP_ADD_SERVICE,
     OP_ENDORSE_REVIEW,
     OP_REQUEST_SERVICE,
-    EventRecord,
     ether,
     load_log_lines,
-    verify_log_records,
+    verify_records,
 )
 from .sim import Simulation
 
@@ -707,23 +706,15 @@ def run_scenario(
     return ScenarioRunner(scenario, protocol, default_seed).run()
 
 
-def replay_verify(log) -> ScenarioMetrics:
-    """Recompute scenario metrics purely from an exported event log.
+def replay_verify(log_text: str) -> ScenarioMetrics:
+    """Recompute scenario metrics purely from an exported ndjson event log.
 
-    Accepts ndjson text or a list of EventRecord. Raises ChainBroken if the
-    hash chain does not verify and MalformedEvent on unparseable records.
-    This is the independent oracle against run_scenario's live metrics.
+    Raises ChainBroken if the hash chain does not verify and MalformedEvent
+    on unparseable records. This is the independent oracle against
+    run_scenario's live metrics.
     """
-    from .errors import MalformedEvent
-
-    if isinstance(log, str):
-        records = load_log_lines(log)
-    else:
-        records = list(log)
-        for rec in records:
-            if not isinstance(rec, EventRecord):
-                raise MalformedEvent(f"not an event record: {rec!r}")
-    verify_log_records(records)
+    records = load_log_lines(log_text)
+    verify_records(records)
 
     # The setup annotation is appended after the population (it needs the
     # service ids), so locate it first and then fold the whole log.

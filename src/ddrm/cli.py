@@ -8,9 +8,9 @@ Commands
     print-defaults dump the built-in configuration as JSON
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation during
-a run, 4 broken or malformed event log, 5 replayed metrics disagree with
-the recorded metrics file. Artifacts contain no wall-clock timestamps, so
-reruns with one seed are byte-identical.
+a run, 4 broken, malformed or non-UTF-8 event log, 5 replayed metrics
+disagree with the recorded metrics file. Artifacts contain no wall-clock
+timestamps, so reruns with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -58,11 +58,12 @@ def cmd_run(args) -> int:
     for scenario in sorted(config.scenarios, key=lambda s: s.name):
         result = run_scenario(scenario, config.protocol, config.seed)
         log_text = result.log_text()
-        check = result.sim.ledger.verify_chain()
-        if not check.ok:
+        try:
+            result.sim.ledger.verify_chain()
+        except ChainBroken as exc:
             raise InvariantViolation(
-                f"scenario {scenario.name}: chain broken at {check.bad_seq}: {check.reason}"
-            )
+                f"scenario {scenario.name}: chain broken at {exc.seq}: {exc.reason}"
+            ) from exc
         replayed = replay_verify(log_text)
         if replayed != result.metrics:
             raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
@@ -105,6 +106,9 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read log {log_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"verification failed: log is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_CHAIN
     try:
         replayed = replay_verify(text)
     except (ChainBroken, MalformedEvent) as exc:

@@ -53,7 +53,6 @@ class ProtocolConfig:
     dret_interval: int = 5                          # authentic badges per reputation token
     literal_alg2_ties: bool = False                 # brand tied votes Fraudulent
     refund_fund_on_withdraw: bool = False           # return frozen fund to provider
-    check_conservation: bool = True
 
     def validate(self) -> None:
         self.gas.validate()

@@ -6,7 +6,8 @@ least `endorsement_quorum` votes arrived. Ties stay Pending by default;
 the `literal_alg2_ties` switch brands them Fraudulent instead. Selection
 rebuilds the per-service endorser roster from the round's authentic
 reviewers, pays each one an SRDT, and excludes reviewers whose fraudulent
-badge count exceeds the penalty threshold.
+badge count exceeds the penalty threshold. All exclusion, by penalty or
+through Simulation.exclude, runs ReviewBoard.exclude.
 
 Refund claims are judged by a beacon-drawn panel of selected endorsers;
 approval needs a strict majority of the panel and moves exactly the price
@@ -39,7 +40,7 @@ from .errors import (
     ReviewAlreadyBadged,
     ValidationError,
 )
-from .identity import ROLE_ENDORSER, ROLE_REVIEWER, IdentityRegistry
+from .identity import ROLE_ENDORSER, ROLE_REVIEWER, STATUS_EXCLUDED, IdentityRegistry
 from .ledger import OP_ENDORSE_REVIEW, Ledger
 from .marketplace import Marketplace
 from .tokens import PURPOSE_ENDORSEMENT, TokenBook
@@ -294,7 +295,7 @@ class ReviewBoard:
             report["penalized"].append({"participant": pid, "count": self.penalties[pid]})
         for pid in sorted(set(penalize)):
             if self.penalties[pid] > self.config.penalty_threshold and self.identity.get(pid).active:
-                self.identity.exclude(pid)
+                self.exclude(pid)
                 report["excluded"].append(pid)
 
         self.tokens.award_dret(service.provider, service_id, service.authentic_review_count)
@@ -340,15 +341,30 @@ class ReviewBoard:
         if not any(pid in roster for roster in self.rosters.values()):
             self.identity.revoke_role(pid, ROLE_ENDORSER)
 
-    def remove_from_rosters(self, pid: str) -> dict:
-        """Exclusion hook: drop the participant from every roster."""
+    # -- exclusion --
+
+    def exclude(self, pid: str) -> str:
+        """Exclude a participant for good; idempotent.
+
+        Voids their active tokens, drops them from every roster, withdraws
+        their listed services, then logs one Excluded event saying which.
+        """
+        record = self.identity.get(pid)
+        if not record.active:
+            return STATUS_EXCLUDED
+        record.status = STATUS_EXCLUDED
+        voided = self.tokens.void_all(pid)
         removed = []
         for service_id in sorted(self.rosters):
             if pid in self.rosters[service_id]:
                 self.rosters[service_id].discard(pid)
                 removed.append(service_id)
         self.identity.revoke_role(pid, ROLE_ENDORSER)
-        return {"rosters_removed": removed}
+        withdrawn = self.market.withdraw_all_for(pid)
+        self.ledger.append_event(
+            "Excluded", {"participant": pid, **voided, "rosters_removed": removed, **withdrawn}
+        )
+        return STATUS_EXCLUDED
 
     # -- refunds --
 

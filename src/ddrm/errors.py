@@ -148,9 +148,10 @@ class ClaimClosed(DdrmError):
 class ChainBroken(DdrmError):
     """Event log hash chain failed verification."""
 
-    def __init__(self, seq: int, reason: str = ""):
+    def __init__(self, seq: int, reason: str):
         self.seq = seq
-        super().__init__(f"chain broken at seq {seq}" + (f": {reason}" if reason else ""))
+        self.reason = reason      # which check failed at seq
+        super().__init__(f"chain broken at seq {seq}: {reason}")
 
 
 class MalformedEvent(DdrmError):

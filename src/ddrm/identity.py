@@ -1,10 +1,13 @@
-"""Participant registration, pseudonymous addresses, roles, and exclusion.
+"""Participant registration, pseudonymous addresses, roles, and status.
 
 One active registration per card fingerprint, forever: fingerprints of
 excluded participants stay bound, so shedding a bad history requires a new
 card. A participant may hold several pseudonymous addresses, but balances
 and penalties are pooled per participant (the participant id doubles as
-the ledger account key; addresses are resolvable aliases).
+the ledger account key; addresses are resolvable aliases). Exclusion is
+recorded in a participant's status but carried out by
+endorsement.ReviewBoard.exclude, which also reaches the tokens, rosters
+and listings an excluded participant loses.
 """
 
 from __future__ import annotations
@@ -63,12 +66,7 @@ class IdentityRegistry:
         self.address_owner: dict[str, str] = {}
         self._next_id = 1
         self._next_addr = 0
-        self._exclude_hooks = []
         ledger.open_account(FAUCET, config.faucet_balance)
-
-    def add_exclude_hook(self, hook) -> None:
-        """hook(participant_id) -> dict merged into the Excluded event payload."""
-        self._exclude_hooks.append(hook)
 
     def _fresh_address(self) -> str:
         raw = f"addr|{self.ledger.beacon.seed}|{self._next_addr}"
@@ -117,17 +115,6 @@ class IdentityRegistry:
         self.address_owner[address] = participant_id
         self.ledger.append_event("AddressBound", {"participant": participant_id, "address": address})
         return address
-
-    def exclude(self, participant_id: str) -> str:
-        record = self.get(participant_id)
-        if record.status == STATUS_EXCLUDED:
-            return STATUS_EXCLUDED  # idempotent
-        record.status = STATUS_EXCLUDED
-        payload = {"participant": participant_id}
-        for hook in self._exclude_hooks:
-            payload.update(hook(participant_id))
-        self.ledger.append_event("Excluded", payload)
-        return STATUS_EXCLUDED
 
     # -- lookups --
 

@@ -171,35 +171,24 @@ class EventRecord:
         return record
 
 
-@dataclass(frozen=True)
-class ChainCheck:
-    ok: bool
-    bad_seq: int | None = None
-    reason: str | None = None     # which check failed at bad_seq
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_records(records) -> ChainCheck:
-    """Recompute every hash and link; report the first bad sequence number and why."""
+def verify_records(records) -> None:
+    """Recompute every hash and link; raise ChainBroken at the first bad record, saying why."""
     prev = ZERO_DIGEST
     expected_seq = 0
     last_tick = 0
     for rec in records:
         if rec.seq != expected_seq:
-            return ChainCheck(False, rec.seq, f"seq gap: expected {expected_seq}")
+            raise ChainBroken(rec.seq, f"seq gap: expected {expected_seq}")
         if rec.prev_hash != prev:
-            return ChainCheck(False, rec.seq, "prev-hash mismatch: does not link to the previous record")
+            raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
         if rec.tick < last_tick:
-            return ChainCheck(False, rec.seq, f"tick regression: {rec.tick} after {last_tick}")
+            raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
         recomputed = record_hash(rec.seq, rec.tick, rec.kind, canonical_payload(rec.payload), rec.prev_hash)
         if recomputed != rec.hash:
-            return ChainCheck(False, rec.seq, "hash mismatch: record contents were altered")
+            raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
         prev = rec.hash
         expected_seq += 1
         last_tick = rec.tick
-    return ChainCheck(True, None)
 
 
 class RandomBeacon:
@@ -253,7 +242,6 @@ class Ledger:
         self.log: list[EventRecord] = []
         self.tick = 0
         self.beacon = RandomBeacon(seed)
-        self._tick_hooks = []
 
     # -- accounts --
 
@@ -322,8 +310,9 @@ class Ledger:
         self.log.append(rec)
         return rec
 
-    def verify_chain(self) -> ChainCheck:
-        return verify_records(self.log)
+    def verify_chain(self) -> None:
+        """Raise ChainBroken unless the live log forms an intact chain."""
+        verify_records(self.log)
 
     def final_hash(self) -> str:
         return self.log[-1].hash if self.log else ZERO_DIGEST
@@ -334,13 +323,8 @@ class Ledger:
 
     # -- time --
 
-    def add_tick_hook(self, hook) -> None:
-        self._tick_hooks.append(hook)
-
     def advance_tick(self) -> int:
         self.tick += 1
-        for hook in self._tick_hooks:
-            hook(self.tick)
         return self.tick
 
 
@@ -351,10 +335,3 @@ def load_log_lines(text: str) -> list[EventRecord]:
         if line.strip():
             records.append(EventRecord.from_json_line(line))
     return records
-
-
-def verify_log_records(records: list[EventRecord]) -> None:
-    """Raise ChainBroken unless the records form an intact chain."""
-    check = verify_records(records)
-    if not check.ok:
-        raise ChainBroken(check.bad_seq if check.bad_seq is not None else -1, check.reason)

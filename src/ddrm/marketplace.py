@@ -208,7 +208,7 @@ class Marketplace:
         return service.review_fund
 
     def withdraw_all_for(self, provider: str) -> dict:
-        """Exclusion hook: withdraw every listed service, as withdraw_service would."""
+        """On exclusion: withdraw every listed service, as withdraw_service would."""
         withdrawn = []
         for service_id in sorted(self.services):
             service = self.services[service_id]

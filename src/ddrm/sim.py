@@ -1,10 +1,13 @@
 """Facade wiring the ledger, identity, marketplace, tokens, and reviews.
 
 A Simulation owns one isolated protocol instance. All mutations go through
-its methods; after every committed operation (when check_conservation is
-on) it re-asserts the money conservation law:
+its methods; after every committed operation it re-asserts the money
+conservation law, always (there is no switch to turn it off):
 
     sum(accounts) + gas_sink + sum(review funds) == genesis total
+
+exclude runs ReviewBoard.exclude; advance_tick moves the ledger's tick on
+and then expires the tokens due by it (TokenBook.expiry_sweep).
 
 Operations validate all preconditions before touching state, so a raised
 DdrmError leaves the simulation exactly as it was. snapshot() serializes
@@ -39,10 +42,6 @@ class Simulation:
         self.tokens = TokenBook(self.config, self.ledger)
         self.market = Marketplace(self.config, self.ledger, self.identity, self.tokens)
         self.reviews = ReviewBoard(self.config, self.ledger, self.identity, self.market, self.tokens)
-        self.identity.add_exclude_hook(self.tokens.void_all)
-        self.identity.add_exclude_hook(self.reviews.remove_from_rosters)
-        self.identity.add_exclude_hook(self.market.withdraw_all_for)
-        self.ledger.add_tick_hook(self.tokens.expiry_sweep)
         self._genesis_total = self.conservation_total()
 
     # -- invariants --
@@ -54,12 +53,9 @@ class Simulation:
         return self.conservation_total() == self._genesis_total
 
     def _conserved(self, value):
-        if self.config.check_conservation:
-            total = self.conservation_total()
-            if total != self._genesis_total:
-                raise InvariantViolation(
-                    f"conservation broken: {total} != genesis {self._genesis_total}"
-                )
+        total = self.conservation_total()
+        if total != self._genesis_total:
+            raise InvariantViolation(f"conservation broken: {total} != genesis {self._genesis_total}")
         return value
 
     # -- identity --
@@ -71,7 +67,7 @@ class Simulation:
         return self._conserved(self.identity.bind_address(participant_id))
 
     def exclude(self, participant_id: str) -> str:
-        return self._conserved(self.identity.exclude(participant_id))
+        return self._conserved(self.reviews.exclude(participant_id))
 
     # -- marketplace --
 
@@ -118,7 +114,9 @@ class Simulation:
     # -- time --
 
     def advance_tick(self) -> int:
-        return self._conserved(self.ledger.advance_tick())
+        tick = self.ledger.advance_tick()
+        self.tokens.expiry_sweep(tick)
+        return self._conserved(tick)
 
     # -- state capture --
 

@@ -203,7 +203,7 @@ class TokenBook:
         return expired
 
     def void_all(self, holder: str) -> dict:
-        """Void every active token a participant holds (exclusion hook)."""
+        """Void every active token a participant holds (on exclusion)."""
         voided = []
         for token in sorted(self.tokens_by_holder.get(holder, ()), key=_by_id):
             if token.state == ACTIVE:

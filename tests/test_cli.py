@@ -44,6 +44,13 @@ class TestRun:
         bad.write_text(json.dumps({"seeed": 1}))
         assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
 
+    def test_conservation_switch_is_an_unknown_key(self, tmp_path, capsys):
+        # The conservation check always runs; there is no key to turn it off.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"protocol": {"check_conservation": False}}))
+        assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+        assert "check_conservation" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -287,6 +294,12 @@ class TestVerify:
         assert main(["verify", str(path)]) == EXIT_CHAIN
         assert "verification failed" in capsys.readouterr().err
 
+    def test_non_utf8_log_exits_4(self, tmp_path, config_path, capsys):
+        log, _ = self._run(tmp_path, config_path)
+        log.write_bytes(b"\xff\xfe" + log.read_bytes())
+        assert main(["verify", str(log)]) == EXIT_CHAIN
+        assert "verification failed" in capsys.readouterr().err
+
     def test_metrics_integer_past_the_digit_limit_exits_2(self, tmp_path, config_path, capsys):
         log, metrics = self._run(tmp_path, config_path)
         text = metrics.read_text()
@@ -316,10 +329,13 @@ class TestInvariantExit:
         assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
 
     def test_broken_live_chain_names_the_check(self, config_path, monkeypatch, capsys):
-        from ddrm.ledger import ChainCheck, Ledger
+        from ddrm.errors import ChainBroken
+        from ddrm.ledger import Ledger
 
-        broken = ChainCheck(False, 5, "tick regression: 1 after 2")
-        monkeypatch.setattr(Ledger, "verify_chain", lambda self: broken)
+        def broken(self):
+            raise ChainBroken(5, "tick regression: 1 after 2")
+
+        monkeypatch.setattr(Ledger, "verify_chain", broken)
         assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
         assert "chain broken at 5: tick regression" in capsys.readouterr().err
 

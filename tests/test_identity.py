@@ -2,7 +2,7 @@
 
 import pytest
 
-from ddrm import ether
+from ddrm import ProtocolConfig, Simulation, ether, text_digest
 from ddrm.errors import DuplicateCard, ParticipantExcluded, UnknownParticipant, ValidationError
 from ddrm.identity import ROLE_CONSUMER, ROLE_ENDORSER, ROLE_PROVIDER, STATUS_EXCLUDED
 
@@ -116,6 +116,45 @@ class TestExclusion:
         assert sim.ledger.log[-1].payload["services_withdrawn"] == [service]
         assert sim.ledger.balance(provider) == before + (ether(1) if refund else 0)
         assert sim.market.get_service(service).review_fund == (0 if refund else ether(1))
+
+    @pytest.mark.parametrize(
+        "refund, final_hash",
+        [
+            (False, "00a9e00697a6d86629fb628b1d83050079a96ac24d0813a95166db6e5bdc8595"),
+            (True, "7aea2f84b7da73cd4e6964b7b2679a26b2e683361f23b12fccd85c74fa8469aa"),
+        ],
+    )
+    def test_facade_exclusion_pinned(self, refund, final_hash):
+        # A participant who is a provider, a reviewer, an endorser and a token
+        # holder at once, so one exclusion reaches every part it strips.
+        sim = Simulation(ProtocolConfig(refund_fund_on_withdraw=refund), seed=2407)
+        other = sim.register("other-provider", {ROLE_PROVIDER})
+        reviewed = sim.add_service(other, ether("0.5"))
+        dual = sim.register("dual-card", {ROLE_PROVIDER, ROLE_CONSUMER})
+        listed = sim.add_service(dual, ether("0.5"))
+        sim.advance_tick()
+        purchase = sim.buy_service(dual, reviewed)
+        sim.submit_review(dual, purchase, 5, text_digest("dual review"))
+        sim.bootstrap_endorsers(reviewed)
+        sim.buy_service(dual, reviewed)
+        sim.advance_tick()
+        sim.exclude(dual)
+        events_after_first = len(sim.ledger.log)
+        sim.exclude(dual)
+        assert len(sim.ledger.log) == events_after_first
+        sim.advance_tick()
+        excluded = [rec.payload for rec in sim.ledger.log if rec.kind == "Excluded"]
+        assert excluded == [
+            {
+                "participant": dual,
+                "voided_tokens": ["SRAT-00002", "SRDT-00001"],
+                "rosters_removed": [reviewed],
+                "services_withdrawn": [listed],
+            }
+        ]
+        assert (reviewed, listed) == ("SVC-0001", "SVC-0002")
+        assert len(sim.ledger.log) == 14
+        assert sim.ledger.final_hash() == final_hash
 
     def test_excluded_participant_cannot_buy(self, sim):
         provider, service = provider_and_service(sim)

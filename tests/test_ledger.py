@@ -18,7 +18,7 @@ from ddrm.ledger import (
     Ledger,
     canonical_payload,
     record_hash,
-    verify_log_records,
+    verify_records,
 )
 
 from conftest import make_sim, provider_and_service, consumer_with_purchase
@@ -85,13 +85,13 @@ class TestEventChain:
         assert digest == "7dbfe2a0d7cb2fa3c3436fa0e3686cdc0f1499d969ba3b95c4a7f13a7f80b4ac"
 
     def test_empty_log_verifies(self):
-        assert fresh_ledger().verify_chain().ok
+        fresh_ledger().verify_chain()
 
     def test_untouched_log_verifies(self):
         ledger = fresh_ledger()
         for i in range(10):
             ledger.append_event("Ping", {"i": i})
-        assert ledger.verify_chain().ok
+        ledger.verify_chain()
 
     def test_tampered_payload_detected_at_seq(self):
         ledger = fresh_ledger()
@@ -106,10 +106,10 @@ class TestEventChain:
             prev_hash=pristine.prev_hash,
             hash=pristine.hash,
         )
-        check = ledger.verify_chain()
-        assert not check.ok
-        assert check.bad_seq == 7
-        assert check.reason.startswith("hash mismatch")
+        with pytest.raises(ChainBroken) as broken:
+            ledger.verify_chain()
+        assert broken.value.seq == 7
+        assert broken.value.reason.startswith("hash mismatch")
 
         # Each of the other link checks names itself.
         for tampered, reason in (
@@ -118,11 +118,10 @@ class TestEventChain:
             (replace(pristine, tick=pristine.tick - 1), "tick regression"),
         ):
             ledger.log[7] = tampered
-            check = ledger.verify_chain()
-            assert (check.ok, check.bad_seq) == (False, tampered.seq)
-            assert check.reason.startswith(reason)
-            with pytest.raises(ChainBroken, match=reason):
-                verify_log_records(ledger.log)
+            with pytest.raises(ChainBroken, match=reason) as broken:
+                ledger.verify_chain()
+            assert broken.value.seq == tampered.seq
+            assert broken.value.reason.startswith(reason)
 
     def test_identical_runs_identical_final_hash(self):
         def build():
@@ -141,7 +140,7 @@ class TestEventChain:
         text = sim.ledger.export_log()
         records = load_log_lines(text)
         assert [r.hash for r in records] == [r.hash for r in sim.ledger.log]
-        verify_log_records(records)
+        verify_records(records)
 
     def test_reordered_lines_break_chain(self):
         sim = make_sim(seed=5)
@@ -149,7 +148,7 @@ class TestEventChain:
         lines = sim.ledger.export_log().splitlines()
         lines[0], lines[1] = lines[1], lines[0]
         with pytest.raises(ChainBroken):
-            verify_log_records(load_log_lines("\n".join(lines)))
+            verify_records(load_log_lines("\n".join(lines)))
 
     def test_malformed_line_raises(self):
         with pytest.raises(MalformedEvent):
@@ -189,7 +188,7 @@ class TestLogCodec:
             line = rec.to_json_line()
             assert line == reference_line(rec)
             assert EventRecord.from_json_line(line) == rec
-        verify_log_records(load_log_lines(ledger.export_log()))
+        verify_records(load_log_lines(ledger.export_log()))
 
     def test_replace_drops_the_committed_bytes(self):
         rec = fresh_ledger().append_event("Ping", {"i": 1})
@@ -209,9 +208,10 @@ class TestCommittedBytes:
         for i in range(10):
             ledger.append_event("Ping", {"i": i, "tags": ["a"]})
         ledger.log[4].payload["tags"].append("b")
-        check = ledger.verify_chain()
-        assert (check.ok, check.bad_seq) == (False, 4)
-        assert check.reason.startswith("hash mismatch")
+        with pytest.raises(ChainBroken) as broken:
+            ledger.verify_chain()
+        assert broken.value.seq == 4
+        assert broken.value.reason.startswith("hash mismatch")
 
 
 class TestBeacon:
