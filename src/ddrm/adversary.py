@@ -54,7 +54,6 @@ from .ledger import (
     OP_REQUEST_SERVICE,
     ether,
     load_log_lines,
-    verify_records,
 )
 from .sim import Simulation
 
@@ -709,13 +708,12 @@ def run_scenario(
 def replay_verify(log_text: str) -> ScenarioMetrics:
     """Recompute scenario metrics purely from an exported ndjson event log.
 
-    Raises ChainBroken if the hash chain does not verify and MalformedEvent
-    on unparseable records. This is the independent oracle against
-    run_scenario's live metrics.
+    Raises ChainBroken if the hash chain does not verify or a line is not
+    byte-equal to its export form, and MalformedEvent on unparseable
+    records. This is the independent oracle against run_scenario's live
+    metrics.
     """
     records = load_log_lines(log_text)
-    verify_records(records)
-
     # The setup annotation is appended after the population (it needs the
     # service ids), so locate it first and then fold the whole log.
     attackers: set[str] = set()

@@ -67,7 +67,7 @@ def cmd_run(args) -> int:
         replayed = replay_verify(log_text)
         if replayed != result.metrics:
             raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
-        (out_dir / f"{scenario.name}.events.ndjson").write_text(log_text, encoding="utf-8")
+        (out_dir / f"{scenario.name}.events.ndjson").write_text(log_text, encoding="utf-8", newline="")
         metrics_doc = {
             "scenario": scenario.name,
             "kind": scenario.kind,
@@ -102,7 +102,8 @@ def cmd_gas_table(args) -> int:
 def cmd_verify(args) -> int:
     log_path = Path(args.log)
     try:
-        text = log_path.read_text(encoding="utf-8")
+        # Bytes, not read_text: universal newlines would turn CR and CRLF into LF.
+        text = log_path.read_bytes().decode("utf-8")
     except OSError as exc:
         print(f"error: cannot read log {log_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,8 @@ appends an EventRecord to a hash chain:
 where payload_json is the canonical JSON encoding (sorted keys, compact
 separators, UTF-8) and the genesis record's prev_hash is 64 zero hex digits.
 A record appended here keeps its payload_json, and export writes those
-bytes into its line, so each payload is encoded once.
+bytes into its line, so each payload is encoded once. load_log_lines accepts
+only those exact bytes, LF included. The codec needs CPython's `_json` module.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -106,14 +107,17 @@ class GasSchedule:
         return self.rows[op].gas_used * self.price_wei
 
 
-# One encoder for every payload: json.dumps with options builds a new one per call.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode_str = json.encoder.encode_basestring_ascii
+# One C encoder for every payload, built once (JSONEncoder.encode builds one
+# per call): sorted keys, ":" and ",", ASCII, allow_nan. It keeps no
+# circular-marker dict, so no state outlives a call; payloads are trees.
+_encode = json.encoder.c_make_encoder(None, json.JSONEncoder().default, _encode_str, None, ":", ",", True, False, True)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def canonical_payload(payload: dict) -> str:
     """Canonical JSON used both for hashing and for log export."""
-    return _CANONICAL.encode(payload)
+    return "".join(_encode(payload, 0))
 
 
 def record_hash(seq: int, tick: int, kind: str, payload_json: str, prev_hash: str) -> str:
@@ -121,7 +125,9 @@ def record_hash(seq: int, tick: int, kind: str, payload_json: str, prev_hash: st
     return hashlib.sha256(preimage.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen dataclass sets each field through object.__setattr__, which
+# makes building a record about 5x slower. The chain checks recompute every field.
+@dataclass(slots=True)
 class EventRecord:
     seq: int
     tick: int
@@ -140,20 +146,18 @@ class EventRecord:
         payload_json = self._payload_json
         if payload_json is None:
             payload_json = canonical_payload(self.payload)
-        return (
-            f'{{"hash":{_encode_str(self.hash)},"kind":{_encode_str(self.kind)},'
-            f'"payload":{payload_json},"prev_hash":{_encode_str(self.prev_hash)},'
-            f'"seq":{self.seq},"tick":{self.tick}}}'
-        )
+        return _splice(self, payload_json)
 
     @staticmethod
     def from_json_line(line: str) -> "EventRecord":
         try:
-            doc = json.loads(line)
+            doc, end = _raw_decode(line)  # unlike json.loads, skips no whitespace
         except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
             raise MalformedEvent(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise MalformedEvent("JSON nested too deeply") from exc
+        if end != len(line):
+            raise MalformedEvent(f"data after the JSON object at column {end}")
         if not isinstance(doc, dict):
             raise MalformedEvent("event line is not a JSON object")
         try:
@@ -171,24 +175,32 @@ class EventRecord:
         return record
 
 
+def _splice(rec: EventRecord, payload_json: str) -> str:
+    return (
+        f'{{"hash":{_encode_str(rec.hash)},"kind":{_encode_str(rec.kind)},'
+        f'"payload":{payload_json},"prev_hash":{_encode_str(rec.prev_hash)},'
+        f'"seq":{rec.seq},"tick":{rec.tick}}}'
+    )
+
+
+def _check_link(rec: EventRecord, seq: int, prev: str, last_tick: int, payload_json: str) -> None:
+    """Raise ChainBroken unless rec is record `seq`, links to `prev` and hashes right."""
+    if rec.seq != seq:
+        raise ChainBroken(rec.seq, f"seq gap: expected {seq}")
+    if rec.prev_hash != prev:
+        raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
+    if rec.tick < last_tick:
+        raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
+    if record_hash(rec.seq, rec.tick, rec.kind, payload_json, rec.prev_hash) != rec.hash:
+        raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
+
+
 def verify_records(records) -> None:
-    """Recompute every hash and link; raise ChainBroken at the first bad record, saying why."""
-    prev = ZERO_DIGEST
-    expected_seq = 0
-    last_tick = 0
-    for rec in records:
-        if rec.seq != expected_seq:
-            raise ChainBroken(rec.seq, f"seq gap: expected {expected_seq}")
-        if rec.prev_hash != prev:
-            raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
-        if rec.tick < last_tick:
-            raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
-        recomputed = record_hash(rec.seq, rec.tick, rec.kind, canonical_payload(rec.payload), rec.prev_hash)
-        if recomputed != rec.hash:
-            raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
-        prev = rec.hash
-        expected_seq += 1
-        last_tick = rec.tick
+    """Recompute every link and hash of a live chain; raise ChainBroken at the first bad record."""
+    prev, last_tick = ZERO_DIGEST, 0
+    for seq, rec in enumerate(records):
+        _check_link(rec, seq, prev, last_tick, canonical_payload(rec.payload))
+        prev, last_tick = rec.hash, rec.tick
 
 
 class RandomBeacon:
@@ -306,7 +318,7 @@ class Ledger:
         prev = self.log[-1].hash if self.log else ZERO_DIGEST
         payload_json = canonical_payload(payload)
         rec = EventRecord(seq, self.tick, kind, payload, prev, record_hash(seq, self.tick, kind, payload_json, prev))
-        object.__setattr__(rec, "_payload_json", payload_json)
+        rec._payload_json = payload_json
         self.log.append(rec)
         return rec
 
@@ -329,9 +341,28 @@ class Ledger:
 
 
 def load_log_lines(text: str) -> list[EventRecord]:
-    """Parse an exported ndjson log, raising MalformedEvent on bad lines."""
+    """Parse and verify an exported log in one pass over its exact text.
+
+    Raises MalformedEvent on a line that does not parse or type-check, and
+    ChainBroken(seq, reason) on a broken link or hash or on any byte that
+    export would not have written ("not canonical").
+    """
+    lines = text.split("\n")
+    if lines.pop():
+        raise ChainBroken(len(lines), "not canonical: the last line does not end in LF")
     records = []
-    for line in text.splitlines():
-        if line.strip():
-            records.append(EventRecord.from_json_line(line))
+    prev, last_tick = ZERO_DIGEST, 0
+    for seq, line in enumerate(lines):
+        if not line:
+            raise ChainBroken(seq, "not canonical: blank line")
+        try:
+            rec = EventRecord.from_json_line(line)
+        except MalformedEvent as exc:
+            raise MalformedEvent(f"malformed event at seq {seq}: {exc}") from exc
+        payload_json = canonical_payload(rec.payload)
+        _check_link(rec, seq, prev, last_tick, payload_json)
+        if _splice(rec, payload_json) != line:
+            raise ChainBroken(seq, "not canonical: the line differs from its export form")
+        records.append(rec)
+        prev, last_tick = rec.hash, rec.tick
     return records

@@ -180,8 +180,8 @@ class TestDeterminismAndReplay:
     def test_truncated_log_breaks_chain(self):
         res = run_scenario(scenario(KIND_SYBIL, rounds=3))
         lines = res.log_text().splitlines()
-        with pytest.raises(ChainBroken):
-            replay_verify("\n".join(lines[1:]))
+        with pytest.raises(ChainBroken, match="seq gap"):
+            replay_verify("\n".join(lines[1:]) + "\n")
 
     def test_empty_log_zero_metrics(self):
         assert replay_verify("") == ScenarioMetrics()

@@ -239,6 +239,26 @@ class TestVerify:
         assert main(["verify", str(log)]) == EXIT_CHAIN
         assert "chain broken at seq 3: seq gap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.replace(b'":', b'": ', 1), "chain broken at seq 0: not canonical"),
+            (lambda b: b.replace(b"\n{", b'\n{"forged":"anything",', 1), "chain broken at seq 1: not canonical"),
+            (lambda b: b.replace(b"\n", b"\r", 1), "malformed event at seq 0: data after the JSON object"),
+            (lambda b: b.replace(b"\n", b"\x1c", 1), "malformed event at seq 0: data after the JSON object"),
+            (lambda b: b.replace(b"\n", b"\n\n", 1), "chain broken at seq 1: not canonical: blank line"),
+            (lambda b: b[:-1], "chain broken at seq {last}: not canonical: the last line does not end in LF"),
+            (lambda b: b.replace(b"\n", b"\r\n"), "malformed event at seq 0: data after the JSON object"),
+        ],
+        ids=["space-after-colon", "extra-key", "lf-to-cr", "lf-to-fs", "blank-line", "no-final-lf", "crlf"],
+    )
+    def test_non_canonical_bytes_exit_4(self, tmp_path, config_path, capsys, edit, message):
+        log, _ = self._run(tmp_path, config_path)
+        exported = log.read_bytes()
+        log.write_bytes(edit(exported))
+        assert main(["verify", str(log)]) == EXIT_CHAIN
+        assert message.format(last=exported.count(b"\n") - 1) in capsys.readouterr().err
+
     def test_wrong_metrics_exit_5(self, tmp_path, config_path):
         log, metrics = self._run(tmp_path, config_path)
         doc = json.loads(metrics.read_text())

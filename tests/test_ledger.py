@@ -147,8 +147,9 @@ class TestEventChain:
         provider_and_service(sim)
         lines = sim.ledger.export_log().splitlines()
         lines[0], lines[1] = lines[1], lines[0]
-        with pytest.raises(ChainBroken):
-            verify_records(load_log_lines("\n".join(lines)))
+        with pytest.raises(ChainBroken, match="seq gap") as broken:
+            load_log_lines("\n".join(lines) + "\n")
+        assert broken.value.seq == 1
 
     def test_malformed_line_raises(self):
         with pytest.raises(MalformedEvent):
@@ -190,10 +191,64 @@ class TestLogCodec:
             assert EventRecord.from_json_line(line) == rec
         verify_records(load_log_lines(ledger.export_log()))
 
+    @given(value=JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_payload_equals_json_dumps(self, value):
+        assert canonical_payload(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    def test_shared_encoder_unchanged_after_a_failed_encode(self):
+        payload = {"b": [1, {"c": None}], "a": "\u00e9", "f": 0.5}
+        before = canonical_payload(payload)
+        # The encode fails inside payload's own containers, which are encoded again below.
+        payload["b"].append({1, 2})
+        with pytest.raises(TypeError):
+            canonical_payload(payload)
+        payload["b"].pop()
+        assert canonical_payload(payload) == before
+
+    @pytest.mark.parametrize(
+        "prefix, suffix",
+        [(" ", ""), ("\t", ""), ("\n", ""), ("", " "), ("", "\r"), ("", "\n"), ("", "\x1c"), ("", "{}"), ("", "0")],
+        ids=["leading-space", "leading-tab", "leading-lf", "trailing-space", "trailing-cr", "trailing-lf",
+             "trailing-fs", "trailing-object", "trailing-digit"],
+    )
+    def test_from_json_line_refuses_data_around_the_object(self, prefix, suffix):
+        line = fresh_ledger().append_event("Ping", {"i": 1}).to_json_line()
+        EventRecord.from_json_line(line)
+        with pytest.raises(MalformedEvent):
+            EventRecord.from_json_line(prefix + line + suffix)
+
     def test_replace_drops_the_committed_bytes(self):
         rec = fresh_ledger().append_event("Ping", {"i": 1})
         assert replace(rec, payload={"i": 2})._payload_json is None
         assert "_payload_json" not in repr(rec)
+
+
+def single_byte_edits(text: str):
+    """Each byte replaced by space, CR, \\x1c or a digit, deleted, case-flipped, or preceded by a space."""
+    for pos, ch in enumerate(text):
+        for new in dict.fromkeys((" ", "\r", "\x1c", "8" if ch == "7" else "7", "", ch.swapcase(), " " + ch)):
+            if new != ch:
+                yield pos, text[:pos] + new + text[pos + 1:]
+
+
+class TestByteExactness:
+    def test_every_single_byte_edit_is_refused(self):
+        sim = make_sim(seed=5)
+        provider, service = provider_and_service(sim)
+        consumer_with_purchase(sim, service)
+        text = sim.ledger.export_log()
+        assert [r.hash for r in load_log_lines(text)] == [r.hash for r in sim.ledger.log]
+        accepted, edits = [], 0
+        for pos, edited in single_byte_edits(text):
+            edits += 1
+            try:
+                load_log_lines(edited)
+            except (ChainBroken, MalformedEvent):
+                continue
+            accepted.append((pos, edited[max(pos - 8, 0):pos + 8]))
+        assert accepted == []
+        assert edits > 5 * len(text)
 
 
 class TestCommittedBytes:
