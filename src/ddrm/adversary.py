@@ -8,8 +8,10 @@ ground-truth quality, then drives rounds of
 
 advancing one tick per phase. Protocol rejections never abort a run; they
 are recorded as denial counts. Metrics are computed twice by independent
-routes: live from simulation state and counters, and by replay_verify()
-purely from an exported event log. The two must agree exactly.
+routes: live from simulation state alone, and by replay_verify() purely
+from an exported event log. The two must agree exactly. Attacker spend is
+every Wei that left attacker accounts (gas, purchase prices, review-fund
+deposits and refunds paid), read live from Ledger.spent.
 
 Voting behavior: honest endorsers vote Up on reviews whose rating band
 matches the service's ground truth and Down otherwise (inverted with
@@ -46,15 +48,9 @@ from .endorsement import (
     VOTE_UP,
     text_digest,
 )
-from .errors import ConfigError, DdrmError, DuplicateCard, MalformedEvent
+from .errors import ConfigError, DdrmError, DuplicateCard, InsufficientFunds, MalformedEvent
 from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
-from .ledger import (
-    OP_ADD_SERVICE,
-    OP_ENDORSE_REVIEW,
-    OP_REQUEST_SERVICE,
-    ether,
-    load_log_lines,
-)
+from .ledger import ether, load_log_lines
 from .sim import Simulation
 
 HAPPY_HONEST = "HappyHonest"
@@ -232,18 +228,14 @@ class ScenarioRunner:
         self.target_providers: list[str] = []
         self.attacker_service: str | None = None
         self.victim_service: str | None = None
-        self.spend = 0
-        self.reviews_accepted = 0
         self.extras = {
             "sybil_registrations_attempted": 0,
             "sybil_registrations_succeeded": 0,
             "whitewash_reregistrations_attempted": 0,
             "whitewash_reregistrations_succeeded": 0,
             "denials": {},
-            "victim_revenue_wei": 0,
         }
         self._whitewash_done: set[str] = set()
-        self._claims_filed: set[str] = set()
         self._round_votes: dict[str, int] = {}
 
     # -- bookkeeping helpers --
@@ -252,6 +244,14 @@ class ScenarioRunner:
         name = type(exc).__name__
         self.extras["denials"][name] = self.extras["denials"].get(name, 0) + 1
 
+    def _attempt(self, op, *args):
+        """Run one protocol operation; a rejection counts as a denial and returns None."""
+        try:
+            return op(*args)
+        except DdrmError as exc:
+            self._deny(exc)
+            return None
+
     def _attackers(self) -> list[str]:
         return sorted(pid for pid, m in self.members.items() if m.attacker)
 
@@ -259,7 +259,10 @@ class ScenarioRunner:
         return pid in self.members and self.members[pid].attacker
 
     def _add_member(self, card: str, category: str, attacker: bool, roles) -> str:
-        pid = self.sim.register(card, roles)
+        try:
+            pid = self.sim.register(card, roles)
+        except InsufficientFunds as exc:  # the faucet is too small for the population
+            raise ConfigError(f"scenario {self.scenario.name}: {exc}") from exc
         self.members[pid] = Member(pid=pid, category=category, attacker=attacker, card=card)
         return pid
 
@@ -279,7 +282,6 @@ class ScenarioRunner:
         attacker_provider = None
         if needs_attack_service:
             attacker_provider = self._add_member("attacker-provider-0", HAPPY_DISHONEST, True, {ROLE_PROVIDER})
-            self.spend += self.sim.ledger.gas_cost(OP_ADD_SERVICE) + REVIEW_FUND_SEED
             self.attacker_service = self.sim.add_service(attacker_provider, s.service_cost_wei)
             self.ground_truth[self.attacker_service] = BAD
 
@@ -386,18 +388,7 @@ class ScenarioRunner:
             if not self._buys_this_round(member, rnd):
                 continue
             for service_id in self._services_for(member):
-                try:
-                    purchase_id = self.sim.buy_service(pid, service_id)
-                except DdrmError as exc:
-                    self._deny(exc)
-                    continue
-                purchase = self.sim.market.purchases[purchase_id]
-                if member.attacker:
-                    self.spend += self.sim.ledger.gas_cost(OP_REQUEST_SERVICE) + purchase.price_paid
-                if self._is_attacker(purchase.consumer) and not self._is_attacker(
-                    self.sim.market.get_service(service_id).provider
-                ):
-                    self.extras["victim_revenue_wei"] += purchase.price_paid
+                self._attempt(self.sim.buy_service, pid, service_id)
         self._replenish_funds()
 
     def _maybe_whitewash(self, member: Member) -> None:
@@ -409,11 +400,8 @@ class ScenarioRunner:
         self._whitewash_done.add(member.pid)
         for _ in range(self.scenario.fake_identities_per_attacker):
             self.extras["whitewash_reregistrations_attempted"] += 1
-            try:
-                self.sim.register(member.card, {ROLE_CONSUMER})
+            if self._attempt(self.sim.register, member.card, {ROLE_CONSUMER}) is not None:
                 self.extras["whitewash_reregistrations_succeeded"] += 1
-            except DdrmError as exc:
-                self._deny(exc)
 
     def _replenish_funds(self) -> None:
         """Providers keep their services reviewable by topping up dry funds."""
@@ -424,12 +412,7 @@ class ScenarioRunner:
                 continue
             if self.sim.identity.get(provider).status == STATUS_EXCLUDED:
                 continue
-            try:
-                self.sim.replenish_fund(provider, service_id, REVIEW_FUND_SEED)
-                if self._is_attacker(provider):
-                    self.spend += self.sim.ledger.gas_cost(OP_ADD_SERVICE) + REVIEW_FUND_SEED
-            except DdrmError as exc:
-                self._deny(exc)
+            self._attempt(self.sim.replenish_fund, provider, service_id, REVIEW_FUND_SEED)
 
     def _review_phase(self, rnd: int) -> None:
         kind = self.scenario.kind
@@ -448,23 +431,13 @@ class ScenarioRunner:
                     continue
                 rating = self._rating_for(member, purchase.service_id)
                 digest = text_digest(f"{pid}|{purchase_id}|round {rnd}")
-                try:
-                    self.sim.submit_review(pid, purchase_id, rating, digest)
-                    if member.attacker:
-                        self.reviews_accepted += 1
-                except DdrmError as exc:
-                    self._deny(exc)
+                self._attempt(self.sim.submit_review, pid, purchase_id, rating, digest)
 
     def _constant_attack_reviews(self, member: Member) -> None:
         """Review attempts without any purchase: a foreign id and a bogus id."""
         foreign = min(self.sim.market.purchases, default=None)
         for purchase_id in filter(None, [foreign, "PUR-99999"]):
-            try:
-                self.sim.submit_review(member.pid, purchase_id, 1, text_digest("fabricated"))
-                if member.attacker:
-                    self.reviews_accepted += 1
-            except DdrmError as exc:
-                self._deny(exc)
+            self._attempt(self.sim.submit_review, member.pid, purchase_id, 1, text_digest("fabricated"))
 
     # -- endorsement machinery --
 
@@ -474,24 +447,14 @@ class ScenarioRunner:
             roster = self.sim.reviews.rosters.get(service_id, set())
             has_reviews = bool(self.sim.reviews.reviews_by_service.get(service_id))
             if not roster and has_reviews:
-                try:
-                    self.sim.bootstrap_endorsers(service_id)
-                    roster = self.sim.reviews.rosters.get(service_id, set())
-                except DdrmError as exc:
-                    self._deny(exc)
+                self._attempt(self.sim.bootstrap_endorsers, service_id)
+                roster = self.sim.reviews.rosters.get(service_id, set())
             if not roster:
                 continue
             self._round_votes[service_id] = self._cast_votes(service_id, sorted(roster))
 
     def _vote(self, endorser: str, review, vote: str) -> bool:
-        try:
-            self.sim.endorse_review(endorser, review.review_id, vote)
-        except DdrmError as exc:
-            self._deny(exc)
-            return False
-        if self._is_attacker(endorser):
-            self.spend += self.sim.ledger.gas_cost(OP_ENDORSE_REVIEW)
-        return True
+        return self._attempt(self.sim.endorse_review, endorser, review.review_id, vote) is not None
 
     def _cast_votes(self, service_id: str, roster: list[str]) -> int:
         """One endorsement wave: attackers first, then coordinated honest votes.
@@ -614,49 +577,41 @@ class ScenarioRunner:
                     vote = VOTE_APPROVE if self._is_attacker(claim.claimant) else VOTE_REJECT
                 else:
                     vote = VOTE_APPROVE if quality == BAD else VOTE_REJECT
-                try:
-                    self.sim.vote_refund(voter, claim_id, vote)
-                except DdrmError as exc:
-                    self._deny(exc)
+                self._attempt(self.sim.vote_refund, voter, claim_id, vote)
                 if self.sim.reviews.claims[claim_id].outcome != OUTCOME_OPEN:
                     break
             if self.sim.reviews.claims[claim_id].outcome == OUTCOME_OPEN:
-                try:
-                    self.sim.settle_refund(claim_id)
-                except DdrmError as exc:
-                    self._deny(exc)
+                self._attempt(self.sim.settle_refund, claim_id)
 
     def _file_false_claims(self) -> None:
         for pid in self._attackers():
             if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
                 continue
             for purchase_id in sorted(self.sim.market.purchases_by_consumer.get(pid, ())):
-                if purchase_id in self._claims_filed:
-                    continue
-                try:
-                    self.sim.file_refund_claim(pid, purchase_id)
-                    self._claims_filed.add(purchase_id)
-                except DdrmError as exc:
-                    self._deny(exc)  # retried next round while the window allows
+                # A refused claim is retried next round while the window allows.
+                if purchase_id not in self.sim.reviews.claims_by_purchase:
+                    self._attempt(self.sim.file_refund_claim, pid, purchase_id)
 
     # -- execution and metrics --
 
     def run(self) -> ScenarioResult:
         self._build_population()
+        phases = (
+            self._purchase_phase, self._review_phase, self._endorse_phase, self._selection_phase, self._refund_phase
+        )
         for rnd in range(1, self.scenario.rounds + 1):
-            self._purchase_phase(rnd)
-            self.sim.advance_tick()
-            self._review_phase(rnd)
-            self.sim.advance_tick()
-            self._endorse_phase(rnd)
-            self.sim.advance_tick()
-            self._selection_phase(rnd)
-            self.sim.advance_tick()
-            self._refund_phase(rnd)
-            self.sim.advance_tick()
+            for phase in phases:
+                phase(rnd)
+                self.sim.advance_tick()
+        market = self.sim.market
+        self.extras["victim_revenue_wei"] = sum(
+            p.price_paid
+            for p in market.purchases.values()
+            if self._is_attacker(p.consumer) and not self._is_attacker(market.services[p.service_id].provider)
+        )
         self.extras["review_starved_services"] = sorted(
             s.service_id
-            for s in self.sim.market.services.values()
+            for s in market.services.values()
             if s.status == "Listed" and s.review_fund < REVIEW_SUBSIDY
         )
         return ScenarioResult(
@@ -669,31 +624,39 @@ class ScenarioRunner:
     def _live_metrics(self) -> ScenarioMetrics:
         sim = self.sim
         attackers = set(self._attackers())
-        badged = [r for r in sim.reviews.reviews.values() if r.badge != BADGE_PENDING]
-        matched = sum(
-            1 for r in badged if r.badge == expected_badge(r.rating, self.ground_truth[r.service_id])
+        reviews = sim.reviews.reviews.values()
+        return _metrics(
+            self.ground_truth,
+            attackers,
+            [(r.service_id, r.reviewer, r.rating, r.badge) for r in reviews if r.badge != BADGE_PENDING],
+            spend=sum(sim.ledger.spent[pid] for pid in attackers),
+            accepted=sum(1 for r in reviews if r.reviewer in attackers),
+            exclusions=sum(1 for p in sim.identity.participants.values() if p.status == STATUS_EXCLUDED),
+            refund_fraud=sum(
+                1 for c in sim.reviews.claims.values() if c.outcome == OUTCOME_APPROVED and c.claimant in attackers
+            ),
+            dret=sum(sim.tokens.dret_count(pid) for pid in self.target_providers),
         )
-        branded = sum(
-            1 for r in badged if r.badge == BADGE_FRAUDULENT and r.reviewer in attackers
-        )
-        exclusions = sum(
-            1 for p in sim.identity.participants.values() if p.status == STATUS_EXCLUDED
-        )
-        refund_fraud = sum(
-            1
-            for c in sim.reviews.claims.values()
-            if c.outcome == OUTCOME_APPROVED and c.claimant in attackers
-        )
-        dret = sum(sim.tokens.dret_count(pid) for pid in self.target_providers)
-        return ScenarioMetrics(
-            badge_accuracy=matched / len(badged) if badged else 0.0,
-            attacker_spend_wei=self.spend,
-            attacker_reviews_accepted=self.reviews_accepted,
-            attacker_reviews_branded=branded,
-            exclusions=exclusions,
-            refund_fraud_approved=refund_fraud,
-            provider_dret_delta=dret,
-        )
+
+
+def _metrics(
+    truth: dict, attackers: set, badged: list, spend: int, accepted: int, exclusions: int, refund_fraud: int, dret: int
+) -> ScenarioMetrics:
+    """The seven metrics from badged (service, reviewer, rating, badge) tuples and five counts.
+
+    A badged service missing from `truth` raises KeyError.
+    """
+    matched = sum(1 for service, _, rating, badge in badged if badge == expected_badge(rating, truth[service]))
+    branded = sum(1 for _, reviewer, _, badge in badged if badge == BADGE_FRAUDULENT and reviewer in attackers)
+    return ScenarioMetrics(
+        badge_accuracy=matched / len(badged) if badged else 0.0,
+        attacker_spend_wei=spend,
+        attacker_reviews_accepted=accepted,
+        attacker_reviews_branded=branded,
+        exclusions=exclusions,
+        refund_fraud_approved=refund_fraud,
+        provider_dret_delta=dret,
+    )
 
 
 def run_scenario(
@@ -719,12 +682,8 @@ def replay_verify(log_text: str) -> ScenarioMetrics:
     attackers: set[str] = set()
     truth: dict[str, str] = {}
     targets: set[str] = set()
-    badged: list[dict] = []
-    spend = 0
-    accepted = 0
-    exclusions = 0
-    refund_fraud = 0
-    dret = 0
+    badged: list[tuple] = []
+    spend = accepted = exclusions = refund_fraud = dret = 0
     try:
         for rec in records:
             if rec.kind == "ScenarioSetup":
@@ -752,31 +711,17 @@ def replay_verify(log_text: str) -> ScenarioMetrics:
                 if p["reviewer"] in attackers:
                     accepted += 1
             elif kind == "SelectionRun":
-                for entry in p["badged"]:
-                    badged.append({**entry, "service": p["service"]})
+                badged.extend((p["service"], b["reviewer"], b["rating"], b["badge"]) for b in p["badged"])
             elif kind == "Excluded":
                 exclusions += 1
             elif kind == "RefundSettled":
+                if p["provider"] in attackers:
+                    spend += p["amount_wei"]
                 if p["outcome"] == OUTCOME_APPROVED and p["consumer"] in attackers:
                     refund_fraud += 1
             elif kind == "DretAwarded":
                 if p["provider"] in targets:
                     dret += 1
-        # A badged service missing from the setup's ground truth is a KeyError too.
-        matched = sum(
-            1 for b in badged if b["badge"] == expected_badge(b["rating"], truth[b["service"]])
-        )
-        branded = sum(
-            1 for b in badged if b["badge"] == BADGE_FRAUDULENT and b["reviewer"] in attackers
-        )
+        return _metrics(truth, attackers, badged, spend, accepted, exclusions, refund_fraud, dret)
     except (KeyError, TypeError) as exc:
         raise MalformedEvent(f"event payload missing or mistyped field: {exc}") from exc
-    return ScenarioMetrics(
-        badge_accuracy=matched / len(badged) if badged else 0.0,
-        attacker_spend_wei=spend,
-        attacker_reviews_accepted=accepted,
-        attacker_reviews_branded=branded,
-        exclusions=exclusions,
-        refund_fraud_approved=refund_fraud,
-        provider_dret_delta=dret,
-    )

@@ -212,6 +212,12 @@ def parse_run_config(doc: dict) -> RunConfig:
     names = [s.name for s in scenarios]
     if len(names) != len(set(names)):
         raise ConfigError("scenario names must be unique")
+    # Refuse bad overrides now, before any scenario runs and writes artifacts.
+    for scenario in scenarios:
+        try:
+            parse_protocol_config(scenario.overrides, base=protocol)
+        except ConfigError as exc:
+            raise ConfigError(f"scenario {scenario.name}: {exc}") from exc
     return RunConfig(seed=seed, usd_per_ether=usd, output_dir=out, protocol=protocol, scenarios=scenarios)
 
 

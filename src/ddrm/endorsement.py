@@ -43,7 +43,7 @@ from .errors import (
 from .identity import ROLE_ENDORSER, ROLE_REVIEWER, STATUS_EXCLUDED, IdentityRegistry
 from .ledger import OP_ENDORSE_REVIEW, Ledger
 from .marketplace import Marketplace
-from .tokens import PURPOSE_ENDORSEMENT, TokenBook
+from .tokens import TokenBook
 
 BADGE_PENDING = "Pending"
 BADGE_AUTHENTIC = "Authentic"
@@ -216,7 +216,7 @@ class ReviewBoard:
             srdt_token_id=token.token_id,
         )
         self.annotations[review_id].append(annotation)
-        self.tokens.consume_srdt(token.token_id, PURPOSE_ENDORSEMENT)
+        self.tokens.consume_srdt(token.token_id)
         self.ledger.append_event(
             "EndorsementCast",
             {

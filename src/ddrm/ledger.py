@@ -43,8 +43,7 @@ ZERO_DIGEST = "0" * 64
 OP_ADD_SERVICE = "add_service"
 OP_REQUEST_SERVICE = "request_service"
 OP_ENDORSE_REVIEW = "endorse_review"
-OP_SUBMIT_REVIEW = "submit_review"
-GAS_OPS = (OP_ADD_SERVICE, OP_REQUEST_SERVICE, OP_ENDORSE_REVIEW, OP_SUBMIT_REVIEW)
+GAS_OPS = (OP_ADD_SERVICE, OP_REQUEST_SERVICE, OP_ENDORSE_REVIEW)
 
 
 def ether(amount) -> int:
@@ -85,7 +84,6 @@ class GasSchedule:
             OP_ADD_SERVICE: GasRow(272456, 182304),
             OP_REQUEST_SERVICE: GasRow(99872, 63789),
             OP_ENDORSE_REVIEW: GasRow(106754, 86532),
-            OP_SUBMIT_REVIEW: GasRow(99872, 63789),
         }
     )
 
@@ -250,6 +248,7 @@ class Ledger:
         gas.validate()
         self.gas = gas
         self.accounts: dict[str, int] = {}
+        self.spent: dict[str, int] = {}   # Wei that ever left each account
         self.gas_sink = 0
         self.log: list[EventRecord] = []
         self.tick = 0
@@ -263,6 +262,7 @@ class Ledger:
         if initial_balance < 0:
             raise ValidationError("initial balance cannot be negative")
         self.accounts[account_id] = initial_balance
+        self.spent[account_id] = 0
 
     def exists(self, account_id: str) -> bool:
         return account_id in self.accounts
@@ -278,6 +278,7 @@ class Ledger:
         if self.balance(account_id) < amount:
             raise InsufficientFunds(f"{account_id} holds {self.accounts[account_id]} Wei, needs {amount}")
         self.accounts[account_id] -= amount
+        self.spent[account_id] += amount
 
     def credit(self, account_id: str, amount: int) -> None:
         if amount < 0:

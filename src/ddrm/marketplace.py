@@ -22,7 +22,7 @@ from .errors import (
 )
 from .identity import ROLE_PROVIDER, IdentityRegistry
 from .ledger import OP_ADD_SERVICE, OP_REQUEST_SERVICE, Ledger
-from .tokens import PURPOSE_DISCOUNT, TokenBook
+from .tokens import TokenBook
 
 STATUS_LISTED = "Listed"
 STATUS_WITHDRAWN = "Withdrawn"
@@ -141,7 +141,7 @@ class Marketplace:
         self.purchases_by_consumer.setdefault(consumer, []).append(purchase_id)
         srat_token = self.tokens.mint_srat(consumer, service_id, purchase_id)
         if srdt_token_id is not None:
-            self.tokens.consume_srdt(srdt_token_id, PURPOSE_DISCOUNT)
+            self.tokens.consume_srdt(srdt_token_id)
         self.ledger.append_event(
             "ServicePurchased",
             {

@@ -124,6 +124,7 @@ class Simulation:
         """Full mutable state as a JSON-safe dict (ordering canonicalized)."""
         return {
             "accounts": dict(sorted(self.ledger.accounts.items())),
+            "spent": dict(sorted(self.ledger.spent.items())),
             "gas_sink": self.ledger.gas_sink,
             "tick": self.ledger.tick,
             "log_len": len(self.ledger.log),

@@ -27,9 +27,6 @@ CONSUMED = "Consumed"
 EXPIRED = "Expired"
 VOIDED = "Voided"
 
-PURPOSE_ENDORSEMENT = "Endorsement"
-PURPOSE_DISCOUNT = "DiscountedPurchase"
-
 _by_id = attrgetter("token_id")
 
 
@@ -148,9 +145,7 @@ class TokenBook:
         self._index(token)
         return token_id
 
-    def consume_srdt(self, token_id: str, purpose: str) -> str:
-        if purpose not in (PURPOSE_ENDORSEMENT, PURPOSE_DISCOUNT):
-            raise ValidationError(f"unknown consumption purpose {purpose!r}")
+    def consume_srdt(self, token_id: str) -> str:
         return self._spend(self.srdts, token_id, CONSUMED)
 
     def active_srdt_for(self, holder: str, service_id: str) -> SrdtToken | None:

@@ -6,6 +6,7 @@ import pytest
 
 from ddrm import AttackScenario, ether, parse_scenario, replay_verify, run_scenario
 from ddrm.adversary import (
+    BAD,
     GOOD,
     KIND_BAD_MOUTHING,
     KIND_BALLOT_STUFFING,
@@ -18,9 +19,12 @@ from ddrm.adversary import (
     ScenarioMetrics,
     expected_badge,
 )
-from ddrm.endorsement import BADGE_AUTHENTIC, BADGE_FRAUDULENT, BADGE_PENDING
+from ddrm.config import REVIEW_FUND_SEED
+from ddrm.endorsement import BADGE_AUTHENTIC, BADGE_FRAUDULENT, BADGE_PENDING, OUTCOME_APPROVED, VOTE_APPROVE
 from ddrm.errors import ChainBroken, ConfigError, MalformedEvent
+from ddrm.identity import ROLE_CONSUMER
 from ddrm.ledger import (
+    OP_ADD_SERVICE,
     ZERO_DIGEST,
     EventRecord,
     canonical_payload,
@@ -28,6 +32,8 @@ from ddrm.ledger import (
     record_hash,
     verify_records,
 )
+
+from conftest import make_sim, provider_and_service, reviewed_purchase
 
 
 def scenario(kind, **kw):
@@ -176,6 +182,29 @@ class TestDeterminismAndReplay:
         res = run_scenario(scenario(kind, **kw))
         assert replay_verify(res.log_text()) == res.metrics
         res.sim.ledger.verify_chain()
+
+    def test_refund_paid_by_an_attacker_provider_is_attacker_spend(self):
+        # No harness scenario lets an attacker provider pay a refund, so the
+        # facade drives one: the provider is listed as an attacker, lists a
+        # service and pays back an approved claim.
+        sim = make_sim(panel_size=3)
+        provider, service = provider_and_service(sim, ether("0.5"))
+        for i in range(3):
+            reviewed_purchase(sim, service, f"end-{i}")
+        sim.bootstrap_endorsers(service, 3)
+        claimant = sim.register("claimant", {ROLE_CONSUMER})
+        purchase = sim.buy_service(claimant, service)
+        sim.ledger.append_event("ScenarioSetup", {
+            "scenario": "refund", "kind": KIND_FALSE_REFUND, "attackers": [provider],
+            "ground_truth": {service: BAD}, "target_providers": [],
+        })
+        claim_id = sim.file_refund_claim(claimant, purchase)
+        for member in sim.reviews.claims[claim_id].panel:
+            sim.vote_refund(member, claim_id, VOTE_APPROVE)
+        assert sim.reviews.claims[claim_id].outcome == OUTCOME_APPROVED
+        spent = sim.ledger.spent[provider]
+        assert spent == sim.ledger.gas_cost(OP_ADD_SERVICE) + REVIEW_FUND_SEED + ether("0.5")
+        assert replay_verify(sim.ledger.export_log()).attacker_spend_wei == spent
 
     def test_truncated_log_breaks_chain(self):
         res = run_scenario(scenario(KIND_SYBIL, rounds=3))

@@ -76,6 +76,28 @@ class TestRun:
         doc = json.loads(capsys.readouterr().out)
         assert "demo" in doc and "badge_accuracy" in doc["demo"]
 
+    def test_bad_scenario_overrides_exit_2_before_any_artifact(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        scenarios = [
+            {"name": "a", "kind": "sybil", "rounds": 2, "honest_count": 3},
+            {"name": "b", "kind": "sybil", "rounds": 2, "honest_count": 3, "protocol": {"bogus": 1}},
+        ]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": scenarios, "output_dir": str(out)}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "scenario b: unknown key(s) in protocol: bogus" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_faucet_too_small_for_the_population_exits_2(self, tmp_path, capsys):
+        scenario = {"name": "tiny-faucet", "kind": "bad_mouthing", "rounds": 2, "honest_count": 3}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "protocol": {"faucet_balance_ether": 20}, "scenarios": [scenario], "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "scenario tiny-faucet: faucet cannot cover the genesis credit" in capsys.readouterr().err
+
 
 class TestUntrustedNumbers:
     SCENARIO = {"name": "s", "kind": "sybil", "rounds": 1, "honest_count": 1}
@@ -211,6 +233,13 @@ class TestGasTable:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"protocol": {"gas": {"add_service": {"gas_limit": 1, "gas_used": 2}}}}))
         assert main(["gas-table", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_submit_review_gas_row_is_an_unknown_key(self, tmp_path, capsys):
+        # Reviews are paid from the service's review fund; no gas row charges them.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"protocol": {"gas": {"submit_review": {"gas_limit": 2, "gas_used": 1}}}}))
+        assert main(["gas-table", "--config", str(path)]) == EXIT_CONFIG
+        assert "unknown key(s) in gas: submit_review" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -203,7 +203,7 @@ class TestEndorsementRules:
     def test_without_srdt_denied(self):
         sim, service, endorser, review = self._arena()
         token = sim.tokens.active_srdt_for(endorser, service)
-        sim.tokens.consume_srdt(token.token_id, "Endorsement")
+        sim.tokens.consume_srdt(token.token_id)
         with pytest.raises(NoValidSrdt):
             sim.endorse_review(endorser, review, VOTE_UP)
 

@@ -1,8 +1,9 @@
-"""Behaviour pins: canonical log hashes and the default config round trip.
+"""Behaviour pins: canonical log hashes, metrics and extras, and the default config round trip.
 
 The eight canonical scenarios are the ones `demos/attack_analysis.py`
-runs; their final log hashes are pinned in `bench/fixed_points.json`.
-Any change to protocol behaviour or event payloads shows up here. Four
+runs; their final log hashes are pinned in `bench/fixed_points.json`,
+and their metrics and extras here. Any change to protocol behaviour,
+event payloads or the metric definitions shows up here. Four
 more runs at 192 honest raters pin the paths whose per-key lookups only
 carry real work in a large population.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ddrm import AttackScenario, ProtocolConfig, default_config_doc, parse_run_config, run_scenario
+from ddrm.adversary import ScenarioMetrics
 from ddrm.config import _PROTOCOL_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,10 +36,67 @@ AT_SCALE = {
     "false_refund": "6783ba42893ac46406f79e93fb1d02f8356dc4a06b2dad32ed9828bdafcf3ebb",
 }
 
+# Per canonical scenario: its ScenarioMetrics fields in declaration order, then
+# its extras as (sybil registrations attempted, succeeded, whitewash
+# re-registrations attempted, succeeded, victim_revenue_wei, denials,
+# review_starved_services).
+CANONICAL_RESULTS = {
+    "bad-mouthing": (
+        (1.0, 8505152340100000000, 17, 12, 2, 0, 0),
+        (2, 2, 0, 0, 8500000000000000000, {}, []),
+    ),
+    "ballot-stuffing": (
+        (1.0, 8504558217100000000, 15, 10, 2, 0, 0),
+        (2, 2, 0, 0, 0, {}, []),
+    ),
+    "collusion": (
+        (1.0, 8004875114600000000, 14, 14, 2, 0, 0),
+        (2, 2, 0, 0, 3500000000000000000, {}, []),
+    ),
+    "constant-attack": (
+        (1.0, 0, 0, 0, 0, 0, 0),
+        (3, 3, 0, 0, 0, {"NoPurchase": 36}, []),
+    ),
+    "false-refund": (
+        (1.0, 1000369976200000000, 0, 0, 0, 0, 0),
+        (2, 2, 0, 0, 1000000000000000000, {"NoEndorsersAvailable": 2}, []),
+    ),
+    "majority-endorser": (
+        (0.75, 16008679990000000000, 32, 0, 0, 0, 0),
+        (4, 4, 0, 0, 16000000000000000000, {}, []),
+    ),
+    "sybil": (
+        (1.0, 10004452590400000000, 20, 0, 0, 0, 0),
+        (24, 4, 0, 0, 10000000000000000000, {"DuplicateCard": 20}, []),
+    ),
+    "whitewashing": (
+        (1.0, 8504148568900000000, 17, 12, 2, 0, 0),
+        (10, 2, 10, 0, 8500000000000000000, {"DuplicateCard": 18}, []),
+    ),
+}
+
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_canonical_log_hash_unchanged(scenario):
     assert run_scenario(scenario).final_log_hash() == PINNED[scenario.name]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+def test_canonical_metrics_and_extras_unchanged(scenario):
+    result = run_scenario(scenario)
+    metrics, (sybil_tried, sybil_ok, whitewash_tried, whitewash_ok, revenue, denials, starved) = (
+        CANONICAL_RESULTS[scenario.name]
+    )
+    assert result.metrics == ScenarioMetrics(*metrics)
+    assert result.extras == {
+        "sybil_registrations_attempted": sybil_tried,
+        "sybil_registrations_succeeded": sybil_ok,
+        "whitewash_reregistrations_attempted": whitewash_tried,
+        "whitewash_reregistrations_succeeded": whitewash_ok,
+        "victim_revenue_wei": revenue,
+        "denials": denials,
+        "review_starved_services": starved,
+    }
 
 
 @pytest.mark.parametrize("kind", sorted(AT_SCALE))

@@ -5,7 +5,7 @@ import pytest
 from ddrm import ether, text_digest
 from ddrm.errors import TokenExpired, TokenNotActive
 from ddrm.identity import ROLE_CONSUMER
-from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, PURPOSE_ENDORSEMENT, VOIDED
+from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, VOIDED
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
 
@@ -62,7 +62,7 @@ class TestSpendErrors:
             spend = sim.tokens.burn_srat
         else:
             token = sim.tokens.srdts[sim.tokens.mint_srdt(consumer, service)]
-            spend = lambda token_id: sim.tokens.consume_srdt(token_id, PURPOSE_ENDORSEMENT)
+            spend = lambda token_id: sim.tokens.consume_srdt(token_id)
         with pytest.raises(TokenNotActive):
             spend("NO-SUCH-TOKEN")
         token.expiry_tick = sim.ledger.tick  # past expiry, sweep not yet run
@@ -129,10 +129,10 @@ class TestSrdt:
     def test_consume_once(self, sim):
         provider, service = provider_and_service(sim)
         consumer, token = self._rostered(sim, service, "cons-0")
-        sim.tokens.consume_srdt(token.token_id, PURPOSE_ENDORSEMENT)
+        sim.tokens.consume_srdt(token.token_id)
         assert token.state == CONSUMED
         with pytest.raises(TokenNotActive):
-            sim.tokens.consume_srdt(token.token_id, PURPOSE_ENDORSEMENT)
+            sim.tokens.consume_srdt(token.token_id)
 
     def test_consume_expired_rejected(self):
         sim = make_sim(srdt_lifetime=2)
@@ -141,7 +141,7 @@ class TestSrdt:
         sim.advance_tick()
         sim.advance_tick()
         with pytest.raises(TokenExpired):
-            sim.tokens.consume_srdt(token.token_id, PURPOSE_ENDORSEMENT)
+            sim.tokens.consume_srdt(token.token_id)
 
 
 class TestDret:
