@@ -9,9 +9,11 @@ ground-truth quality, then drives rounds of
 advancing one tick per phase. Protocol rejections never abort a run; they
 are recorded as denial counts. Metrics are computed twice by independent
 routes: live from simulation state alone, and by replay_verify() purely
-from an exported event log. The two must agree exactly. Attacker spend is
-every Wei that left attacker accounts (gas, purchase prices, review-fund
-deposits and refunds paid), read live from Ledger.spent.
+from an exported event log, folded line by line as it is verified, so the
+replay holds per-participant totals and never a list of the log's records.
+The two must agree exactly. Attacker spend is every Wei that left attacker
+accounts (gas, purchase prices, review-fund deposits and refunds paid), read
+live from Ledger.spent.
 
 Voting behavior: honest endorsers vote Up on reviews whose rating band
 matches the service's ground truth and Down otherwise (inverted with
@@ -24,6 +26,7 @@ until the ledger refuses to fund them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .config import (
@@ -50,7 +53,7 @@ from .endorsement import (
 )
 from .errors import ConfigError, DdrmError, DuplicateCard, InsufficientFunds, MalformedEvent
 from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
-from .ledger import ether, load_log_lines
+from .ledger import ether, iter_log_lines
 from .sim import Simulation
 
 HAPPY_HONEST = "HappyHonest"
@@ -258,11 +261,15 @@ class ScenarioRunner:
     def _is_attacker(self, pid: str) -> bool:
         return pid in self.members and self.members[pid].attacker
 
-    def _add_member(self, card: str, category: str, attacker: bool, roles) -> str:
+    def _set_up(self, op, *args):
+        """Run one population operation; money the config leaves too short is a config error."""
         try:
-            pid = self.sim.register(card, roles)
-        except InsufficientFunds as exc:  # the faucet is too small for the population
+            return op(*args)
+        except InsufficientFunds as exc:  # a faucet or genesis credit too small for the population
             raise ConfigError(f"scenario {self.scenario.name}: {exc}") from exc
+
+    def _add_member(self, card: str, category: str, attacker: bool, roles) -> str:
+        pid = self._set_up(self.sim.register, card, roles)
         self.members[pid] = Member(pid=pid, category=category, attacker=attacker, card=card)
         return pid
 
@@ -276,13 +283,13 @@ class ScenarioRunner:
 
         if not self_listing:
             hp = self._add_member("honest-provider-0", HAPPY_HONEST, False, {ROLE_PROVIDER})
-            self.victim_service = self.sim.add_service(hp, s.service_cost_wei)
+            self.victim_service = self._set_up(self.sim.add_service, hp, s.service_cost_wei)
             self.ground_truth[self.victim_service] = GOOD
 
         attacker_provider = None
         if needs_attack_service:
             attacker_provider = self._add_member("attacker-provider-0", HAPPY_DISHONEST, True, {ROLE_PROVIDER})
-            self.attacker_service = self.sim.add_service(attacker_provider, s.service_cost_wei)
+            self.attacker_service = self._set_up(self.sim.add_service, attacker_provider, s.service_cost_wei)
             self.ground_truth[self.attacker_service] = BAD
 
         # Attackers register before honest consumers when the attack depends
@@ -671,57 +678,49 @@ def run_scenario(
 def replay_verify(log_text: str) -> ScenarioMetrics:
     """Recompute scenario metrics purely from an exported ndjson event log.
 
-    Raises ChainBroken if the hash chain does not verify or a line is not
-    byte-equal to its export form, and MalformedEvent on unparseable
-    records. This is the independent oracle against run_scenario's live
-    metrics.
+    Folds each record as iter_log_lines verifies it, into per-participant
+    totals that the first ScenarioSetup's attackers and targets select at the
+    end. Raises the first failure in log order: ChainBroken if the chain does
+    not verify or a line is not byte-equal to its export form, MalformedEvent
+    on an unparseable record or a missing or mistyped payload field. This is
+    the independent oracle against run_scenario's live metrics.
     """
-    records = load_log_lines(log_text)
-    # The setup annotation is appended after the population (it needs the
-    # service ids), so locate it first and then fold the whole log.
-    attackers: set[str] = set()
-    truth: dict[str, str] = {}
-    targets: set[str] = set()
+    setup = None
+    spent, accepted, refunds, dret = (defaultdict(int) for _ in range(4))
     badged: list[tuple] = []
-    spend = accepted = exclusions = refund_fraud = dret = 0
+    exclusions = 0
     try:
-        for rec in records:
-            if rec.kind == "ScenarioSetup":
-                p = rec.payload
-                attackers = set(p["attackers"])
-                truth = dict(p["ground_truth"])
-                targets = set(p["target_providers"])
-                break
-        for rec in records:
+        for rec in iter_log_lines(log_text):
             p = rec.payload
             kind = rec.kind
             if kind == "GasCharged":
-                if p["payer"] in attackers:
-                    spend += p["amount_wei"]
+                spent[p["payer"]] += p["amount_wei"]
             elif kind == "ServicePurchased":
-                if p["consumer"] in attackers:
-                    spend += p["price_paid_wei"]
+                spent[p["consumer"]] += p["price_paid_wei"]
             elif kind == "ServiceAdded":
-                if p["provider"] in attackers:
-                    spend += p["fund_wei"]
+                spent[p["provider"]] += p["fund_wei"]
             elif kind == "FundReplenished":
-                if p["provider"] in attackers:
-                    spend += p["amount_wei"]
+                spent[p["provider"]] += p["amount_wei"]
             elif kind == "ReviewSubmitted":
-                if p["reviewer"] in attackers:
-                    accepted += 1
+                accepted[p["reviewer"]] += 1
             elif kind == "SelectionRun":
                 badged.extend((p["service"], b["reviewer"], b["rating"], b["badge"]) for b in p["badged"])
             elif kind == "Excluded":
                 exclusions += 1
             elif kind == "RefundSettled":
-                if p["provider"] in attackers:
-                    spend += p["amount_wei"]
-                if p["outcome"] == OUTCOME_APPROVED and p["consumer"] in attackers:
-                    refund_fraud += 1
+                spent[p["provider"]] += p["amount_wei"]
+                if p["outcome"] == OUTCOME_APPROVED:
+                    refunds[p["consumer"]] += 1
             elif kind == "DretAwarded":
-                if p["provider"] in targets:
-                    dret += 1
-        return _metrics(truth, attackers, badged, spend, accepted, exclusions, refund_fraud, dret)
-    except (KeyError, TypeError) as exc:
+                dret[p["provider"]] += 1
+            elif kind == "ScenarioSetup" and setup is None:
+                # It follows the population's events (it needs the service
+                # ids), which is why the totals are kept per participant.
+                setup = set(p["attackers"]), dict(p["ground_truth"]), set(p["target_providers"])
+        attackers, truth, targets = setup or (set(), {}, set())
+        return _metrics(
+            truth, attackers, badged, sum(spent[a] for a in attackers), sum(accepted[a] for a in attackers),
+            exclusions, sum(refunds[a] for a in attackers), sum(dret[t] for t in targets),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedEvent(f"event payload missing or mistyped field: {exc}") from exc

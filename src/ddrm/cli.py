@@ -50,36 +50,42 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConf
     return parse_run_config(doc)
 
 
+def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
+    """Run one scenario, check it live and by replay, then write its two artifacts.
+
+    The live state is released before the replay, so a `ddrm run` holds one
+    scenario's state at a time; nothing is written unless both checks pass.
+    """
+    result = run_scenario(scenario, config.protocol, config.seed)
+    log_text = result.log_text()
+    try:
+        result.sim.ledger.verify_chain()
+    except ChainBroken as exc:
+        raise InvariantViolation(f"scenario {scenario.name}: chain broken at {exc.seq}: {exc.reason}") from exc
+    metrics = result.metrics
+    metrics_doc = {
+        "scenario": scenario.name,
+        "kind": scenario.kind,
+        "seed": scenario.seed if scenario.seed is not None else config.seed,
+        "final_log_hash": result.final_log_hash(),
+        "metrics": metrics.to_dict(),
+        "extras": result.extras,
+    }
+    del result
+    if replay_verify(log_text) != metrics:
+        raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
+    (out_dir / f"{scenario.name}.events.ndjson").write_text(log_text, encoding="utf-8", newline="")
+    (out_dir / f"{scenario.name}.metrics.json").write_text(
+        json.dumps(metrics_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    return metrics
+
+
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed, args.out)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    named_metrics: list[tuple[str, ScenarioMetrics]] = []
-    for scenario in sorted(config.scenarios, key=lambda s: s.name):
-        result = run_scenario(scenario, config.protocol, config.seed)
-        log_text = result.log_text()
-        try:
-            result.sim.ledger.verify_chain()
-        except ChainBroken as exc:
-            raise InvariantViolation(
-                f"scenario {scenario.name}: chain broken at {exc.seq}: {exc.reason}"
-            ) from exc
-        replayed = replay_verify(log_text)
-        if replayed != result.metrics:
-            raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
-        (out_dir / f"{scenario.name}.events.ndjson").write_text(log_text, encoding="utf-8", newline="")
-        metrics_doc = {
-            "scenario": scenario.name,
-            "kind": scenario.kind,
-            "seed": scenario.seed if scenario.seed is not None else config.seed,
-            "final_log_hash": result.final_log_hash(),
-            "metrics": result.metrics.to_dict(),
-            "extras": result.extras,
-        }
-        (out_dir / f"{scenario.name}.metrics.json").write_text(
-            json.dumps(metrics_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        named_metrics.append((scenario.name, result.metrics))
+    named_metrics = [(s.name, _run_one(s, config, out_dir)) for s in sorted(config.scenarios, key=lambda s: s.name)]
     summary = format_metrics_table(named_metrics) if named_metrics else "no scenarios configured"
     (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
     if args.format == "json":
@@ -121,7 +127,7 @@ def cmd_verify(args) -> int:
         try:
             doc = json.loads(metrics_path.read_text(encoding="utf-8"))
             recorded = ScenarioMetrics.from_dict(doc["metrics"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"error: cannot read metrics {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if replayed != recorded:

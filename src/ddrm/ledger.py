@@ -9,8 +9,10 @@ appends an EventRecord to a hash chain:
 where payload_json is the canonical JSON encoding (sorted keys, compact
 separators, UTF-8) and the genesis record's prev_hash is 64 zero hex digits.
 A record appended here keeps its payload_json, and export writes those
-bytes into its line, so each payload is encoded once. load_log_lines accepts
-only those exact bytes, LF included. The codec needs CPython's `_json` module.
+bytes into its line, so each payload is encoded once. iter_log_lines accepts
+only those exact bytes, LF included, and checks each line as it reads it, so
+a reader never holds more than one record. The codec needs CPython's `_json`
+module.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -341,19 +343,20 @@ class Ledger:
         return self.tick
 
 
-def load_log_lines(text: str) -> list[EventRecord]:
-    """Parse and verify an exported log in one pass over its exact text.
+def iter_log_lines(text: str):
+    """Parse and verify an exported log line by line, yielding each record once it passes.
 
     Raises MalformedEvent on a line that does not parse or type-check, and
     ChainBroken(seq, reason) on a broken link or hash or on any byte that
-    export would not have written ("not canonical").
+    export would not have written ("not canonical"), after yielding every
+    record before that line. No list of lines or records is built.
     """
-    lines = text.split("\n")
-    if lines.pop():
-        raise ChainBroken(len(lines), "not canonical: the last line does not end in LF")
-    records = []
-    prev, last_tick = ZERO_DIGEST, 0
-    for seq, line in enumerate(lines):
+    if text and not text.endswith("\n"):
+        raise ChainBroken(text.count("\n"), "not canonical: the last line does not end in LF")
+    prev, last_tick, start, seq = ZERO_DIGEST, 0, 0, 0
+    while start < len(text):
+        end = text.find("\n", start)  # found: the text ends in LF
+        line = text[start:end]
         if not line:
             raise ChainBroken(seq, "not canonical: blank line")
         try:
@@ -364,6 +367,10 @@ def load_log_lines(text: str) -> list[EventRecord]:
         _check_link(rec, seq, prev, last_tick, payload_json)
         if _splice(rec, payload_json) != line:
             raise ChainBroken(seq, "not canonical: the line differs from its export form")
-        records.append(rec)
-        prev, last_tick = rec.hash, rec.tick
-    return records
+        yield rec
+        prev, last_tick, start, seq = rec.hash, rec.tick, end + 1, seq + 1
+
+
+def load_log_lines(text: str) -> list[EventRecord]:
+    """Every record of an exported log, checked as iter_log_lines checks it."""
+    return list(iter_log_lines(text))

@@ -1,6 +1,7 @@
 """Attack scenarios: defense properties, determinism, and replay metrics."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -33,7 +34,7 @@ from ddrm.ledger import (
     verify_records,
 )
 
-from conftest import make_sim, provider_and_service, reviewed_purchase
+from conftest import forged_log, make_sim, provider_and_service, reviewed_purchase
 
 
 def scenario(kind, **kw):
@@ -211,6 +212,33 @@ class TestDeterminismAndReplay:
         lines = res.log_text().splitlines()
         with pytest.raises(ChainBroken, match="seq gap"):
             replay_verify("\n".join(lines[1:]) + "\n")
+
+    def test_first_failure_in_log_order_is_raised(self):
+        # A payload field dropped early (chain re-hashed) and a broken link
+        # later: the replay folds as it verifies, so the early fault wins.
+        def edit(rec):
+            if rec.kind == "GasCharged":
+                del rec.payload["amount_wei"]
+
+        lines = forged_log(run_scenario(scenario(KIND_SYBIL, rounds=2)).log_text(), edit).splitlines(keepends=True)
+        lines[-1], lines[-2] = lines[-2], lines[-1]
+        with pytest.raises(MalformedEvent, match="amount_wei"):
+            replay_verify("".join(lines))
+
+    def test_replay_memory_does_not_grow_with_the_log(self):
+        # The replay verifies and folds each line as it reads it, so beyond
+        # the text it holds per-participant totals, not a record per line.
+        res = run_scenario(scenario(KIND_COLLUSION, rounds=12, honest_count=96, attacker_count=16))
+        text, live = res.log_text(), res.metrics
+        del res
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert replay_verify(text) == live
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * len(text)
 
     def test_empty_log_zero_metrics(self):
         assert replay_verify("") == ScenarioMetrics()

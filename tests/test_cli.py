@@ -1,14 +1,18 @@
 """Command-line interface: commands, exit codes, artifact stability."""
 
+import gc
 import json
 import time
+import weakref
 
 import pytest
 
-from ddrm import run_scenario
+from ddrm import replay_verify, run_scenario
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
 from ddrm.config import RATE_DIGITS, USD_DIGITS
 from ddrm.ledger import ZERO_DIGEST, canonical_payload, record_hash
+
+from conftest import forged_log
 
 MINIMAL_CONFIG = {
     "seed": 77,
@@ -97,6 +101,42 @@ class TestRun:
         }))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "scenario tiny-faucet: faucet cannot cover the genesis credit" in capsys.readouterr().err
+
+    def test_genesis_credit_too_small_to_list_exits_2(self, tmp_path, capsys):
+        scenario = {"name": "poor", "kind": "sybil", "rounds": 2, "honest_count": 3}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "protocol": {"genesis_balance_ether": 0.5}, "scenarios": [scenario], "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "scenario poor: P0001 cannot cover listing gas plus fund seed" in capsys.readouterr().err
+
+    def test_one_scenario_state_alive_at_a_time(self, tmp_path, monkeypatch, capsys):
+        import ddrm.cli as cli_mod
+
+        sims, checks = [], []
+
+        def all_dead():
+            gc.collect()
+            return all(ref() is None for ref in sims)
+
+        def run_and_watch(*args):
+            checks.append(("run", all_dead()))
+            result = run_scenario(*args)
+            sims.append(weakref.ref(result.sim))
+            return result
+
+        def replay_and_watch(text):
+            checks.append(("replay", all_dead()))
+            return replay_verify(text)
+
+        monkeypatch.setattr(cli_mod, "run_scenario", run_and_watch)
+        monkeypatch.setattr(cli_mod, "replay_verify", replay_and_watch)
+        scenarios = [MINIMAL_CONFIG["scenarios"][0], {"name": "s", "kind": "sybil", "rounds": 2, "honest_count": 3}]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": scenarios, "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert checks == [("run", True), ("replay", True), ("run", True), ("replay", True)]
 
 
 class TestUntrustedNumbers:
@@ -191,6 +231,13 @@ class TestDeepNesting:
         path = tmp_path / "deep.events.ndjson"
         path.write_text(self.DEEP + "\n")
         assert main(["verify", str(path)]) == EXIT_CHAIN
+
+    def test_deep_metrics_exits_2(self, tmp_path, config_path, capsys):
+        main(["run", "--config", str(config_path)])
+        metrics = tmp_path / "deep.json"
+        metrics.write_text(self.DEEP)
+        assert main(["verify", str(tmp_path / "out" / "demo.events.ndjson"), "--metrics", str(metrics)]) == EXIT_CONFIG
+        assert "cannot read metrics" in capsys.readouterr().err
 
 
 class TestGasTable:
@@ -348,6 +395,17 @@ class TestVerify:
         log.write_bytes(b"\xff\xfe" + log.read_bytes())
         assert main(["verify", str(log)]) == EXIT_CHAIN
         assert "verification failed" in capsys.readouterr().err
+
+    def test_forged_setup_with_a_non_pair_ground_truth_exits_4(self, tmp_path, config_path, capsys):
+        # Re-hashed after the edit, so the chain holds and only the replay fold can refuse it.
+        def edit(rec):
+            if rec.kind == "ScenarioSetup":
+                rec.payload["ground_truth"] = ["abc"]
+
+        log, _ = self._run(tmp_path, config_path)
+        log.write_text(forged_log(log.read_text(), edit))
+        assert main(["verify", str(log)]) == EXIT_CHAIN
+        assert "event payload missing or mistyped field" in capsys.readouterr().err
 
     def test_metrics_integer_past_the_digit_limit_exits_2(self, tmp_path, config_path, capsys):
         log, metrics = self._run(tmp_path, config_path)

@@ -17,6 +17,7 @@ from ddrm.ledger import (
     EventRecord,
     Ledger,
     canonical_payload,
+    iter_log_lines,
     record_hash,
     verify_records,
 )
@@ -154,6 +155,24 @@ class TestEventChain:
     def test_malformed_line_raises(self):
         with pytest.raises(MalformedEvent):
             load_log_lines('{"seq": 0, "oops"\n')
+
+    def test_records_before_a_bad_line_are_yielded_first(self):
+        sim = make_sim(seed=5)
+        provider_and_service(sim)
+        lines = sim.ledger.export_log().splitlines(keepends=True)
+        lines[2] = "not json\n"
+        reader = iter_log_lines("".join(lines))
+        assert [next(reader).seq, next(reader).seq] == [0, 1]
+        with pytest.raises(MalformedEvent, match="malformed event at seq 2"):
+            next(reader)
+
+    def test_missing_final_lf_is_refused_before_any_line(self):
+        sim = make_sim(seed=5)
+        provider_and_service(sim)
+        text = "not json\n" + sim.ledger.export_log()[:-1]
+        with pytest.raises(ChainBroken, match="does not end in LF") as broken:
+            next(iter_log_lines(text))
+        assert broken.value.seq == text.count("\n")
 
 
 # JSON-native values: what a log line can carry and json.loads gives back equal.
