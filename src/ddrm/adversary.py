@@ -675,22 +675,23 @@ def run_scenario(
     return ScenarioRunner(scenario, protocol, default_seed).run()
 
 
-def replay_verify(log_text: str) -> ScenarioMetrics:
+def replay_verify(log) -> ScenarioMetrics:
     """Recompute scenario metrics purely from an exported ndjson event log.
 
-    Folds each record as iter_log_lines verifies it, into per-participant
-    totals that the first ScenarioSetup's attackers and targets select at the
-    end. Raises the first failure in log order: ChainBroken if the chain does
-    not verify or a line is not byte-equal to its export form, MalformedEvent
-    on an unparseable record or a missing or mistyped payload field. This is
-    the independent oracle against run_scenario's live metrics.
+    `log` is the exported text or a binary file. Folds each record as
+    iter_log_lines verifies it, into per-participant totals that the first
+    ScenarioSetup's attackers and targets select at the end. Raises the first
+    failure in log order: ChainBroken if the chain does not verify or a line
+    is not byte-equal to its export form, MalformedEvent on an unparseable
+    record or a missing or mistyped payload field. This is the independent
+    oracle against run_scenario's live metrics.
     """
     setup = None
     spent, accepted, refunds, dret = (defaultdict(int) for _ in range(4))
     badged: list[tuple] = []
     exclusions = 0
     try:
-        for rec in iter_log_lines(log_text):
+        for rec in iter_log_lines(log):
             p = rec.payload
             kind = rec.kind
             if kind == "GasCharged":
@@ -716,7 +717,11 @@ def replay_verify(log_text: str) -> ScenarioMetrics:
             elif kind == "ScenarioSetup" and setup is None:
                 # It follows the population's events (it needs the service
                 # ids), which is why the totals are kept per participant.
-                setup = set(p["attackers"]), dict(p["ground_truth"]), set(p["target_providers"])
+                attackers, truth, targets = p["attackers"], p["ground_truth"], p["target_providers"]
+                if not (all(type(ids) is list and all(type(i) is str for i in ids) for ids in (attackers, targets))
+                        and type(truth) is dict and all(q in (GOOD, BAD) for q in truth.values())):
+                    raise TypeError("ScenarioSetup attackers, target_providers or ground_truth mistyped")
+                setup = set(attackers), truth, set(targets)
         attackers, truth, targets = setup or (set(), {}, set())
         return _metrics(
             truth, attackers, badged, sum(spent[a] for a in attackers), sum(accepted[a] for a in attackers),

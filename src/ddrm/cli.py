@@ -1,16 +1,16 @@
 """Command-line front end: run scenarios, print the gas table, verify logs.
 
 Commands
-    run            execute the configured scenarios; write per-scenario
-                   metrics JSON and an ndjson event log plus a summary table
+    run            execute the configured scenarios; write a summary table and,
+                   per scenario, metrics JSON and the event log it re-verified
     gas-table      print the operation cost table
-    verify         check an exported log's hash chain and replay its metrics
+    verify         replay an exported log line by line: hash chain and metrics
     print-defaults dump the built-in configuration as JSON
 
-Exit codes: 0 success, 2 configuration error, 3 invariant violation during
-a run, 4 broken, malformed or non-UTF-8 event log, 5 replayed metrics
-disagree with the recorded metrics file. Artifacts contain no wall-clock
-timestamps, so reruns with one seed are byte-identical.
+Exit codes: 0 success, 2 configuration error or unwritable output_dir, 3
+invariant violation during a run, 4 broken, malformed or non-UTF-8 event
+log, 5 replayed metrics disagree with the recorded metrics file. Artifacts
+contain no wall-clock timestamps, so reruns with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConf
 
 
 def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
-    """Run one scenario, check it live and by replay, then write its two artifacts.
+    """Run one scenario, check it live, then publish the log bytes that replay from disk.
 
-    The live state is released before the replay, so a `ddrm run` holds one
-    scenario's state at a time; nothing is written unless both checks pass.
+    The log streams to a temporary file, which `ddrm verify`'s replay reads back once the
+    live state is released (one scenario's state at a time); only then is it renamed into
+    place and the metrics file written. Any failure removes the temporary file.
     """
     result = run_scenario(scenario, config.protocol, config.seed)
-    log_text = result.log_text()
     try:
         result.sim.ledger.verify_chain()
     except ChainBroken as exc:
@@ -71,10 +71,17 @@ def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
         "metrics": metrics.to_dict(),
         "extras": result.extras,
     }
-    del result
-    if replay_verify(log_text) != metrics:
-        raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
-    (out_dir / f"{scenario.name}.events.ndjson").write_text(log_text, encoding="utf-8", newline="")
+    tmp_path = out_dir / f"{scenario.name}.events.ndjson.tmp"
+    try:
+        with tmp_path.open("wb") as f:
+            result.sim.ledger.write_log(f)
+        del result
+        with tmp_path.open("rb") as f:
+            if replay_verify(f) != metrics:
+                raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
+        tmp_path.replace(out_dir / f"{scenario.name}.events.ndjson")
+    finally:
+        tmp_path.unlink(missing_ok=True)
     (out_dir / f"{scenario.name}.metrics.json").write_text(
         json.dumps(metrics_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -84,10 +91,13 @@ def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed, args.out)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    named_metrics = [(s.name, _run_one(s, config, out_dir)) for s in sorted(config.scenarios, key=lambda s: s.name)]
-    summary = format_metrics_table(named_metrics) if named_metrics else "no scenarios configured"
-    (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        named_metrics = [(s.name, _run_one(s, config, out_dir)) for s in sorted(config.scenarios, key=lambda s: s.name)]
+        summary = format_metrics_table(named_metrics) if named_metrics else "no scenarios configured"
+        (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output_dir {out_dir}: {exc}") from exc
     if args.format == "json":
         print(json.dumps({name: m.to_dict() for name, m in named_metrics}, sort_keys=True, indent=2))
     else:
@@ -108,16 +118,12 @@ def cmd_gas_table(args) -> int:
 def cmd_verify(args) -> int:
     log_path = Path(args.log)
     try:
-        # Bytes, not read_text: universal newlines would turn CR and CRLF into LF.
-        text = log_path.read_bytes().decode("utf-8")
+        # Binary, not text mode: universal newlines would turn CR and CRLF into LF.
+        with log_path.open("rb") as log:
+            replayed = replay_verify(log)
     except OSError as exc:
         print(f"error: cannot read log {log_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnicodeDecodeError as exc:
-        print(f"verification failed: log is not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_CHAIN
-    try:
-        replayed = replay_verify(text)
     except (ChainBroken, MalformedEvent) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_CHAIN

@@ -9,10 +9,10 @@ appends an EventRecord to a hash chain:
 where payload_json is the canonical JSON encoding (sorted keys, compact
 separators, UTF-8) and the genesis record's prev_hash is 64 zero hex digits.
 A record appended here keeps its payload_json, and export writes those
-bytes into its line, so each payload is encoded once. iter_log_lines accepts
-only those exact bytes, LF included, and checks each line as it reads it, so
-a reader never holds more than one record. The codec needs CPython's `_json`
-module.
+bytes into the line that export_log joins and write_log streams to a file.
+iter_log_lines reads exported text or a binary file, accepts only those exact
+bytes, LF included, and checks each line as it reads it, holding one line and
+one record at a time. The codec needs CPython's `_json` module.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -22,6 +22,7 @@ identical final log hash.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ WEI_PER_GWEI = 10**9
 WEI_PER_ETHER = 10**18
 
 ZERO_DIGEST = "0" * 64
+_NO_FINAL_LF = "not canonical: the last line does not end in LF"
 
 # Operation kinds with a gas schedule entry.
 OP_ADD_SERVICE = "add_service"
@@ -332,9 +334,16 @@ class Ledger:
     def final_hash(self) -> str:
         return self.log[-1].hash if self.log else ZERO_DIGEST
 
+    def _export_lines(self):
+        return (rec.to_json_line() + "\n" for rec in self.log)
+
     def export_log(self) -> str:
         """Newline-delimited JSON, one event per line, LF endings."""
-        return "".join(rec.to_json_line() + "\n" for rec in self.log)
+        return "".join(self._export_lines())
+
+    def write_log(self, f) -> None:
+        """Write export_log()'s bytes to binary file f, one line at a time."""
+        f.writelines(line.encode() for line in self._export_lines())
 
     # -- time --
 
@@ -343,20 +352,17 @@ class Ledger:
         return self.tick
 
 
-def iter_log_lines(text: str):
+def iter_log_lines(log):
     """Parse and verify an exported log line by line, yielding each record once it passes.
 
-    Raises MalformedEvent on a line that does not parse or type-check, and
-    ChainBroken(seq, reason) on a broken link or hash or on any byte that
-    export would not have written ("not canonical"), after yielding every
-    record before that line. No list of lines or records is built.
+    `log` is exported text or a binary file at its start. Raises MalformedEvent on
+    a line that is not UTF-8 or does not parse or type-check, and ChainBroken(seq,
+    reason) on a broken link or hash or any byte export would not write ("not
+    canonical"; a missing final LF before any line, or at the last line of a pipe),
+    after yielding every record before that line.
     """
-    if text and not text.endswith("\n"):
-        raise ChainBroken(text.count("\n"), "not canonical: the last line does not end in LF")
-    prev, last_tick, start, seq = ZERO_DIGEST, 0, 0, 0
-    while start < len(text):
-        end = text.find("\n", start)  # found: the text ends in LF
-        line = text[start:end]
+    prev, last_tick = ZERO_DIGEST, 0
+    for seq, line in enumerate(_text_lines(log) if isinstance(log, str) else _file_lines(log)):
         if not line:
             raise ChainBroken(seq, "not canonical: blank line")
         try:
@@ -368,7 +374,34 @@ def iter_log_lines(text: str):
         if _splice(rec, payload_json) != line:
             raise ChainBroken(seq, "not canonical: the line differs from its export form")
         yield rec
-        prev, last_tick, start, seq = rec.hash, rec.tick, end + 1, seq + 1
+        prev, last_tick = rec.hash, rec.tick
+
+
+def _text_lines(text: str):
+    if text and not text.endswith("\n"):
+        raise ChainBroken(text.count("\n"), _NO_FINAL_LF)
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)  # found: the text ends in LF
+        yield text[start:end]
+        start = end + 1
+
+
+def _file_lines(f):
+    """Each line of binary file f, read from its start, as strict UTF-8 text without its LF."""
+    if f.seekable() and f.seek(0, io.SEEK_END):  # read the last byte; count LFs only to report it missing
+        f.seek(-1, io.SEEK_END)
+        last = f.read(1)
+        f.seek(0)
+        if last != b"\n":
+            raise ChainBroken(sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 16), b"")), _NO_FINAL_LF)
+    for seq, raw in enumerate(f):
+        if raw[-1:] != b"\n":  # only on a pipe: a seekable file was checked above
+            raise ChainBroken(seq, _NO_FINAL_LF)
+        try:
+            yield raw[:-1].decode("utf-8")  # cheaper than a memoryview, which the GC tracks
+        except UnicodeDecodeError as exc:
+            raise MalformedEvent(f"malformed event at seq {seq}: log is not UTF-8: {exc}") from exc
 
 
 def load_log_lines(text: str) -> list[EventRecord]:

@@ -2,17 +2,19 @@
 
 import gc
 import json
+import os
 import time
+import tracemalloc
 import weakref
 
 import pytest
 
-from ddrm import replay_verify, run_scenario
+from ddrm import parse_scenario, replay_verify, run_scenario
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
 from ddrm.config import RATE_DIGITS, USD_DIGITS
-from ddrm.ledger import ZERO_DIGEST, canonical_payload, record_hash
+from ddrm.ledger import ZERO_DIGEST, Ledger, canonical_payload, record_hash
 
-from conftest import forged_log
+from conftest import forged_log, make_sim, provider_and_service
 
 MINIMAL_CONFIG = {
     "seed": 77,
@@ -137,6 +139,46 @@ class TestRun:
         path.write_text(json.dumps({"scenarios": scenarios, "output_dir": str(tmp_path / "out")}))
         assert main(["run", "--config", str(path)]) == EXIT_OK
         assert checks == [("run", True), ("replay", True), ("run", True), ("replay", True)]
+
+    def test_run_builds_no_log_string(self, tmp_path, config_path, monkeypatch, capsys):
+        main(["run", "--config", str(config_path), "--out", str(tmp_path / "plain")])
+
+        def whole_log_string(self):
+            raise AssertionError("ddrm run built the whole log as one string")
+
+        monkeypatch.setattr(Ledger, "export_log", whole_log_string)
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        names = ["demo.events.ndjson", "demo.metrics.json", "summary.txt"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_only_bytes_that_replay_from_disk_are_published(self, tmp_path, config_path, monkeypatch, capsys):
+        write_log = Ledger.write_log
+
+        def write_and_add_a_byte(self, f):
+            write_log(self, f)
+            f.write(b"x")
+
+        monkeypatch.setattr(Ledger, "write_log", write_and_add_a_byte)
+        assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
+        assert "does not end in LF" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["names-a-file", "below-a-file"])
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, below):
+        (tmp_path / "file").write_text("not a directory")
+        out = tmp_path / "file" / below
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**MINIMAL_CONFIG, "output_dir": str(out)}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert f"config error: cannot write output_dir {out}" in capsys.readouterr().err
+
+    def test_unwritable_log_name_exits_2_and_leaves_no_temporary_file(self, tmp_path, config_path, capsys):
+        (tmp_path / "out" / "demo.events.ndjson").mkdir(parents=True)
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        assert "cannot write output_dir" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["demo.events.ndjson"]
 
 
 class TestUntrustedNumbers:
@@ -406,6 +448,61 @@ class TestVerify:
         log.write_text(forged_log(log.read_text(), edit))
         assert main(["verify", str(log)]) == EXIT_CHAIN
         assert "event payload missing or mistyped field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, forge",
+        [
+            ("attackers", "".join),
+            ("target_providers", lambda ids: ids[0]),
+            ("ground_truth", lambda truth: dict.fromkeys(truth, "Mediocre")),
+        ],
+        ids=["joined-attackers", "string-targets", "unknown-quality"],
+    )
+    def test_forged_setup_shape_exits_4(self, tmp_path, capsys, field, forge):
+        # Re-hashed, and with no metrics file beside it, so only the setup's shape can be refused.
+        def edit(rec):
+            if rec.kind == "ScenarioSetup":
+                rec.payload[field] = forge(rec.payload[field])
+
+        doc = {"name": "c", "kind": "collusion", "rounds": 3, "honest_count": 12, "attacker_count": 2}
+        log = tmp_path / "forged.events.ndjson"
+        log.write_text(forged_log(run_scenario(parse_scenario(doc, 0)).log_text(), edit))
+        assert main(["verify", str(log)]) == EXIT_CHAIN
+        assert "event payload missing or mistyped field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cut, code, message",
+        [(0, EXIT_OK, "ok: chain intact"), (1, EXIT_CHAIN, "not canonical: the last line does not end in LF")],
+        ids=["whole", "no-final-lf"],
+    )
+    def test_log_on_a_pipe(self, capsys, cut, code, message):
+        sim = make_sim(seed=5)
+        provider_and_service(sim)
+        data = sim.ledger.export_log().encode()
+        read_fd, write_fd = os.pipe()  # the log is far below a pipe's buffer, so one write cannot block
+        try:
+            with os.fdopen(write_fd, "wb") as writer:
+                writer.write(data[: len(data) - cut])
+            assert main(["verify", f"/dev/fd/{read_fd}"]) == code
+        finally:
+            os.close(read_fd)
+        out, err = capsys.readouterr()
+        assert message in (out if code == EXIT_OK else err)
+
+    def test_verify_memory_does_not_grow_with_the_log(self, tmp_path, capsys):
+        scenarios = [{"name": "big", "kind": "collusion", "rounds": 12, "honest_count": 96, "attacker_count": 16}]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": scenarios, "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        log = tmp_path / "out" / "big.events.ndjson"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["verify", str(log)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * log.stat().st_size
 
     def test_metrics_integer_past_the_digit_limit_exits_2(self, tmp_path, config_path, capsys):
         log, metrics = self._run(tmp_path, config_path)

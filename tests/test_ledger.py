@@ -1,5 +1,6 @@
 """Ledger: gas charges, hash chain, log codec, beacon, ticks."""
 
+import io
 import json
 from dataclasses import replace
 
@@ -23,6 +24,11 @@ from ddrm.ledger import (
 )
 
 from conftest import make_sim, provider_and_service, consumer_with_purchase
+
+# The two sources iter_log_lines reads: exported text and a binary file.
+LOG_SOURCES = pytest.mark.parametrize(
+    "source", [lambda text: text, lambda text: io.BytesIO(text.encode())], ids=["text", "file"]
+)
 
 
 def fresh_ledger(seed=1) -> Ledger:
@@ -156,22 +162,24 @@ class TestEventChain:
         with pytest.raises(MalformedEvent):
             load_log_lines('{"seq": 0, "oops"\n')
 
-    def test_records_before_a_bad_line_are_yielded_first(self):
+    @LOG_SOURCES
+    def test_records_before_a_bad_line_are_yielded_first(self, source):
         sim = make_sim(seed=5)
         provider_and_service(sim)
         lines = sim.ledger.export_log().splitlines(keepends=True)
         lines[2] = "not json\n"
-        reader = iter_log_lines("".join(lines))
+        reader = iter_log_lines(source("".join(lines)))
         assert [next(reader).seq, next(reader).seq] == [0, 1]
         with pytest.raises(MalformedEvent, match="malformed event at seq 2"):
             next(reader)
 
-    def test_missing_final_lf_is_refused_before_any_line(self):
+    @LOG_SOURCES
+    def test_missing_final_lf_is_refused_before_any_line(self, source):
         sim = make_sim(seed=5)
         provider_and_service(sim)
         text = "not json\n" + sim.ledger.export_log()[:-1]
         with pytest.raises(ChainBroken, match="does not end in LF") as broken:
-            next(iter_log_lines(text))
+            next(iter_log_lines(source(text)))
         assert broken.value.seq == text.count("\n")
 
 
@@ -252,17 +260,18 @@ def single_byte_edits(text: str):
 
 
 class TestByteExactness:
-    def test_every_single_byte_edit_is_refused(self):
+    @LOG_SOURCES
+    def test_every_single_byte_edit_is_refused(self, source):
         sim = make_sim(seed=5)
         provider, service = provider_and_service(sim)
         consumer_with_purchase(sim, service)
         text = sim.ledger.export_log()
-        assert [r.hash for r in load_log_lines(text)] == [r.hash for r in sim.ledger.log]
+        assert [r.hash for r in iter_log_lines(source(text))] == [r.hash for r in sim.ledger.log]
         accepted, edits = [], 0
         for pos, edited in single_byte_edits(text):
             edits += 1
             try:
-                load_log_lines(edited)
+                list(iter_log_lines(source(edited)))
             except (ChainBroken, MalformedEvent):
                 continue
             accepted.append((pos, edited[max(pos - 8, 0):pos + 8]))
