@@ -36,7 +36,6 @@ from .ledger import (
     RandomBeacon,
     ether,
     format_ether,
-    load_log_lines,
 )
 from .reporting import GasReportRow, format_gas_table, gas_table_rows
 from .sim import Simulation
@@ -72,7 +71,6 @@ __all__ = [
     "format_ether",
     "format_gas_table",
     "gas_table_rows",
-    "load_log_lines",
     "parse_run_config",
     "parse_scenario",
     "replay_verify",

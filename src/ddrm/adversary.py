@@ -1,4 +1,4 @@
-"""Adversary harness: rater personas, attack scenarios, metrics, log replay.
+"""Adversary harness: attack policies, attack scenarios, metrics, log replay.
 
 A scenario is fully determined by its fields plus a seed. The runner builds
 a population of honest and dishonest raters against services with a fixed
@@ -19,13 +19,17 @@ Voting behavior: honest endorsers vote Up on reviews whose rating band
 matches the service's ground truth and Down otherwise (inverted with
 probability 1 - honest_vote_probability), piling onto mismatched reviews
 first; dishonest endorsers up-vote fellow attackers and down-vote everyone
-else, with a per-kind choice of whether boosting allies or burying enemies
-comes first. A rater's budget is simply its account balance: personas act
-until the ledger refuses to fund them.
+else, boosting allies or burying enemies first as their policy says.
+
+Each attack kind is one AttackPolicy row in POLICIES: when its attackers
+register, buy, rate, review, vote, re-register and claim refunds. The
+runner reads only that row, never the kind. A rater's budget is simply its
+account balance: raters act until the ledger refuses to fund them.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
@@ -56,11 +60,6 @@ from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
 from .ledger import ether, iter_log_lines
 from .sim import Simulation
 
-HAPPY_HONEST = "HappyHonest"
-UNHAPPY_HONEST = "UnhappyHonest"
-HAPPY_DISHONEST = "HappyDishonest"
-UNHAPPY_DISHONEST = "UnhappyDishonest"
-
 GOOD = "Good"
 BAD = "Bad"
 
@@ -72,20 +71,34 @@ KIND_WHITEWASHING = "whitewashing"
 KIND_CONSTANT_ATTACK = "constant_attack"
 KIND_MAJORITY_ENDORSER = "majority_endorser"
 KIND_FALSE_REFUND = "false_refund"
-ALL_KINDS = (
-    KIND_SYBIL,
-    KIND_BALLOT_STUFFING,
-    KIND_BAD_MOUTHING,
-    KIND_COLLUSION,
-    KIND_WHITEWASHING,
-    KIND_CONSTANT_ATTACK,
-    KIND_MAJORITY_ENDORSER,
-    KIND_FALSE_REFUND,
-)
 
-# Attack kinds where burying honest reviews matters more to the adversary
-# than boosting their own.
-_ENEMY_FIRST_KINDS = (KIND_MAJORITY_ENDORSER,)
+
+@dataclass(frozen=True)
+class AttackPolicy:
+    """How the attackers of one kind act. The defaults: buy every round, praise, review what was bought."""
+
+    lists_service: bool = False          # an attacker provider lists a Bad service; attackers rate others 1
+    self_lists: bool = False             # the same with target_own, and then no honest provider lists
+    early: bool = False                  # attackers register first; honest consumers buy in round 2, not 1
+    buys: range = range(1, sys.maxsize)  # the rounds in which attackers buy
+    trashes: bool = False                # attackers rate every service 1
+    reviews: str = "purchases"           # "purchases", "fabricated" (no purchase behind them) or "none"
+    enemy_first: bool = False            # attacker endorsers bury honest reviews before boosting allied ones
+    whitewash: bool = False              # excluded attackers re-register with the same card
+    claims_from: int | None = None       # the round from which attackers file false refund claims
+
+
+POLICIES = {
+    KIND_SYBIL: AttackPolicy(),
+    KIND_BALLOT_STUFFING: AttackPolicy(self_lists=True),
+    KIND_BAD_MOUTHING: AttackPolicy(buys=range(2, sys.maxsize), trashes=True),
+    KIND_COLLUSION: AttackPolicy(lists_service=True),
+    KIND_WHITEWASHING: AttackPolicy(buys=range(2, sys.maxsize), trashes=True, whitewash=True),
+    KIND_CONSTANT_ATTACK: AttackPolicy(buys=range(0), reviews="fabricated"),
+    KIND_MAJORITY_ENDORSER: AttackPolicy(early=True, enemy_first=True),
+    KIND_FALSE_REFUND: AttackPolicy(buys=range(1, 2), reviews="none", claims_from=2),
+}
+ALL_KINDS = tuple(POLICIES)
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,7 @@ class AttackScenario:
     fake_identities_per_attacker: int = 1
     honest_count: int = 12
     service_cost_wei: int = ether("0.5")
-    target_own: bool = True            # ballot stuffing: self-listing vs competitor
+    target_own: bool = True            # a self_lists policy (ballot stuffing): own listing vs competitor
     honest_vote_probability: float = 1.0
     overrides: dict = field(default_factory=dict)
 
@@ -135,6 +148,8 @@ def parse_scenario(doc, index: int = 0) -> AttackScenario:
     kwargs: dict = {"kind": doc["kind"], "name": doc.get("name", f"{doc['kind']}-{index}")}
     if not isinstance(kwargs["name"], str):
         raise ConfigError(f"scenario #{index}: name must be a string")
+    if any(part in kwargs["name"] for part in ("/", "\\", "..", "\0")):  # it names files in output_dir
+        raise ConfigError(f"scenario #{index}: name {kwargs['name']!r} must not contain '/', '\\', '..' or NUL")
     where = f"scenario {kwargs['name']}"
     for key in _SCENARIO_INT_KEYS:
         if key in doc:
@@ -196,7 +211,6 @@ def expected_badge(rating: int, quality: str) -> str:
 @dataclass
 class Member:
     pid: str
-    category: str
     attacker: bool
     card: str
 
@@ -221,6 +235,7 @@ class ScenarioRunner:
     def __init__(self, scenario: AttackScenario, protocol: ProtocolConfig | None = None, default_seed: int = 42):
         scenario.validate()
         self.scenario = scenario
+        self.policy = POLICIES[scenario.kind]
         base = protocol or ProtocolConfig()
         self.protocol = parse_protocol_config(scenario.overrides, base=base) if scenario.overrides else base
         self.seed = scenario.seed if scenario.seed is not None else default_seed
@@ -230,7 +245,6 @@ class ScenarioRunner:
         self.ground_truth: dict[str, str] = {}
         self.target_providers: list[str] = []
         self.attacker_service: str | None = None
-        self.victim_service: str | None = None
         self.extras = {
             "sybil_registrations_attempted": 0,
             "sybil_registrations_succeeded": 0,
@@ -268,38 +282,26 @@ class ScenarioRunner:
         except InsufficientFunds as exc:  # a faucet or genesis credit too small for the population
             raise ConfigError(f"scenario {self.scenario.name}: {exc}") from exc
 
-    def _add_member(self, card: str, category: str, attacker: bool, roles) -> str:
+    def _add_member(self, card: str, attacker: bool, roles) -> str:
         pid = self._set_up(self.sim.register, card, roles)
-        self.members[pid] = Member(pid=pid, category=category, attacker=attacker, card=card)
+        self.members[pid] = Member(pid=pid, attacker=attacker, card=card)
         return pid
 
     # -- population --
 
     def _build_population(self) -> None:
         s = self.scenario
-        kind = s.kind
-        self_listing = kind == KIND_BALLOT_STUFFING and s.target_own
-        needs_attack_service = kind == KIND_COLLUSION or self_listing
-
+        self_listing = self.policy.self_lists and s.target_own
+        # DRET deltas are tracked for the service the attack aims at: the
+        # attackers' own listing when they list one, the victim's otherwise.
         if not self_listing:
-            hp = self._add_member("honest-provider-0", HAPPY_HONEST, False, {ROLE_PROVIDER})
-            self.victim_service = self._set_up(self.sim.add_service, hp, s.service_cost_wei)
-            self.ground_truth[self.victim_service] = GOOD
-
-        attacker_provider = None
-        if needs_attack_service:
-            attacker_provider = self._add_member("attacker-provider-0", HAPPY_DISHONEST, True, {ROLE_PROVIDER})
-            self.attacker_service = self._set_up(self.sim.add_service, attacker_provider, s.service_cost_wei)
+            target = self._add_member("honest-provider-0", False, {ROLE_PROVIDER})
+            self.ground_truth[self._set_up(self.sim.add_service, target, s.service_cost_wei)] = GOOD
+        if self.policy.lists_service or self_listing:
+            target = self._add_member("attacker-provider-0", True, {ROLE_PROVIDER})
+            self.attacker_service = self._set_up(self.sim.add_service, target, s.service_cost_wei)
             self.ground_truth[self.attacker_service] = BAD
-
-        # Attackers register before honest consumers when the attack depends
-        # on being among a service's earliest reviewers.
-        attacker_category = {
-            KIND_BAD_MOUTHING: UNHAPPY_DISHONEST,
-            KIND_WHITEWASHING: UNHAPPY_DISHONEST,
-            KIND_FALSE_REFUND: UNHAPPY_DISHONEST,
-        }.get(kind, HAPPY_DISHONEST)
-        honest_category = UNHAPPY_HONEST if kind == KIND_BALLOT_STUFFING and s.target_own else HAPPY_HONEST
+        self.target_providers = [target]
 
         def register_attackers():
             for i in range(s.attacker_count):
@@ -307,40 +309,31 @@ class ScenarioRunner:
                 for _ in range(s.fake_identities_per_attacker):
                     self.extras["sybil_registrations_attempted"] += 1
                     try:
-                        self._add_member(card, attacker_category, True, {ROLE_CONSUMER})
+                        self._add_member(card, True, {ROLE_CONSUMER})
                         self.extras["sybil_registrations_succeeded"] += 1
                     except DuplicateCard as exc:
                         self._deny(exc)
 
         def register_honest():
             for i in range(s.honest_count):
-                self._add_member(f"honest-card-{i}", honest_category, False, {ROLE_CONSUMER})
+                self._add_member(f"honest-card-{i}", False, {ROLE_CONSUMER})
 
-        if kind == KIND_MAJORITY_ENDORSER:
-            register_attackers()
-            register_honest()
-        else:
-            register_honest()
-            register_attackers()
+        # Early attackers register before honest consumers, to be among a
+        # service's earliest reviewers.
+        order = (register_attackers, register_honest) if self.policy.early else (register_honest, register_attackers)
+        for register in order:
+            register()
 
         self.consumers = sorted(
             pid for pid, m in self.members.items()
             if ROLE_CONSUMER in self.sim.identity.get(pid).roles
         )
-        # DRET deltas are tracked for the service the attack aims at: the
-        # attacker's own listing when self-listing, the victim's otherwise.
-        if attacker_provider is not None:
-            self.target_providers = [attacker_provider]
-        elif self.victim_service is not None:
-            self.target_providers = [self.sim.market.get_service(self.victim_service).provider]
-        else:
-            self.target_providers = []
 
         self.sim.ledger.append_event(
             "ScenarioSetup",
             {
                 "scenario": s.name,
-                "kind": kind,
+                "kind": s.kind,
                 "attackers": self._attackers(),
                 "ground_truth": dict(sorted(self.ground_truth.items())),
                 "target_providers": list(self.target_providers),
@@ -349,41 +342,20 @@ class ScenarioRunner:
 
     # -- per-round behavior --
 
-    def _services_for(self, member: Member) -> list[str]:
-        """Which services this member buys and reviews."""
-        kind = self.scenario.kind
-        if kind == KIND_COLLUSION:
-            return sorted(self.ground_truth)
-        if kind == KIND_BALLOT_STUFFING and self.scenario.target_own:
-            return [self.attacker_service]
-        return [self.victim_service] if self.victim_service else []
-
     def _buys_this_round(self, member: Member, rnd: int) -> bool:
-        kind = self.scenario.kind
         if member.attacker:
-            if kind == KIND_CONSTANT_ATTACK:
-                return False
-            if kind in (KIND_BAD_MOUTHING, KIND_WHITEWASHING):
-                return rnd >= 2
-            if kind == KIND_FALSE_REFUND:
-                return rnd == 1
-            return True
+            return rnd in self.policy.buys
         # Honest consumers purchase once, in round 1 (round 2 when attackers
         # must be the earliest reviewers).
-        first_round = 2 if kind == KIND_MAJORITY_ENDORSER else 1
-        return rnd == first_round
+        return rnd == (2 if self.policy.early else 1)
 
     def _rating_for(self, member: Member, service_id: str) -> int:
         quality = self.ground_truth[service_id]
         beacon = self.sim.ledger.beacon
         if not member.attacker:
             return beacon.randint(4, 5) if quality == GOOD else beacon.randint(1, 2)
-        if self.scenario.kind == KIND_MAJORITY_ENDORSER:
-            return 5  # blend in; the attack happens at endorsement time
-        if member.category == UNHAPPY_DISHONEST:
-            return 1
-        if self.attacker_service is not None and service_id != self.attacker_service:
-            return 1  # collusion: trash the competitor
+        if self.policy.trashes or self.attacker_service not in (None, service_id):
+            return 1  # trash everything, or every rival of the attackers' own listing
         return 5
 
     def _purchase_phase(self, rnd: int) -> None:
@@ -394,15 +366,13 @@ class ScenarioRunner:
                 continue
             if not self._buys_this_round(member, rnd):
                 continue
-            for service_id in self._services_for(member):
+            for service_id in sorted(self.ground_truth):
                 self._attempt(self.sim.buy_service, pid, service_id)
         self._replenish_funds()
 
     def _maybe_whitewash(self, member: Member) -> None:
         """Excluded attackers try to shed their history with the same card."""
-        if self.scenario.kind != KIND_WHITEWASHING or not member.attacker:
-            return
-        if member.pid in self._whitewash_done:
+        if not (self.policy.whitewash and member.attacker) or member.pid in self._whitewash_done:
             return
         self._whitewash_done.add(member.pid)
         for _ in range(self.scenario.fake_identities_per_attacker):
@@ -422,16 +392,14 @@ class ScenarioRunner:
             self._attempt(self.sim.replenish_fund, provider, service_id, REVIEW_FUND_SEED)
 
     def _review_phase(self, rnd: int) -> None:
-        kind = self.scenario.kind
         for pid in self.consumers:
             member = self.members[pid]
             if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
                 continue
-            if kind == KIND_CONSTANT_ATTACK and member.attacker:
-                self._constant_attack_reviews(member)
-                continue
-            if kind == KIND_FALSE_REFUND and member.attacker:
-                continue  # the fraud is the refund claim, not the review
+            if member.attacker and self.policy.reviews != "purchases":
+                if self.policy.reviews == "fabricated":
+                    self._fabricated_reviews(member)
+                continue  # "none": the fraud is the refund claim, not the review
             for purchase_id in sorted(self.sim.market.purchases_by_consumer.get(pid, ())):
                 purchase = self.sim.market.purchases[purchase_id]
                 if purchase.reviewed:
@@ -440,7 +408,7 @@ class ScenarioRunner:
                 digest = text_digest(f"{pid}|{purchase_id}|round {rnd}")
                 self._attempt(self.sim.submit_review, pid, purchase_id, rating, digest)
 
-    def _constant_attack_reviews(self, member: Member) -> None:
+    def _fabricated_reviews(self, member: Member) -> None:
         """Review attempts without any purchase: a foreign id and a bogus id."""
         foreign = min(self.sim.market.purchases, default=None)
         for purchase_id in filter(None, [foreign, "PUR-99999"]):
@@ -490,7 +458,6 @@ class ScenarioRunner:
 
         # Wave 1: attackers boost allied reviews up to quorum, or bury the
         # oldest enemy review, depending on the attack's aim.
-        allies_first = self.scenario.kind not in _ENEMY_FIRST_KINDS
         for pid in [p for p in roster if self._is_attacker(p)]:
             if not has_srdt(pid):
                 continue
@@ -503,7 +470,7 @@ class ScenarioRunner:
                         ally_pick = review
                 elif enemy_pick is None:
                     enemy_pick = review
-            choice = (ally_pick or enemy_pick) if allies_first else (enemy_pick or ally_pick)
+            choice = (enemy_pick or ally_pick) if self.policy.enemy_first else (ally_pick or enemy_pick)
             if choice is None:
                 continue
             vote = VOTE_UP if self._is_attacker(choice.reviewer) else VOTE_DOWN
@@ -564,7 +531,7 @@ class ScenarioRunner:
     # -- refunds --
 
     def _refund_phase(self, rnd: int) -> None:
-        if self.scenario.kind == KIND_FALSE_REFUND and rnd >= 2:
+        if self.policy.claims_from is not None and rnd >= self.policy.claims_from:
             self._file_false_claims()
         open_claims = [
             cid for cid in sorted(self.sim.reviews.claims)

@@ -77,8 +77,12 @@ def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
             result.sim.ledger.write_log(f)
         del result
         with tmp_path.open("rb") as f:
-            if replay_verify(f) != metrics:
-                raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
+            try:
+                replayed = replay_verify(f)
+            except (ChainBroken, MalformedEvent) as exc:
+                raise InvariantViolation(f"scenario {scenario.name}: {exc}") from exc
+        if replayed != metrics:
+            raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
         tmp_path.replace(out_dir / f"{scenario.name}.events.ndjson")
     finally:
         tmp_path.unlink(missing_ok=True)

@@ -402,8 +402,3 @@ def _file_lines(f):
             yield raw[:-1].decode("utf-8")  # cheaper than a memoryview, which the GC tracks
         except UnicodeDecodeError as exc:
             raise MalformedEvent(f"malformed event at seq {seq}: log is not UTF-8: {exc}") from exc
-
-
-def load_log_lines(text: str) -> list[EventRecord]:
-    """Every record of an exported log, checked as iter_log_lines checks it."""
-    return list(iter_log_lines(text))

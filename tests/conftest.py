@@ -6,7 +6,7 @@ import pytest
 
 from ddrm import ProtocolConfig, Simulation, ether, text_digest
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
-from ddrm.ledger import ZERO_DIGEST, canonical_payload, load_log_lines, record_hash
+from ddrm.ledger import ZERO_DIGEST, canonical_payload, iter_log_lines, record_hash
 
 
 def make_sim(seed: int = 42, **overrides) -> Simulation:
@@ -35,7 +35,8 @@ def reviewed_purchase(sim: Simulation, service: str, card: str, rating: int = 5)
 def forged_log(text: str, edit) -> str:
     """An exported log with edit(record) applied to every record, then re-hashed so the chain holds."""
     prev, lines = ZERO_DIGEST, []
-    for rec in load_log_lines(text):
+    # Read the whole log first: the reader links each record through its hash after yielding it.
+    for rec in list(iter_log_lines(text)):
         edit(rec)
         rec.prev_hash = prev
         rec.hash = prev = record_hash(rec.seq, rec.tick, rec.kind, canonical_payload(rec.payload), prev)

@@ -29,7 +29,7 @@ from ddrm.ledger import (
     ZERO_DIGEST,
     EventRecord,
     canonical_payload,
-    load_log_lines,
+    iter_log_lines,
     record_hash,
     verify_records,
 )
@@ -251,7 +251,7 @@ class TestDeterminismAndReplay:
         # A forger drops a badged service from the setup and re-hashes the
         # chain: the log verifies, but its metrics cannot be computed.
         res = run_scenario(scenario(KIND_COLLUSION, rounds=6))
-        records = load_log_lines(res.log_text())
+        records = list(iter_log_lines(res.log_text()))
         badged = next(
             r.payload["service"] for r in records if r.kind == "SelectionRun" and r.payload["badged"]
         )

@@ -162,8 +162,21 @@ class TestRun:
 
         monkeypatch.setattr(Ledger, "write_log", write_and_add_a_byte)
         assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
-        assert "does not end in LF" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "scenario demo" in err and "does not end in LF" in err
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "name", ["../escaped", "sub/escaped", "sub\\escaped", "..", "nul\0escaped"],
+        ids=["parent", "slash", "backslash", "dot-dot", "nul"],
+    )
+    def test_scenario_name_that_leaves_output_dir_exits_2(self, tmp_path, capsys, name):
+        scenario = {"name": name, "kind": "sybil", "rounds": 1, "honest_count": 1}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": [scenario], "output_dir": str(tmp_path / "out" / "run")}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: scenario #0: name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["names-a-file", "below-a-file"])
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys, below):

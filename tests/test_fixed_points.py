@@ -8,6 +8,7 @@ more runs at 192 honest raters pin the paths whose per-key lookups only
 carry real work in a large population.
 """
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -35,6 +36,10 @@ AT_SCALE = {
     "whitewashing": "50a562e393354cd97203a7fb64c5f28006bb8801dc524f368221d94c8b9f811f",
     "false_refund": "6783ba42893ac46406f79e93fb1d02f8356dc4a06b2dad32ed9828bdafcf3ebb",
 }
+
+# The canonical ballot-stuffing scenario with target_own=False: the attackers
+# stuff an honest competitor's service instead of listing their own.
+BALLOT_STUFFING_COMPETITOR = "cec17636ccc7c73d2999f0933f0b5f13e2eca31ac64d5047b2c4af5585206fc7"
 
 # Per canonical scenario: its ScenarioMetrics fields in declaration order, then
 # its extras as (sybil registrations attempted, succeeded, whitewash
@@ -97,6 +102,13 @@ def test_canonical_metrics_and_extras_unchanged(scenario):
         "denials": denials,
         "review_starved_services": starved,
     }
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+def test_target_own_false_log_hash_unchanged(scenario):
+    # Only ballot stuffing reads target_own; every other kind logs the same run either way.
+    expected = BALLOT_STUFFING_COMPETITOR if scenario.kind == "ballot_stuffing" else PINNED[scenario.name]
+    assert run_scenario(dataclasses.replace(scenario, target_own=False)).final_log_hash() == expected
 
 
 @pytest.mark.parametrize("kind", sorted(AT_SCALE))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddrm import GasSchedule, RandomBeacon, ether, load_log_lines
+from ddrm import GasSchedule, RandomBeacon, ether
 from ddrm.errors import ChainBroken, InsufficientFunds, MalformedEvent, PoolTooSmall, ConfigError
 from ddrm.ledger import (
     OP_ADD_SERVICE,
@@ -145,7 +145,7 @@ class TestEventChain:
         provider, service = provider_and_service(sim)
         consumer_with_purchase(sim, service)
         text = sim.ledger.export_log()
-        records = load_log_lines(text)
+        records = list(iter_log_lines(text))
         assert [r.hash for r in records] == [r.hash for r in sim.ledger.log]
         verify_records(records)
 
@@ -155,12 +155,12 @@ class TestEventChain:
         lines = sim.ledger.export_log().splitlines()
         lines[0], lines[1] = lines[1], lines[0]
         with pytest.raises(ChainBroken, match="seq gap") as broken:
-            load_log_lines("\n".join(lines) + "\n")
+            list(iter_log_lines("\n".join(lines) + "\n"))
         assert broken.value.seq == 1
 
     def test_malformed_line_raises(self):
         with pytest.raises(MalformedEvent):
-            load_log_lines('{"seq": 0, "oops"\n')
+            list(iter_log_lines('{"seq": 0, "oops"\n'))
 
     @LOG_SOURCES
     def test_records_before_a_bad_line_are_yielded_first(self, source):
@@ -216,7 +216,7 @@ class TestLogCodec:
             line = rec.to_json_line()
             assert line == reference_line(rec)
             assert EventRecord.from_json_line(line) == rec
-        verify_records(load_log_lines(ledger.export_log()))
+        verify_records(list(iter_log_lines(ledger.export_log())))
 
     @given(value=JSON_VALUES)
     @settings(max_examples=300, deadline=None)
