@@ -29,6 +29,7 @@ account balance: raters act until the ledger refuses to fund them.
 
 from __future__ import annotations
 
+import io
 import sys
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
@@ -58,6 +59,7 @@ from .endorsement import (
 from .errors import ConfigError, DdrmError, DuplicateCard, InsufficientFunds, MalformedEvent
 from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
 from .ledger import ether, iter_log_lines
+from .marketplace import STATUS_LISTED
 from .sim import Simulation
 
 GOOD = "Good"
@@ -185,10 +187,6 @@ class ScenarioMetrics:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "ScenarioMetrics":
-        return ScenarioMetrics(**doc)
-
 
 def rating_band(rating: int) -> str:
     if rating >= 4:
@@ -222,8 +220,14 @@ class ScenarioResult:
     extras: dict
     sim: Simulation
 
-    def log_text(self) -> str:
-        return self.sim.ledger.export_log()
+    def log_text(self) -> bytes:
+        """The exported log: the bytes that Ledger.write_log writes and `ddrm run` publishes.
+
+        Bytes despite the name, which stays because bench/workloads.py calls it.
+        """
+        f = io.BytesIO()
+        self.sim.ledger.write_log(f)
+        return f.getvalue()
 
     def final_log_hash(self) -> str:
         return self.sim.ledger.final_hash()
@@ -385,7 +389,7 @@ class ScenarioRunner:
         for service_id in sorted(self.ground_truth):
             service = self.sim.market.get_service(service_id)
             provider = service.provider
-            if service.status != "Listed" or service.review_fund >= REVIEW_SUBSIDY:
+            if service.status != STATUS_LISTED or service.review_fund >= REVIEW_SUBSIDY:
                 continue
             if self.sim.identity.get(provider).status == STATUS_EXCLUDED:
                 continue
@@ -586,7 +590,7 @@ class ScenarioRunner:
         self.extras["review_starved_services"] = sorted(
             s.service_id
             for s in market.services.values()
-            if s.status == "Listed" and s.review_fund < REVIEW_SUBSIDY
+            if s.status == STATUS_LISTED and s.review_fund < REVIEW_SUBSIDY
         )
         return ScenarioResult(
             scenario=self.scenario,
@@ -645,15 +649,16 @@ def run_scenario(
 def replay_verify(log) -> ScenarioMetrics:
     """Recompute scenario metrics purely from an exported ndjson event log.
 
-    `log` is the exported text or a binary file. Folds each record as
-    iter_log_lines verifies it, into per-participant totals that the first
-    ScenarioSetup's attackers and targets select at the end. Raises the first
-    failure in log order: ChainBroken if the chain does not verify or a line
-    is not byte-equal to its export form, MalformedEvent on an unparseable
-    record or a missing or mistyped payload field. This is the independent
-    oracle against run_scenario's live metrics.
+    `log` is an exported log's bytes (log_text()) or a binary file. Folds
+    each record as iter_log_lines verifies it, into per-participant totals
+    that the first ScenarioSetup's attackers and targets select at the end.
+    Raises the first failure in log order: ChainBroken if the chain does not
+    verify or a line is not byte-equal to its export form, MalformedEvent on
+    an unparseable record or a missing or mistyped payload field, naming the
+    record's seq and kind, or the metrics step if it fails after the last
+    record. This is the independent oracle against run_scenario's live metrics.
     """
-    setup = None
+    setup = rec = None
     spent, accepted, refunds, dret = (defaultdict(int) for _ in range(4))
     badged: list[tuple] = []
     exclusions = 0
@@ -689,10 +694,12 @@ def replay_verify(log) -> ScenarioMetrics:
                         and type(truth) is dict and all(q in (GOOD, BAD) for q in truth.values())):
                     raise TypeError("ScenarioSetup attackers, target_providers or ground_truth mistyped")
                 setup = set(attackers), truth, set(targets)
+        rec = None  # past the last record: a failure below comes from the metrics
         attackers, truth, targets = setup or (set(), {}, set())
         return _metrics(
             truth, attackers, badged, sum(spent[a] for a in attackers), sum(accepted[a] for a in attackers),
             exclusions, sum(refunds[a] for a in attackers), sum(dret[t] for t in targets),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedEvent(f"event payload missing or mistyped field: {exc}") from exc
+        where = f"at seq {rec.seq}, kind {rec.kind}" if rec is not None else "computing the metrics after the log"
+        raise MalformedEvent(f"event payload missing or mistyped field: {exc} ({where})") from exc

@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     if metrics_path is not None and metrics_path.exists():
         try:
             doc = json.loads(metrics_path.read_text(encoding="utf-8"))
-            recorded = ScenarioMetrics.from_dict(doc["metrics"])
+            recorded = ScenarioMetrics(**doc["metrics"])
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"error: cannot read metrics {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -197,8 +197,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     if usd.adjusted() >= USD_DIGITS:
         raise ConfigError(f"usd_per_ether allows at most {USD_DIGITS} integer digits: {doc['usd_per_ether']!r}")
     out = doc.get("output_dir", "out")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("output_dir must be a non-empty string")
+    if not isinstance(out, str) or not out or "\0" in out:
+        raise ConfigError("output_dir must be a non-empty string without NUL")
     protocol = parse_protocol_config(doc.get("protocol", {}))
 
     # Scenario schemas live with the adversary harness; imported lazily to

@@ -8,11 +8,12 @@ appends an EventRecord to a hash chain:
 
 where payload_json is the canonical JSON encoding (sorted keys, compact
 separators, UTF-8) and the genesis record's prev_hash is 64 zero hex digits.
-A record appended here keeps its payload_json, and export writes those
-bytes into the line that export_log joins and write_log streams to a file.
-iter_log_lines reads exported text or a binary file, accepts only those exact
-bytes, LF included, and checks each line as it reads it, holding one line and
-one record at a time. The codec needs CPython's `_json` module.
+A record appended here keeps its payload_json, and write_log, the one export,
+streams those bytes into one line per record of a binary file. An exported log
+is bytes, never text: iter_log_lines, the one reader, takes a binary file or
+bytes, accepts only those exact bytes, LF included, as strict UTF-8, and checks
+each line as it reads it, holding one line and one record at a time. The codec
+needs CPython's `_json` module.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -268,9 +269,6 @@ class Ledger:
         self.accounts[account_id] = initial_balance
         self.spent[account_id] = 0
 
-    def exists(self, account_id: str) -> bool:
-        return account_id in self.accounts
-
     def balance(self, account_id: str) -> int:
         if account_id not in self.accounts:
             raise UnknownAccount(account_id)
@@ -334,16 +332,9 @@ class Ledger:
     def final_hash(self) -> str:
         return self.log[-1].hash if self.log else ZERO_DIGEST
 
-    def _export_lines(self):
-        return (rec.to_json_line() + "\n" for rec in self.log)
-
-    def export_log(self) -> str:
-        """Newline-delimited JSON, one event per line, LF endings."""
-        return "".join(self._export_lines())
-
     def write_log(self, f) -> None:
-        """Write export_log()'s bytes to binary file f, one line at a time."""
-        f.writelines(line.encode() for line in self._export_lines())
+        """Write the log to binary file f as newline-delimited JSON, one event per line, LF endings."""
+        f.writelines((rec.to_json_line() + "\n").encode() for rec in self.log)
 
     # -- time --
 
@@ -355,14 +346,14 @@ class Ledger:
 def iter_log_lines(log):
     """Parse and verify an exported log line by line, yielding each record once it passes.
 
-    `log` is exported text or a binary file at its start. Raises MalformedEvent on
+    `log` is an exported log's bytes or a binary file at its start. Raises MalformedEvent on
     a line that is not UTF-8 or does not parse or type-check, and ChainBroken(seq,
     reason) on a broken link or hash or any byte export would not write ("not
     canonical"; a missing final LF before any line, or at the last line of a pipe),
     after yielding every record before that line.
     """
     prev, last_tick = ZERO_DIGEST, 0
-    for seq, line in enumerate(_text_lines(log) if isinstance(log, str) else _file_lines(log)):
+    for seq, line in enumerate(_file_lines(io.BytesIO(log) if isinstance(log, bytes) else log)):
         if not line:
             raise ChainBroken(seq, "not canonical: blank line")
         try:
@@ -375,16 +366,6 @@ def iter_log_lines(log):
             raise ChainBroken(seq, "not canonical: the line differs from its export form")
         yield rec
         prev, last_tick = rec.hash, rec.tick
-
-
-def _text_lines(text: str):
-    if text and not text.endswith("\n"):
-        raise ChainBroken(text.count("\n"), _NO_FINAL_LF)
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)  # found: the text ends in LF
-        yield text[start:end]
-        start = end + 1
 
 
 def _file_lines(f):

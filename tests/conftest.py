@@ -1,5 +1,6 @@
 """Shared fixtures and builders for the protocol test suite."""
 
+import io
 from dataclasses import replace
 
 import pytest
@@ -32,16 +33,23 @@ def reviewed_purchase(sim: Simulation, service: str, card: str, rating: int = 5)
     return consumer, purchase, review
 
 
-def forged_log(text: str, edit) -> str:
+def exported_log(ledger) -> bytes:
+    """The ledger's log exactly as Ledger.write_log exports it."""
+    f = io.BytesIO()
+    ledger.write_log(f)
+    return f.getvalue()
+
+
+def forged_log(log: bytes, edit) -> bytes:
     """An exported log with edit(record) applied to every record, then re-hashed so the chain holds."""
     prev, lines = ZERO_DIGEST, []
     # Read the whole log first: the reader links each record through its hash after yielding it.
-    for rec in list(iter_log_lines(text)):
+    for rec in list(iter_log_lines(log)):
         edit(rec)
         rec.prev_hash = prev
         rec.hash = prev = record_hash(rec.seq, rec.tick, rec.kind, canonical_payload(rec.payload), prev)
-        lines.append(rec.to_json_line() + "\n")
-    return "".join(lines)
+        lines.append(rec.to_json_line().encode() + b"\n")
+    return b"".join(lines)
 
 
 @pytest.fixture

@@ -272,26 +272,25 @@ class TestCriterion7DeterminismReplay:
         assert first.final_log_hash() == second.final_log_hash()
         assert first.metrics == second.metrics
 
-        log_text = first.log_text()
-        assert replay_verify(log_text) == first.metrics
+        log = first.log_text()
+        assert replay_verify(log) == first.metrics
 
         # CLI integration: chain + metric replay.
         log_path = tmp_path / "det.events.ndjson"
         metrics_path = tmp_path / "det.metrics.json"
-        log_path.write_text(log_text)
+        log_path.write_bytes(log)
         metrics_path.write_text(json.dumps({"metrics": first.metrics.to_dict()}))
         assert main(["verify", str(log_path), "--metrics", str(metrics_path)]) == EXIT_OK
 
         # Single-byte mutations: sweep positions plus targeted semantic edits.
-        blob = log_text.encode("utf-8")
-        positions = list(range(0, len(blob), 97))
+        positions = list(range(0, len(log), 97))
         failures = 0
         for pos in positions:
-            original = blob[pos:pos + 1]
+            original = log[pos:pos + 1]
             replacement = b"X" if original != b"X" else b"Y"
-            mutated = blob[:pos] + replacement + blob[pos + 1:]
+            mutated = log[:pos] + replacement + log[pos + 1:]
             try:
-                mutated_metrics = replay_verify(mutated.decode("utf-8", errors="replace"))
+                mutated_metrics = replay_verify(mutated)
             except (ChainBroken, MalformedEvent):
                 failures += 1
             else:
@@ -299,18 +298,19 @@ class TestCriterion7DeterminismReplay:
         assert failures == len(positions)
 
         # Digit-for-digit edits that keep the JSON well-formed.
-        lines = log_text.splitlines()
+        lines = log.splitlines()
         semantic = [
-            re.sub(r'"seq":(\d)', lambda m: f'"seq":{(int(m.group(1)) + 1) % 10}', lines[4], count=1),
-            re.sub(r'"hash":"([0-9a-f])', lambda m: f'"hash":"{"f" if m.group(1) != "f" else "0"}', lines[4], count=1),
+            re.sub(rb'"seq":(\d)', lambda m: b'"seq":%d' % ((int(m.group(1)) + 1) % 10), lines[4], count=1),
+            re.sub(rb'"hash":"([0-9a-f])', lambda m: b'"hash":"' + (b"f" if m.group(1) != b"f" else b"0"), lines[4],
+                   count=1),
         ]
         for edited in semantic:
             assert edited != lines[4]
-            tampered = "\n".join(lines[:4] + [edited] + lines[5:]) + "\n"
+            tampered = b"\n".join(lines[:4] + [edited] + lines[5:]) + b"\n"
             with pytest.raises((ChainBroken, MalformedEvent)):
                 replay_verify(tampered)
         mut_path = tmp_path / "mut.events.ndjson"
-        tampered_blob = blob[:50] + (b"X" if blob[50:51] != b"X" else b"Y") + blob[51:]
+        tampered_blob = log[:50] + (b"X" if log[50:51] != b"X" else b"Y") + log[51:]
         mut_path.write_bytes(tampered_blob)
         assert main(["verify", str(mut_path)]) == EXIT_CHAIN
 

@@ -34,7 +34,7 @@ from ddrm.ledger import (
     verify_records,
 )
 
-from conftest import forged_log, make_sim, provider_and_service, reviewed_purchase
+from conftest import exported_log, forged_log, make_sim, provider_and_service, reviewed_purchase
 
 
 def scenario(kind, **kw):
@@ -205,13 +205,13 @@ class TestDeterminismAndReplay:
         assert sim.reviews.claims[claim_id].outcome == OUTCOME_APPROVED
         spent = sim.ledger.spent[provider]
         assert spent == sim.ledger.gas_cost(OP_ADD_SERVICE) + REVIEW_FUND_SEED + ether("0.5")
-        assert replay_verify(sim.ledger.export_log()).attacker_spend_wei == spent
+        assert replay_verify(exported_log(sim.ledger)).attacker_spend_wei == spent
 
     def test_truncated_log_breaks_chain(self):
         res = run_scenario(scenario(KIND_SYBIL, rounds=3))
         lines = res.log_text().splitlines()
         with pytest.raises(ChainBroken, match="seq gap"):
-            replay_verify("\n".join(lines[1:]) + "\n")
+            replay_verify(b"\n".join(lines[1:]) + b"\n")
 
     def test_first_failure_in_log_order_is_raised(self):
         # A payload field dropped early (chain re-hashed) and a broken link
@@ -223,29 +223,29 @@ class TestDeterminismAndReplay:
         lines = forged_log(run_scenario(scenario(KIND_SYBIL, rounds=2)).log_text(), edit).splitlines(keepends=True)
         lines[-1], lines[-2] = lines[-2], lines[-1]
         with pytest.raises(MalformedEvent, match="amount_wei"):
-            replay_verify("".join(lines))
+            replay_verify(b"".join(lines))
 
     def test_replay_memory_does_not_grow_with_the_log(self):
         # The replay verifies and folds each line as it reads it, so beyond
-        # the text it holds per-participant totals, not a record per line.
+        # the log's bytes it holds per-participant totals, not a record per line.
         res = run_scenario(scenario(KIND_COLLUSION, rounds=12, honest_count=96, attacker_count=16))
-        text, live = res.log_text(), res.metrics
+        log, live = res.log_text(), res.metrics
         del res
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            assert replay_verify(text) == live
+            assert replay_verify(log) == live
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * len(text)
+        assert peak < 0.25 * len(log)
 
     def test_empty_log_zero_metrics(self):
-        assert replay_verify("") == ScenarioMetrics()
+        assert replay_verify(b"") == ScenarioMetrics()
 
     def test_garbage_log_malformed(self):
         with pytest.raises(MalformedEvent):
-            replay_verify("not json at all\n")
+            replay_verify(b"not json at all\n")
 
     def test_intact_chain_missing_ground_truth_malformed(self):
         # A forger drops a badged service from the setup and re-hashes the
@@ -266,8 +266,8 @@ class TestDeterminismAndReplay:
             forged.append(EventRecord(rec.seq, rec.tick, rec.kind, payload, prev, digest))
             prev = digest
         verify_records(forged)
-        with pytest.raises(MalformedEvent):
-            replay_verify("".join(r.to_json_line() + "\n" for r in forged))
+        with pytest.raises(MalformedEvent, match="computing the metrics"):
+            replay_verify(b"".join(r.to_json_line().encode() + b"\n" for r in forged))
 
 
 class TestPopulationAndConfig:

@@ -10,11 +10,12 @@ import weakref
 import pytest
 
 from ddrm import parse_scenario, replay_verify, run_scenario
+from ddrm.adversary import ScenarioResult
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
 from ddrm.config import RATE_DIGITS, USD_DIGITS
 from ddrm.ledger import ZERO_DIGEST, Ledger, canonical_payload, record_hash
 
-from conftest import forged_log, make_sim, provider_and_service
+from conftest import exported_log, forged_log, make_sim, provider_and_service
 
 MINIMAL_CONFIG = {
     "seed": 77,
@@ -143,10 +144,10 @@ class TestRun:
     def test_run_builds_no_log_string(self, tmp_path, config_path, monkeypatch, capsys):
         main(["run", "--config", str(config_path), "--out", str(tmp_path / "plain")])
 
-        def whole_log_string(self):
-            raise AssertionError("ddrm run built the whole log as one string")
+        def whole_log(self):
+            raise AssertionError("ddrm run built the whole log in memory")
 
-        monkeypatch.setattr(Ledger, "export_log", whole_log_string)
+        monkeypatch.setattr(ScenarioResult, "log_text", whole_log)
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
         names = ["demo.events.ndjson", "demo.metrics.json", "summary.txt"]
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
@@ -176,6 +177,14 @@ class TestRun:
         path.write_text(json.dumps({"scenarios": [scenario], "output_dir": str(tmp_path / "out" / "run")}))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: scenario #0: name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_output_dir_with_nul_exits_2(self, tmp_path, capsys):
+        scenario = {"name": "s", "kind": "sybil", "rounds": 1, "honest_count": 2}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": [scenario], "output_dir": str(tmp_path / "a\0b")}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: output_dir must be a non-empty string without NUL" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["names-a-file", "below-a-file"])
@@ -449,7 +458,7 @@ class TestVerify:
         log, _ = self._run(tmp_path, config_path)
         log.write_bytes(b"\xff\xfe" + log.read_bytes())
         assert main(["verify", str(log)]) == EXIT_CHAIN
-        assert "verification failed" in capsys.readouterr().err
+        assert "verification failed: malformed event at seq 0: log is not UTF-8" in capsys.readouterr().err
 
     def test_forged_setup_with_a_non_pair_ground_truth_exits_4(self, tmp_path, config_path, capsys):
         # Re-hashed after the edit, so the chain holds and only the replay fold can refuse it.
@@ -458,9 +467,25 @@ class TestVerify:
                 rec.payload["ground_truth"] = ["abc"]
 
         log, _ = self._run(tmp_path, config_path)
-        log.write_text(forged_log(log.read_text(), edit))
+        log.write_bytes(forged_log(log.read_bytes(), edit))
         assert main(["verify", str(log)]) == EXIT_CHAIN
         assert "event payload missing or mistyped field" in capsys.readouterr().err
+
+    def test_mistyped_payload_failure_names_its_record(self, tmp_path, config_path, capsys):
+        # Re-hashed, so the chain holds and the fold fails on the first purchase.
+        edited = []
+
+        def edit(rec):
+            if rec.kind == "ServicePurchased" and not edited:
+                rec.payload["price_paid_wei"] = "lots"
+                edited.append(rec.seq)
+
+        log, _ = self._run(tmp_path, config_path)
+        log.write_bytes(forged_log(log.read_bytes(), edit))
+        assert main(["verify", str(log)]) == EXIT_CHAIN
+        err = capsys.readouterr().err
+        assert "event payload missing or mistyped field: unsupported operand" in err
+        assert f"(at seq {edited[0]}, kind ServicePurchased)" in err
 
     @pytest.mark.parametrize(
         "field, forge",
@@ -479,7 +504,7 @@ class TestVerify:
 
         doc = {"name": "c", "kind": "collusion", "rounds": 3, "honest_count": 12, "attacker_count": 2}
         log = tmp_path / "forged.events.ndjson"
-        log.write_text(forged_log(run_scenario(parse_scenario(doc, 0)).log_text(), edit))
+        log.write_bytes(forged_log(run_scenario(parse_scenario(doc, 0)).log_text(), edit))
         assert main(["verify", str(log)]) == EXIT_CHAIN
         assert "event payload missing or mistyped field" in capsys.readouterr().err
 
@@ -491,7 +516,7 @@ class TestVerify:
     def test_log_on_a_pipe(self, capsys, cut, code, message):
         sim = make_sim(seed=5)
         provider_and_service(sim)
-        data = sim.ledger.export_log().encode()
+        data = exported_log(sim.ledger)
         read_fd, write_fd = os.pipe()  # the log is far below a pipe's buffer, so one write cannot block
         try:
             with os.fdopen(write_fd, "wb") as writer:

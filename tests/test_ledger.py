@@ -23,11 +23,11 @@ from ddrm.ledger import (
     verify_records,
 )
 
-from conftest import make_sim, provider_and_service, consumer_with_purchase
+from conftest import consumer_with_purchase, exported_log, make_sim, provider_and_service
 
-# The two sources iter_log_lines reads: exported text and a binary file.
+# The two forms iter_log_lines takes: an exported log's bytes, whole, and a binary file.
 LOG_SOURCES = pytest.mark.parametrize(
-    "source", [lambda text: text, lambda text: io.BytesIO(text.encode())], ids=["text", "file"]
+    "source", [lambda data: data, lambda data: io.BytesIO(data)], ids=["text", "file"]
 )
 
 
@@ -144,31 +144,30 @@ class TestEventChain:
         sim = make_sim(seed=5)
         provider, service = provider_and_service(sim)
         consumer_with_purchase(sim, service)
-        text = sim.ledger.export_log()
-        records = list(iter_log_lines(text))
+        records = list(iter_log_lines(exported_log(sim.ledger)))
         assert [r.hash for r in records] == [r.hash for r in sim.ledger.log]
         verify_records(records)
 
     def test_reordered_lines_break_chain(self):
         sim = make_sim(seed=5)
         provider_and_service(sim)
-        lines = sim.ledger.export_log().splitlines()
+        lines = exported_log(sim.ledger).splitlines()
         lines[0], lines[1] = lines[1], lines[0]
         with pytest.raises(ChainBroken, match="seq gap") as broken:
-            list(iter_log_lines("\n".join(lines) + "\n"))
+            list(iter_log_lines(b"\n".join(lines) + b"\n"))
         assert broken.value.seq == 1
 
     def test_malformed_line_raises(self):
         with pytest.raises(MalformedEvent):
-            list(iter_log_lines('{"seq": 0, "oops"\n'))
+            list(iter_log_lines(b'{"seq": 0, "oops"\n'))
 
     @LOG_SOURCES
     def test_records_before_a_bad_line_are_yielded_first(self, source):
         sim = make_sim(seed=5)
         provider_and_service(sim)
-        lines = sim.ledger.export_log().splitlines(keepends=True)
-        lines[2] = "not json\n"
-        reader = iter_log_lines(source("".join(lines)))
+        lines = exported_log(sim.ledger).splitlines(keepends=True)
+        lines[2] = b"not json\n"
+        reader = iter_log_lines(source(b"".join(lines)))
         assert [next(reader).seq, next(reader).seq] == [0, 1]
         with pytest.raises(MalformedEvent, match="malformed event at seq 2"):
             next(reader)
@@ -177,10 +176,10 @@ class TestEventChain:
     def test_missing_final_lf_is_refused_before_any_line(self, source):
         sim = make_sim(seed=5)
         provider_and_service(sim)
-        text = "not json\n" + sim.ledger.export_log()[:-1]
+        data = b"not json\n" + exported_log(sim.ledger)[:-1]
         with pytest.raises(ChainBroken, match="does not end in LF") as broken:
-            next(iter_log_lines(source(text)))
-        assert broken.value.seq == text.count("\n")
+            next(iter_log_lines(source(data)))
+        assert broken.value.seq == data.count(b"\n")
 
 
 # JSON-native values: what a log line can carry and json.loads gives back equal.
@@ -216,7 +215,7 @@ class TestLogCodec:
             line = rec.to_json_line()
             assert line == reference_line(rec)
             assert EventRecord.from_json_line(line) == rec
-        verify_records(list(iter_log_lines(ledger.export_log())))
+        verify_records(list(iter_log_lines(exported_log(ledger))))
 
     @given(value=JSON_VALUES)
     @settings(max_examples=300, deadline=None)
@@ -251,12 +250,13 @@ class TestLogCodec:
         assert "_payload_json" not in repr(rec)
 
 
-def single_byte_edits(text: str):
+def single_byte_edits(data: bytes):
     """Each byte replaced by space, CR, \\x1c or a digit, deleted, case-flipped, or preceded by a space."""
-    for pos, ch in enumerate(text):
-        for new in dict.fromkeys((" ", "\r", "\x1c", "8" if ch == "7" else "7", "", ch.swapcase(), " " + ch)):
+    for pos in range(len(data)):
+        ch = data[pos:pos + 1]
+        for new in dict.fromkeys((b" ", b"\r", b"\x1c", b"8" if ch == b"7" else b"7", b"", ch.swapcase(), b" " + ch)):
             if new != ch:
-                yield pos, text[:pos] + new + text[pos + 1:]
+                yield pos, data[:pos] + new + data[pos + 1:]
 
 
 class TestByteExactness:
@@ -265,10 +265,10 @@ class TestByteExactness:
         sim = make_sim(seed=5)
         provider, service = provider_and_service(sim)
         consumer_with_purchase(sim, service)
-        text = sim.ledger.export_log()
-        assert [r.hash for r in iter_log_lines(source(text))] == [r.hash for r in sim.ledger.log]
+        data = exported_log(sim.ledger)
+        assert [r.hash for r in iter_log_lines(source(data))] == [r.hash for r in sim.ledger.log]
         accepted, edits = [], 0
-        for pos, edited in single_byte_edits(text):
+        for pos, edited in single_byte_edits(data):
             edits += 1
             try:
                 list(iter_log_lines(source(edited)))
@@ -276,7 +276,7 @@ class TestByteExactness:
                 continue
             accepted.append((pos, edited[max(pos - 8, 0):pos + 8]))
         assert accepted == []
-        assert edits > 5 * len(text)
+        assert edits > 5 * len(data)
 
 
 class TestCommittedBytes:
