@@ -451,10 +451,6 @@ class ScenarioRunner:
         quality = self.ground_truth[service_id]
         quorum = self.protocol.endorsement_quorum
         by_age = sorted(pending, key=lambda r: (r.tick, r.review_id))
-        voted = {
-            r.review_id: {a.endorser for a in self.sim.reviews.annotations[r.review_id]}
-            for r in pending
-        }
         cast = 0
 
         def has_srdt(pid):
@@ -467,7 +463,7 @@ class ScenarioRunner:
                 continue
             ally_pick = enemy_pick = None
             for review in by_age:
-                if pid in voted[review.review_id]:
+                if pid in review.endorsers:
                     continue
                 if self._is_attacker(review.reviewer):
                     if ally_pick is None and review.upvotes + review.downvotes < quorum:
@@ -478,9 +474,7 @@ class ScenarioRunner:
             if choice is None:
                 continue
             vote = VOTE_UP if self._is_attacker(choice.reviewer) else VOTE_DOWN
-            if self._vote(pid, choice, vote):
-                voted[choice.review_id].add(pid)
-                cast += 1
+            cast += self._vote(pid, choice, vote)
 
         # Wave 2: honest endorsers, mismatched (suspect) reviews first. Their
         # votes spend only their own SRDTs and the tick stands still, so which
@@ -495,7 +489,7 @@ class ScenarioRunner:
             u, d = review.upvotes, review.downvotes
             total = u + d
             hostile = not band_matches(review.rating, quality)
-            a_rem = sum(1 for p in attacker_pool if p not in voted[review.review_id])
+            a_rem = sum(1 for p in attacker_pool if p not in review.endorsers)
             if hostile:
                 if total >= quorum and d > u:
                     continue  # already badgeable as Fraudulent this round
@@ -506,7 +500,7 @@ class ScenarioRunner:
                 needed = max(quorum - total, d + a_rem + 1 - u)
             if needed <= 0:
                 continue
-            voters = [p for p in available if p not in voted[review.review_id]]
+            voters = [p for p in available if p not in review.endorsers]
             if len(voters) < needed:
                 continue  # unsafe to start; wait for a stronger roster
             for pid in voters[:needed]:
@@ -514,7 +508,6 @@ class ScenarioRunner:
                 aligned = VOTE_DOWN if hostile else VOTE_UP
                 inverted = VOTE_UP if hostile else VOTE_DOWN
                 if self._vote(pid, review, aligned if truthful else inverted):
-                    voted[review.review_id].add(pid)
                     available.remove(pid)
                     cast += 1
         return cast

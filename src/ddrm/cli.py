@@ -132,8 +132,9 @@ def cmd_verify(args) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_CHAIN
 
+    # Only the sibling may be absent; a --metrics path that cannot be read exits 2.
     metrics_path = Path(args.metrics) if args.metrics else _sibling_metrics(log_path)
-    if metrics_path is not None and metrics_path.exists():
+    if metrics_path is not None:
         try:
             doc = json.loads(metrics_path.read_text(encoding="utf-8"))
             recorded = ScenarioMetrics(**doc["metrics"])
@@ -152,7 +153,9 @@ def cmd_verify(args) -> int:
 def _sibling_metrics(log_path: Path) -> Path | None:
     name = log_path.name
     if name.endswith(".events.ndjson"):
-        return log_path.with_name(name[: -len(".events.ndjson")] + ".metrics.json")
+        sibling = log_path.with_name(name[: -len(".events.ndjson")] + ".metrics.json")
+        if sibling.exists():
+            return sibling
     return None
 
 

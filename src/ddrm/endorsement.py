@@ -9,6 +9,10 @@ reviewers, pays each one an SRDT, and excludes reviewers whose fraudulent
 badge count exceeds the penalty threshold. All exclusion, by penalty or
 through Simulation.exclude, runs ReviewBoard.exclude.
 
+A review holds its vote counts and the set of endorsers who cast them;
+each vote consumes one SRDT, whose id endorse_review returns and the
+EndorsementCast event records.
+
 Refund claims are judged by a beacon-drawn panel of selected endorsers;
 approval needs a strict majority of the panel and moves exactly the price
 paid from provider back to consumer.
@@ -77,16 +81,7 @@ class Review:
     upvotes: int = 0
     downvotes: int = 0
     badge: str = BADGE_PENDING
-
-
-@dataclass
-class EndorsementAnnotation:
-    endorser: str
-    review_id: str
-    service_id: str
-    vote: str
-    tick: int
-    srdt_token_id: str
+    endorsers: set[str] = field(default_factory=set)   # who voted, each exactly once
 
 
 @dataclass
@@ -118,7 +113,6 @@ class ReviewBoard:
         self.tokens = tokens
         self.reviews: dict[str, Review] = {}
         self.reviews_by_service: dict[str, list[str]] = {}      # append-only: keys never change
-        self.annotations: dict[str, list[EndorsementAnnotation]] = {}
         self.rosters: dict[str, set[str]] = {}
         self.penalties: dict[str, int] = {}
         self.claims: dict[str, RefundClaim] = {}
@@ -140,7 +134,7 @@ class ReviewBoard:
         if not isinstance(digest, str) or not digest:
             raise ValidationError("text digest required")
         token = self.tokens.srat_for_purchase(purchase_id)
-        if not self.tokens.srat_usable(token):
+        if token is None or not token.usable_at(self.ledger.tick):
             raise NoValidSrat(purchase_id)
         service = self.market.get_service(purchase.service_id)
         if service.review_fund < REVIEW_SUBSIDY:
@@ -163,7 +157,6 @@ class ReviewBoard:
         )
         self.reviews[review_id] = review
         self.reviews_by_service.setdefault(review.service_id, []).append(review_id)
-        self.annotations[review_id] = []
         self.identity.grant_role(consumer, ROLE_REVIEWER)
         self.ledger.append_event(
             "ReviewSubmitted",
@@ -182,7 +175,8 @@ class ReviewBoard:
 
     # -- endorsement votes --
 
-    def endorse_review(self, endorser: str, review_id: str, vote: str) -> EndorsementAnnotation:
+    def endorse_review(self, endorser: str, review_id: str, vote: str) -> str:
+        """Cast one vote, paid for by one SRDT; returns the id of the SRDT consumed."""
         review = self.reviews.get(review_id)
         if review is None:
             raise ValidationError(f"unknown review {review_id}")
@@ -192,7 +186,7 @@ class ReviewBoard:
         if endorser not in self.rosters.get(review.service_id, set()):
             raise NotSelectedEndorser(endorser)
         self.identity.get_active(endorser)
-        if any(a.endorser == endorser for a in self.annotations[review_id]):
+        if endorser in review.endorsers:
             raise DuplicateEndorsement(f"{endorser} already voted on {review_id}")
         if review.badge != BADGE_PENDING:
             raise ReviewAlreadyBadged(review_id)
@@ -207,15 +201,7 @@ class ReviewBoard:
             review.upvotes += 1
         else:
             review.downvotes += 1
-        annotation = EndorsementAnnotation(
-            endorser=endorser,
-            review_id=review_id,
-            service_id=review.service_id,
-            vote=vote,
-            tick=self.ledger.tick,
-            srdt_token_id=token.token_id,
-        )
-        self.annotations[review_id].append(annotation)
+        review.endorsers.add(endorser)
         self.tokens.consume_srdt(token.token_id)
         self.ledger.append_event(
             "EndorsementCast",
@@ -227,7 +213,7 @@ class ReviewBoard:
                 "srdt_token": token.token_id,
             },
         )
-        return annotation
+        return token.token_id
 
     # -- selection and penalties --
 

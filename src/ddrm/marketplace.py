@@ -121,7 +121,8 @@ class Marketplace:
                 or not token.usable_at(self.ledger.tick)
             ):
                 raise NoValidSrdt(f"{srdt_token_id} is not usable by {consumer} for {service_id}")
-            discount = service.s_cost * token.discount_rate.numerator // token.discount_rate.denominator
+            rate = self.config.srdt_discount
+            discount = service.s_cost * rate.numerator // rate.denominator
             price = service.s_cost - discount
         gas = self.ledger.gas_cost(OP_REQUEST_SERVICE)
         if self.ledger.balance(consumer) < gas + price:

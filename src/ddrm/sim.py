@@ -11,9 +11,9 @@ and then expires the tokens due by it (TokenBook.expiry_sweep).
 
 Operations validate all preconditions before touching state, so a raised
 DdrmError leaves the simulation exactly as it was. snapshot() serializes
-the entire mutable state to a JSON-safe dict (and fingerprint() hashes
-it), which the test suite uses to prove that failed operations are
-side-effect free.
+the entire mutable state to a JSON-safe dict, down to each review's
+sorted endorsers (and fingerprint() hashes it), which the test suite
+uses to prove that failed operations are side-effect free.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class Simulation:
     def submit_review(self, consumer: str, purchase_id: str, rating: int, digest: str) -> str:
         return self._conserved(self.reviews.submit_review(consumer, purchase_id, rating, digest))
 
-    def endorse_review(self, endorser: str, review_id: str, vote: str):
+    def endorse_review(self, endorser: str, review_id: str, vote: str) -> str:
         return self._conserved(self.reviews.endorse_review(endorser, review_id, vote))
 
     def run_endorser_selection(self, service_id: str) -> dict:
@@ -175,6 +175,7 @@ class Simulation:
                     "up": r.upvotes,
                     "down": r.downvotes,
                     "badge": r.badge,
+                    "endorsers": sorted(r.endorsers),
                 }
                 for rid, r in sorted(self.reviews.reviews.items())
             },

@@ -6,15 +6,16 @@ consumed exactly once, by an endorsement vote or a discounted purchase.
 DRET is a non-transferable per-provider reputation counter that grows as
 a provider's services accumulate authentic-badged reviews.
 
-Tokens move Active -> (Burned | Consumed | Expired | Voided) exactly once;
-expiry is inclusive: a token is dead at tick >= expiry_tick even before
-the sweep has run.
+SRAT and SRDT are one `Token` record with one usability rule; an SRDT
+is bound to no purchase, and the discount it buys is the protocol's
+`srdt_discount`. Tokens move Active -> (Burned | Consumed | Expired |
+Voided) exactly once; expiry is inclusive: a token is dead at tick >=
+expiry_tick even before the sweep has run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 
 from .config import ProtocolConfig
@@ -30,33 +31,20 @@ VOIDED = "Voided"
 _by_id = attrgetter("token_id")
 
 
-class _Lifetime:
-    """The usability rule both spendable token kinds share."""
+@dataclass
+class Token:
+    """One SRAT or SRDT; an SRDT is bound to no purchase."""
+
+    token_id: str
+    holder: str
+    service_id: str
+    purchase_id: str | None
+    minted_tick: int
+    expiry_tick: int
+    state: str = ACTIVE
 
     def usable_at(self, tick: int) -> bool:
         return self.state == ACTIVE and tick < self.expiry_tick
-
-
-@dataclass
-class SratToken(_Lifetime):
-    token_id: str
-    holder: str
-    service_id: str
-    purchase_id: str
-    minted_tick: int
-    expiry_tick: int
-    state: str = ACTIVE
-
-
-@dataclass
-class SrdtToken(_Lifetime):
-    token_id: str
-    holder: str
-    service_id: str
-    minted_tick: int
-    expiry_tick: int
-    discount_rate: Fraction
-    state: str = ACTIVE
 
 
 class TokenBook:
@@ -65,15 +53,15 @@ class TokenBook:
     def __init__(self, config: ProtocolConfig, ledger: Ledger):
         self.config = config
         self.ledger = ledger
-        self.srats: dict[str, SratToken] = {}
-        self.srdts: dict[str, SrdtToken] = {}
+        self.srats: dict[str, Token] = {}
+        self.srdts: dict[str, Token] = {}
         self.srat_by_purchase: dict[str, str] = {}
         # Append-only indexes over keys a token never changes. Token ids sort
         # every SRAT before every SRDT ("SRAT-" < "SRDT-"), so sorting a
         # mixed list by id gives the order of walking srats, then srdts.
         self.srdts_by_holder_service: dict[tuple[str, str], list[str]] = {}
-        self.tokens_by_holder: dict[str, list[SratToken | SrdtToken]] = {}
-        self.tokens_by_expiry: dict[int, list[SratToken | SrdtToken]] = {}
+        self.tokens_by_holder: dict[str, list[Token]] = {}
+        self.tokens_by_expiry: dict[int, list[Token]] = {}
         self.dret: dict[str, int] = {}
         self._dret_rewarded: dict[str, int] = {}   # service -> crossings already paid
         self._next_srat = 1
@@ -84,25 +72,23 @@ class TokenBook:
     def mint_srat(self, consumer: str, service_id: str, purchase_id: str) -> str:
         if purchase_id in self.srat_by_purchase:
             raise ValidationError(f"purchase {purchase_id} already has a review token")
-        token_id = f"SRAT-{self._next_srat:05d}"
-        self._next_srat += 1
-        tick = self.ledger.tick
-        token = SratToken(
-            token_id=token_id,
-            holder=consumer,
-            service_id=service_id,
-            purchase_id=purchase_id,
-            minted_tick=tick,
-            expiry_tick=tick + self.config.srat_lifetime,
+        token_id = self._mint(
+            self.srats, f"SRAT-{self._next_srat:05d}", self.config.srat_lifetime, consumer, service_id, purchase_id
         )
-        self.srats[token_id] = token
+        self._next_srat += 1
         self.srat_by_purchase[purchase_id] = token_id
-        self._index(token)
         return token_id
 
-    def _index(self, token: SratToken | SrdtToken) -> None:
-        self.tokens_by_holder.setdefault(token.holder, []).append(token)
+    def _mint(
+        self, book: dict, token_id: str, lifetime: int, holder: str, service_id: str, purchase_id: str | None = None
+    ) -> str:
+        """File a new Active token in its book and in the holder and expiry indexes."""
+        tick = self.ledger.tick
+        token = Token(token_id, holder, service_id, purchase_id, tick, tick + lifetime)
+        book[token_id] = token
+        self.tokens_by_holder.setdefault(holder, []).append(token)
         self.tokens_by_expiry.setdefault(token.expiry_tick, []).append(token)
+        return token_id
 
     def _spend(self, tokens: dict, token_id: str, new_state: str) -> str:
         """Move one usable token to its terminal state, or say why it is not usable."""
@@ -119,36 +105,22 @@ class TokenBook:
     def burn_srat(self, token_id: str) -> str:
         return self._spend(self.srats, token_id, BURNED)
 
-    def srat_for_purchase(self, purchase_id: str) -> SratToken | None:
+    def srat_for_purchase(self, purchase_id: str) -> Token | None:
         token_id = self.srat_by_purchase.get(purchase_id)
         return self.srats.get(token_id) if token_id else None
-
-    def srat_usable(self, token: SratToken | None) -> bool:
-        return token is not None and token.usable_at(self.ledger.tick)
 
     # -- SRDT --
 
     def mint_srdt(self, holder: str, service_id: str) -> str:
-        token_id = f"SRDT-{self._next_srdt:05d}"
+        token_id = self._mint(self.srdts, f"SRDT-{self._next_srdt:05d}", self.config.srdt_lifetime, holder, service_id)
         self._next_srdt += 1
-        tick = self.ledger.tick
-        token = SrdtToken(
-            token_id=token_id,
-            holder=holder,
-            service_id=service_id,
-            minted_tick=tick,
-            expiry_tick=tick + self.config.srdt_lifetime,
-            discount_rate=self.config.srdt_discount,
-        )
-        self.srdts[token_id] = token
         self.srdts_by_holder_service.setdefault((holder, service_id), []).append(token_id)
-        self._index(token)
         return token_id
 
     def consume_srdt(self, token_id: str) -> str:
         return self._spend(self.srdts, token_id, CONSUMED)
 
-    def active_srdt_for(self, holder: str, service_id: str) -> SrdtToken | None:
+    def active_srdt_for(self, holder: str, service_id: str) -> Token | None:
         """Lowest-id active unexpired SRDT bound to the service, if any."""
         tick = self.ledger.tick
         for token_id in sorted(self.srdts_by_holder_service.get((holder, service_id), ())):

@@ -109,6 +109,26 @@ MUTANTS = (
            "return rnd == (2 if self.policy.early else 1)", "return rnd == 1", "tests/test_fixed_points.py"),
     Mutant("refund-claim-refiled", "src/ddrm/adversary.py",
            "if purchase_id not in self.sim.reviews.claims_by_purchase:", "if True:", "tests/test_fixed_points.py"),
+    # One record per protocol fact: tokens, votes, and the --metrics rule.
+    Mutant("no-duplicate-endorsement-check", "src/ddrm/endorsement.py",
+           "if endorser in review.endorsers:", "if False:", "tests/test_endorsement.py"),
+    Mutant("endorser-not-recorded", "src/ddrm/endorsement.py",
+           "review.endorsers.add(endorser)", "pass", "tests/test_endorsement.py"),
+    Mutant("endorsers-not-in-snapshot", "src/ddrm/sim.py",
+           '"endorsers": sorted(r.endorsers),', "", "tests/test_endorsement.py"),
+    Mutant("srat-expiry-ignored-by-review-gate", "src/ddrm/endorsement.py",
+           "if token is None or not token.usable_at(self.ledger.tick):", "if token is None:",
+           "tests/test_endorsement.py"),
+    Mutant("srdt-minted-with-srat-lifetime", "src/ddrm/tokens.py",
+           "self.config.srdt_lifetime, holder, service_id)", "self.config.srat_lifetime, holder, service_id)",
+           "tests/test_tokens.py"),
+    Mutant("srdt-discount-not-from-config", "src/ddrm/marketplace.py",
+           "rate = self.config.srdt_discount", "rate = ProtocolConfig().srdt_discount", "tests/test_marketplace.py"),
+    Mutant("explicit-metrics-existence-check", "src/ddrm/cli.py",
+           "    if metrics_path is not None:", "    if metrics_path is not None and metrics_path.exists():",
+           "tests/test_cli.py"),
+    Mutant("absent-sibling-metrics-read", "src/ddrm/cli.py",
+           "if sibling.exists():", "if True:", "tests/test_cli.py"),
     # Test helpers.
     Mutant("forged-log-edits-inside-the-loop", "tests/conftest.py",
            "for rec in list(iter_log_lines(log)):", "for rec in iter_log_lines(log):", "tests/test_adversary.py"),
@@ -140,7 +160,10 @@ def main(names: list[str]) -> int:
     selected = [m for m in MUTANTS if not names or m.name in names]
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
-        ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out", "*.egg-info")
+        ignore = shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out", "*.egg-info",
+            ".bench_out", ".bench_tmp", ".benchmarks",
+        )
         shutil.copytree(ROOT, tree, ignore=ignore)
         survivors = 0
         for m in selected:

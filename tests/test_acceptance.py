@@ -102,7 +102,7 @@ class TestCriterion2EquationBookkeeping:
 
 class TestCriterion3ReviewGate:
     def test_all_eight_cases(self):
-        from ddrm.tokens import SratToken, VOIDED
+        from ddrm.tokens import Token, VOIDED
 
         def oracle(p, h, u):
             return p and h and u
@@ -122,7 +122,7 @@ class TestCriterion3ReviewGate:
                 purchase_id = "PUR-99999"
                 if has_srat:
                     expiry = sim.ledger.tick + (100 if unexpired else 0)
-                    sim.tokens.srats["SRAT-FAKE1"] = SratToken(
+                    sim.tokens.srats["SRAT-FAKE1"] = Token(
                         "SRAT-FAKE1", consumer, service, purchase_id, sim.ledger.tick, expiry
                     )
                     sim.tokens.srat_by_purchase[purchase_id] = "SRAT-FAKE1"

@@ -409,6 +409,18 @@ class TestVerify:
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.ndjson")]) == EXIT_CONFIG
 
+    def test_missing_explicit_metrics_exits_2(self, tmp_path, config_path, capsys):
+        # A mistyped --metrics path must not skip the comparison silently.
+        log, metrics = self._run(tmp_path, config_path)
+        assert main(["verify", str(log), "--metrics", str(metrics) + ".typo"]) == EXIT_CONFIG
+        assert "cannot read metrics" in capsys.readouterr().err
+
+    def test_absent_sibling_metrics_skips_the_comparison(self, tmp_path, config_path, capsys):
+        log, metrics = self._run(tmp_path, config_path)
+        metrics.unlink()
+        assert main(["verify", str(log)]) == EXIT_OK
+        assert "ok: chain intact (no metrics file to compare)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "seq, tick",
         [(0, "a"), (0, True), (0, 0.5), (False, 0), (0.0, 0)],

@@ -35,7 +35,7 @@ from ddrm.errors import (
     ValidationError,
 )
 from ddrm.identity import ROLE_CONSUMER, ROLE_ENDORSER
-from ddrm.tokens import SratToken, VOIDED
+from ddrm.tokens import Token, VOIDED
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
 
@@ -68,7 +68,7 @@ class TestReviewGate:
             if has_srat:
                 # Dangling token bound to a purchase that never happened.
                 expiry = sim.ledger.tick + (100 if unexpired else 0)
-                sim.tokens.srats["SRAT-FAKE1"] = SratToken(
+                sim.tokens.srats["SRAT-FAKE1"] = Token(
                     token_id="SRAT-FAKE1",
                     holder=consumer,
                     service_id=service,
@@ -236,12 +236,13 @@ class TestEndorsementRules:
 
     def test_annotation_service_matches_review_service(self):
         sim, service, endorser, review = self._arena()
-        annotation = sim.endorse_review(endorser, review, VOTE_UP)
-        assert annotation.service_id == sim.reviews.reviews[review].service_id
-        token = sim.tokens.srdts[annotation.srdt_token_id]
-        assert token.service_id == annotation.service_id
+        token_id = sim.endorse_review(endorser, review, VOTE_UP)
+        token = sim.tokens.srdts[token_id]
         rec = sim.reviews.reviews[review]
-        assert rec.upvotes + rec.downvotes == len(sim.reviews.annotations[review])
+        assert (token.holder, token.service_id, token.state) == (endorser, rec.service_id, "Consumed")
+        assert rec.endorsers == {endorser}
+        assert rec.upvotes + rec.downvotes == len(rec.endorsers)
+        assert sim.snapshot()["reviews"][review]["endorsers"] == [endorser]
 
 
 class TestPenaltiesAndRoster:

@@ -1,5 +1,7 @@
 """Marketplace: listing, purchase, and fund bookkeeping in exact Wei."""
 
+from fractions import Fraction
+
 import pytest
 
 from ddrm import REVIEW_FUND_SEED, ether, text_digest
@@ -179,6 +181,14 @@ class TestDiscountedPurchase:
         sim.buy_service(consumer, service, srdt_token_id=token.token_id)
         assert before - sim.ledger.balance(consumer) == ether("0.8") + BUY_GAS
         assert token.state == "Consumed"
+
+    def test_configured_discount_rate_applied(self):
+        sim = make_sim(srdt_discount=Fraction(3, 4))
+        provider, service = provider_and_service(sim, ether(1))
+        consumer, token = self._earn_srdt(sim, service, "cons-0")
+        before = sim.ledger.balance(consumer)
+        sim.buy_service(consumer, service, srdt_token_id=token.token_id)
+        assert before - sim.ledger.balance(consumer) == ether("0.25") + BUY_GAS
 
     def test_consumed_token_cannot_discount_again(self, sim):
         provider, service = provider_and_service(sim, ether(1))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrm import ether, text_digest
-from ddrm.endorsement import BADGE_PENDING, OUTCOME_OPEN
+from ddrm.endorsement import BADGE_PENDING, OUTCOME_OPEN, VOTE_UP
 from ddrm.errors import DdrmError
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
 from ddrm.tokens import ACTIVE
@@ -106,6 +106,21 @@ def check_indexes(sim):
             if book[tid].holder == holder and book[tid].state == ACTIVE
         ]
         assert voiding.void_all(holder) == {"voided_tokens": scanned}
+    check_votes_against_log(sim)
+
+
+def check_votes_against_log(sim):
+    """Each review's recorded votes are its EndorsementCast events, and each spent its SRDT."""
+    cast = {review_id: [] for review_id in sim.reviews.reviews}
+    for rec in sim.ledger.log:
+        if rec.kind == "EndorsementCast":
+            cast[rec.payload["review"]].append(rec.payload)
+    for review_id, events in cast.items():
+        review = sim.reviews.reviews[review_id]
+        assert review.endorsers == {e["endorser"] for e in events}
+        assert review.upvotes + review.downvotes == len(review.endorsers) == len(events)
+        assert review.upvotes == sum(e["vote"] == VOTE_UP for e in events)
+        assert all(sim.tokens.srdts[e["srdt_token"]].state != ACTIVE for e in events)
 
 
 class _LogSink:
@@ -121,7 +136,8 @@ def _detached_copy(tokens):
 def random_protocol_walk(sim, rng, steps):
     """Drive a random mix of protocol operations, tolerating denials.
 
-    After every step the lookup indexes are checked against full scans.
+    After every step the lookup indexes are checked against full scans,
+    and each review's votes against the log.
     """
     providers = [sim.register(f"prov-{i}", {ROLE_PROVIDER}) for i in range(2)]
     consumers = [sim.register(f"cons-{i}", {ROLE_CONSUMER}) for i in range(3)]
