@@ -26,7 +26,7 @@ from .config import (
     parse_run_config,
 )
 from .endorsement import text_digest
-from .identity import ROLE_CONSUMER, ROLE_ENDORSER, ROLE_PROVIDER, ROLE_REVIEWER, card_fingerprint
+from .identity import ROLE_CONSUMER, ROLE_PROVIDER, card_fingerprint
 from .ledger import (
     WEI_PER_ETHER,
     WEI_PER_GWEI,
@@ -53,9 +53,7 @@ __all__ = [
     "REVIEW_FUND_SEED",
     "REVIEW_SUBSIDY",
     "ROLE_CONSUMER",
-    "ROLE_ENDORSER",
     "ROLE_PROVIDER",
-    "ROLE_REVIEWER",
     "RandomBeacon",
     "RunConfig",
     "ScenarioMetrics",

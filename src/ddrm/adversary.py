@@ -61,6 +61,7 @@ from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
 from .ledger import ether, iter_log_lines
 from .marketplace import STATUS_LISTED
 from .sim import Simulation
+from .tokens import BURNED
 
 GOOD = "Good"
 BAD = "Bad"
@@ -404,9 +405,9 @@ class ScenarioRunner:
                 if self.policy.reviews == "fabricated":
                     self._fabricated_reviews(member)
                 continue  # "none": the fraud is the refund claim, not the review
-            for purchase_id in sorted(self.sim.market.purchases_by_consumer.get(pid, ())):
+            for purchase_id in self.sim.market.purchases_by_consumer.get(pid, ()):
                 purchase = self.sim.market.purchases[purchase_id]
-                if purchase.reviewed:
+                if self.sim.tokens.srat_for_purchase(purchase_id).state == BURNED:
                     continue
                 rating = self._rating_for(member, purchase.service_id)
                 digest = text_digest(f"{pid}|{purchase_id}|round {rnd}")
@@ -530,10 +531,7 @@ class ScenarioRunner:
     def _refund_phase(self, rnd: int) -> None:
         if self.policy.claims_from is not None and rnd >= self.policy.claims_from:
             self._file_false_claims()
-        open_claims = [
-            cid for cid in sorted(self.sim.reviews.claims)
-            if self.sim.reviews.claims[cid].outcome == OUTCOME_OPEN
-        ]
+        open_claims = [cid for cid, claim in self.sim.reviews.claims.items() if claim.outcome == OUTCOME_OPEN]
         for claim_id in open_claims:
             claim = self.sim.reviews.claims[claim_id]
             purchase = self.sim.market.purchases[claim.purchase_id]
@@ -558,7 +556,7 @@ class ScenarioRunner:
         for pid in self._attackers():
             if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
                 continue
-            for purchase_id in sorted(self.sim.market.purchases_by_consumer.get(pid, ())):
+            for purchase_id in self.sim.market.purchases_by_consumer.get(pid, ()):
                 # A refused claim is retried next round while the window allows.
                 if purchase_id not in self.sim.reviews.claims_by_purchase:
                     self._attempt(self.sim.file_refund_claim, pid, purchase_id)

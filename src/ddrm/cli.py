@@ -43,10 +43,11 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConf
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError(f"config {path} is nested too deeply") from exc
-    if seed is not None:
-        doc["seed"] = seed
-    if out is not None:
-        doc["output_dir"] = out
+    if isinstance(doc, dict):  # parse_run_config refuses any other document
+        if seed is not None:
+            doc["seed"] = seed
+        if out is not None:
+            doc["output_dir"] = out
     return parse_run_config(doc)
 
 
@@ -66,7 +67,7 @@ def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
     metrics_doc = {
         "scenario": scenario.name,
         "kind": scenario.kind,
-        "seed": scenario.seed if scenario.seed is not None else config.seed,
+        "seed": result.sim.seed,
         "final_log_hash": result.final_log_hash(),
         "metrics": metrics.to_dict(),
         "extras": result.extras,

@@ -7,7 +7,8 @@ the `literal_alg2_ties` switch brands them Fraudulent instead. Selection
 rebuilds the per-service endorser roster from the round's authentic
 reviewers, pays each one an SRDT, and excludes reviewers whose fraudulent
 badge count exceeds the penalty threshold. All exclusion, by penalty or
-through Simulation.exclude, runs ReviewBoard.exclude.
+through Simulation.exclude, runs ReviewBoard.exclude. Being on a roster is
+what makes a participant an endorser; no role records it.
 
 A review holds its vote counts and the set of endorsers who cast them;
 each vote consumes one SRDT, whose id endorse_review returns and the
@@ -15,7 +16,8 @@ EndorsementCast event records.
 
 Refund claims are judged by a beacon-drawn panel of selected endorsers;
 approval needs a strict majority of the panel and moves exactly the price
-paid from provider back to consumer.
+paid from provider back to consumer. A purchase has been refunded exactly
+when one of its claims is Approved.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from .errors import (
     ReviewAlreadyBadged,
     ValidationError,
 )
-from .identity import ROLE_ENDORSER, ROLE_REVIEWER, STATUS_EXCLUDED, IdentityRegistry
+from .identity import STATUS_EXCLUDED, IdentityRegistry
 from .ledger import OP_ENDORSE_REVIEW, Ledger
 from .marketplace import Marketplace
-from .tokens import TokenBook
+from .tokens import BURNED, TokenBook
 
 BADGE_PENDING = "Pending"
 BADGE_AUTHENTIC = "Authentic"
@@ -117,8 +119,6 @@ class ReviewBoard:
         self.penalties: dict[str, int] = {}
         self.claims: dict[str, RefundClaim] = {}
         self.claims_by_purchase: dict[str, list[RefundClaim]] = {}  # append-only, like reviews_by_service
-        self._next_review = 1
-        self._next_claim = 1
 
     # -- reviews (authorization gate) --
 
@@ -127,14 +127,14 @@ class ReviewBoard:
         purchase = self.market.purchases.get(purchase_id)
         if purchase is None or purchase.consumer != consumer:
             raise NoPurchase(f"{consumer} has no purchase {purchase_id}")
-        if purchase.reviewed:
+        token = self.tokens.srat_for_purchase(purchase_id)
+        if token.state == BURNED:
             raise AlreadyReviewed(purchase_id)
         if not isinstance(rating, int) or isinstance(rating, bool) or not 1 <= rating <= 5:
             raise ValidationError("rating must be an integer in 1..5")
         if not isinstance(digest, str) or not digest:
             raise ValidationError("text digest required")
-        token = self.tokens.srat_for_purchase(purchase_id)
-        if token is None or not token.usable_at(self.ledger.tick):
+        if not token.usable_at(self.ledger.tick):
             raise NoValidSrat(purchase_id)
         service = self.market.get_service(purchase.service_id)
         if service.review_fund < REVIEW_SUBSIDY:
@@ -143,9 +143,7 @@ class ReviewBoard:
         self.tokens.burn_srat(token.token_id)
         service.review_fund -= REVIEW_SUBSIDY
         self.ledger.credit_gas_sink(REVIEW_SUBSIDY)
-        purchase.reviewed = True
-        review_id = f"REV-{self._next_review:05d}"
-        self._next_review += 1
+        review_id = f"REV-{len(self.reviews) + 1:05d}"
         review = Review(
             review_id=review_id,
             service_id=service.service_id,
@@ -157,7 +155,6 @@ class ReviewBoard:
         )
         self.reviews[review_id] = review
         self.reviews_by_service.setdefault(review.service_id, []).append(review_id)
-        self.identity.grant_role(consumer, ROLE_REVIEWER)
         self.ledger.append_event(
             "ReviewSubmitted",
             {
@@ -226,6 +223,7 @@ class ReviewBoard:
         bootstrap_endorsers, which is how voting capacity regenerates.
         """
         service = self.market.get_service(service_id)
+        authentic_before = service.authentic_review_count
         eligible = [
             r
             for r in self._reviews_of(service_id)
@@ -266,13 +264,9 @@ class ReviewBoard:
                 )
 
         # Roster is cleared and rebuilt from this round's authentic reviewers.
-        old_roster = self.rosters.get(service_id, set())
         new_roster = {pid for pid in candidates if self.identity.get(pid).active}
         self.rosters[service_id] = new_roster
-        for pid in sorted(old_roster - new_roster):
-            self._sync_endorser_role(pid)
         for pid in sorted(new_roster):
-            self.identity.grant_role(pid, ROLE_ENDORSER)
             token_id = self.tokens.mint_srdt(pid, service_id)
             report["srdt_minted"].append({"token": token_id, "holder": pid})
 
@@ -284,7 +278,7 @@ class ReviewBoard:
                 self.exclude(pid)
                 report["excluded"].append(pid)
 
-        self.tokens.award_dret(service.provider, service_id, service.authentic_review_count)
+        self.tokens.award_dret(service.provider, service_id, authentic_before, service.authentic_review_count)
         report["roster"] = sorted(self.rosters[service_id])
         self.ledger.append_event("SelectionRun", report)
         # The logged payload must stay as it was hashed, so the caller gets a
@@ -315,17 +309,12 @@ class ReviewBoard:
         self.rosters[service_id] = set(drawn)
         minted = []
         for pid in sorted(drawn):
-            self.identity.grant_role(pid, ROLE_ENDORSER)
             minted.append({"token": self.tokens.mint_srdt(pid, service_id), "holder": pid})
         self.ledger.append_event(
             "EndorsersBootstrapped",
             {"service": service_id, "roster": sorted(drawn), "srdt_minted": minted},
         )
         return sorted(drawn)
-
-    def _sync_endorser_role(self, pid: str) -> None:
-        if not any(pid in roster for roster in self.rosters.values()):
-            self.identity.revoke_role(pid, ROLE_ENDORSER)
 
     # -- exclusion --
 
@@ -345,7 +334,6 @@ class ReviewBoard:
             if pid in self.rosters[service_id]:
                 self.rosters[service_id].discard(pid)
                 removed.append(service_id)
-        self.identity.revoke_role(pid, ROLE_ENDORSER)
         withdrawn = self.market.withdraw_all_for(pid)
         self.ledger.append_event(
             "Excluded", {"participant": pid, **voided, "rosters_removed": removed, **withdrawn}
@@ -359,11 +347,10 @@ class ReviewBoard:
         purchase = self.market.purchases.get(purchase_id)
         if purchase is None or purchase.consumer != consumer:
             raise NoPurchase(f"{consumer} has no purchase {purchase_id}")
-        if purchase.refunded:
+        if self.refunded(purchase_id):
             raise AlreadyRefunded(purchase_id)
-        for claim in self.claims_by_purchase.get(purchase_id, ()):
-            if claim.outcome in (OUTCOME_OPEN, OUTCOME_APPROVED):
-                raise DuplicateClaim(purchase_id)
+        if any(claim.outcome == OUTCOME_OPEN for claim in self.claims_by_purchase.get(purchase_id, ())):
+            raise DuplicateClaim(purchase_id)
         if self.ledger.tick > purchase.tick + self.config.claim_window:
             raise ClaimWindowClosed(purchase_id)
         roster = self.rosters.get(purchase.service_id, set())
@@ -371,8 +358,7 @@ class ReviewBoard:
             raise NoEndorsersAvailable(purchase.service_id)
 
         panel = self.ledger.beacon.draw(sorted(roster), min(self.config.panel_size, len(roster)))
-        claim_id = f"CLM-{self._next_claim:05d}"
-        self._next_claim += 1
+        claim_id = f"CLM-{len(self.claims) + 1:05d}"
         claim = RefundClaim(
             claim_id=claim_id,
             purchase_id=purchase_id,
@@ -434,7 +420,6 @@ class ReviewBoard:
         if approved:
             # Settlement fails (claim stays open) if the provider cannot pay.
             self.ledger.transfer(service.provider, claim.claimant, purchase.price_paid)
-            purchase.refunded = True
             amount = purchase.price_paid
             claim.outcome = OUTCOME_APPROVED
         else:
@@ -458,10 +443,13 @@ class ReviewBoard:
 
     def _reviews_of(self, service_id: str) -> list[Review]:
         """The service's reviews in id order."""
-        return [self.reviews[rid] for rid in sorted(self.reviews_by_service.get(service_id, ()))]
+        return [self.reviews[rid] for rid in self.reviews_by_service.get(service_id, ())]
 
     def pending_reviews(self, service_id: str) -> list[Review]:
         return [review for review in self._reviews_of(service_id) if review.badge == BADGE_PENDING]
+
+    def refunded(self, purchase_id: str) -> bool:
+        return any(claim.outcome == OUTCOME_APPROVED for claim in self.claims_by_purchase.get(purchase_id, ()))
 
     def fraudulent_badge_count(self, pid: str) -> int:
         return self.penalties.get(pid, 0)

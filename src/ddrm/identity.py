@@ -2,12 +2,15 @@
 
 One active registration per card fingerprint, forever: fingerprints of
 excluded participants stay bound, so shedding a bad history requires a new
-card. A participant may hold several pseudonymous addresses, but balances
-and penalties are pooled per participant (the participant id doubles as
-the ledger account key; addresses are resolvable aliases). Exclusion is
-recorded in a participant's status but carried out by
-endorsement.ReviewBoard.exclude, which also reaches the tokens, rosters
-and listings an excluded participant loses.
+card. A participant holds only the roles it registered with; being a
+reviewer means owning a review, and being an endorser means being on a
+service's roster, so neither is stored as a role. A participant may hold
+several pseudonymous addresses, but balances and penalties are pooled per
+participant (the participant id doubles as the ledger account key;
+addresses are resolvable aliases). Exclusion is recorded in a
+participant's status but carried out by endorsement.ReviewBoard.exclude,
+which also reaches the tokens, rosters and listings an excluded
+participant loses.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .ledger import Ledger
 
 ROLE_PROVIDER = "ServiceProvider"
 ROLE_CONSUMER = "Consumer"
-ROLE_REVIEWER = "Reviewer"
-ROLE_ENDORSER = "Endorser"
 REGISTRABLE_ROLES = frozenset({ROLE_PROVIDER, ROLE_CONSUMER})
 
 FAUCET = "FAUCET"
@@ -64,13 +65,10 @@ class IdentityRegistry:
         self.participants: dict[str, ParticipantRecord] = {}
         self.cards_bound: set[str] = set()
         self.address_owner: dict[str, str] = {}
-        self._next_id = 1
-        self._next_addr = 0
         ledger.open_account(FAUCET, config.faucet_balance)
 
     def _fresh_address(self) -> str:
-        raw = f"addr|{self.ledger.beacon.seed}|{self._next_addr}"
-        self._next_addr += 1
+        raw = f"addr|{self.ledger.beacon.seed}|{len(self.address_owner)}"
         return "0x" + hashlib.sha256(raw.encode("utf-8")).hexdigest()[:40]
 
     def register(self, card: str, roles) -> str:
@@ -87,8 +85,7 @@ class IdentityRegistry:
         if self.ledger.balance(FAUCET) < self.config.genesis_balance:
             raise InsufficientFunds("faucet cannot cover the genesis credit")
 
-        pid = f"P{self._next_id:04d}"
-        self._next_id += 1
+        pid = f"P{len(self.participants) + 1:04d}"
         address = self._fresh_address()
         record = ParticipantRecord(participant_id=pid, card=fingerprint, roles=roles, addresses=[address])
         self.participants[pid] = record
@@ -133,12 +130,6 @@ class IdentityRegistry:
         if address not in self.address_owner:
             raise UnknownParticipant(f"no participant for address {address}")
         return self.address_owner[address]
-
-    def grant_role(self, participant_id: str, role: str) -> None:
-        self.get(participant_id).roles.add(role)
-
-    def revoke_role(self, participant_id: str, role: str) -> None:
-        self.get(participant_id).roles.discard(role)
 
     def has_role(self, participant_id: str, role: str) -> bool:
         return role in self.get(participant_id).roles

@@ -45,8 +45,6 @@ class PurchaseRecord:
     consumer: str
     price_paid: int
     tick: int
-    reviewed: bool = False
-    refunded: bool = False
 
 
 class Marketplace:
@@ -60,8 +58,6 @@ class Marketplace:
         self.services: dict[str, ServiceListing] = {}
         self.purchases: dict[str, PurchaseRecord] = {}
         self.purchases_by_consumer: dict[str, list[str]] = {}   # append-only: keys never change
-        self._next_service = 1
-        self._next_purchase = 1
 
     def get_service(self, service_id: str) -> ServiceListing:
         if service_id not in self.services:
@@ -86,8 +82,7 @@ class Marketplace:
 
         self.ledger.charge_gas(provider, OP_ADD_SERVICE)
         self.ledger.debit(provider, REVIEW_FUND_SEED)
-        service_id = f"SVC-{self._next_service:04d}"
-        self._next_service += 1
+        service_id = f"SVC-{len(self.services) + 1:04d}"
         self.services[service_id] = ServiceListing(
             service_id=service_id,
             provider=provider,
@@ -130,8 +125,7 @@ class Marketplace:
 
         self.ledger.charge_gas(consumer, OP_REQUEST_SERVICE)
         self.ledger.transfer(consumer, service.provider, price)
-        purchase_id = f"PUR-{self._next_purchase:05d}"
-        self._next_purchase += 1
+        purchase_id = f"PUR-{len(self.purchases) + 1:05d}"
         self.purchases[purchase_id] = PurchaseRecord(
             purchase_id=purchase_id,
             service_id=service_id,
@@ -211,11 +205,10 @@ class Marketplace:
     def withdraw_all_for(self, provider: str) -> dict:
         """On exclusion: withdraw every listed service, as withdraw_service would."""
         withdrawn = []
-        for service_id in sorted(self.services):
-            service = self.services[service_id]
+        for service in self.services.values():
             if service.provider == provider and service.status == STATUS_LISTED:
                 self._withdraw(service)
-                withdrawn.append(service_id)
+                withdrawn.append(service.service_id)
         return {"services_withdrawn": withdrawn}
 
     def total_fund_wei(self) -> int:

@@ -14,6 +14,11 @@ DdrmError leaves the simulation exactly as it was. snapshot() serializes
 the entire mutable state to a JSON-safe dict, down to each review's
 sorted endorsers (and fingerprint() hashes it), which the test suite
 uses to prove that failed operations are side-effect free.
+
+Every id is its prefix and its book's size once filed (REV-00003 is the
+third review), and no record is ever removed, so each book, and each list
+appended as records are created, is already in id order; nothing re-sorts
+them (a string sort would misorder ids past the padding width).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import InvariantViolation
 from .identity import IdentityRegistry
 from .ledger import Ledger
 from .marketplace import Marketplace
-from .tokens import TokenBook
+from .tokens import BURNED, TokenBook
 
 
 class Simulation:
@@ -154,8 +159,8 @@ class Simulation:
                     "service": p.service_id,
                     "consumer": p.consumer,
                     "price": p.price_paid,
-                    "reviewed": p.reviewed,
-                    "refunded": p.refunded,
+                    "reviewed": self.tokens.srat_for_purchase(pid).state == BURNED,
+                    "refunded": self.reviews.refunded(pid),
                 }
                 for pid, p in sorted(self.market.purchases.items())
             },

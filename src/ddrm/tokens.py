@@ -3,14 +3,16 @@
 SRAT (review authorization) is minted one-per-purchase and burned by the
 review that uses it. SRDT (endorser reward) is granted on selection and
 consumed exactly once, by an endorsement vote or a discounted purchase.
-DRET is a non-transferable per-provider reputation counter that grows as
-a provider's services accumulate authentic-badged reviews.
+DRET is a non-transferable per-provider reputation counter: a selection
+round mints one for each multiple of `dret_interval` that the service's
+authentic-badged review count passes, given the count before and after.
 
 SRAT and SRDT are one `Token` record with one usability rule; an SRDT
 is bound to no purchase, and the discount it buys is the protocol's
 `srdt_discount`. Tokens move Active -> (Burned | Consumed | Expired |
 Voided) exactly once; expiry is inclusive: a token is dead at tick >=
-expiry_tick even before the sweep has run.
+expiry_tick even before the sweep has run. A purchase has been reviewed
+exactly when its SRAT is Burned.
 """
 
 from __future__ import annotations
@@ -63,26 +65,21 @@ class TokenBook:
         self.tokens_by_holder: dict[str, list[Token]] = {}
         self.tokens_by_expiry: dict[int, list[Token]] = {}
         self.dret: dict[str, int] = {}
-        self._dret_rewarded: dict[str, int] = {}   # service -> crossings already paid
-        self._next_srat = 1
-        self._next_srdt = 1
 
     # -- SRAT --
 
     def mint_srat(self, consumer: str, service_id: str, purchase_id: str) -> str:
         if purchase_id in self.srat_by_purchase:
             raise ValidationError(f"purchase {purchase_id} already has a review token")
-        token_id = self._mint(
-            self.srats, f"SRAT-{self._next_srat:05d}", self.config.srat_lifetime, consumer, service_id, purchase_id
-        )
-        self._next_srat += 1
+        token_id = self._mint(self.srats, "SRAT", self.config.srat_lifetime, consumer, service_id, purchase_id)
         self.srat_by_purchase[purchase_id] = token_id
         return token_id
 
     def _mint(
-        self, book: dict, token_id: str, lifetime: int, holder: str, service_id: str, purchase_id: str | None = None
+        self, book: dict, prefix: str, lifetime: int, holder: str, service_id: str, purchase_id: str | None = None
     ) -> str:
         """File a new Active token in its book and in the holder and expiry indexes."""
+        token_id = f"{prefix}-{len(book) + 1:05d}"
         tick = self.ledger.tick
         token = Token(token_id, holder, service_id, purchase_id, tick, tick + lifetime)
         book[token_id] = token
@@ -112,8 +109,7 @@ class TokenBook:
     # -- SRDT --
 
     def mint_srdt(self, holder: str, service_id: str) -> str:
-        token_id = self._mint(self.srdts, f"SRDT-{self._next_srdt:05d}", self.config.srdt_lifetime, holder, service_id)
-        self._next_srdt += 1
+        token_id = self._mint(self.srdts, "SRDT", self.config.srdt_lifetime, holder, service_id)
         self.srdts_by_holder_service.setdefault((holder, service_id), []).append(token_id)
         return token_id
 
@@ -123,7 +119,7 @@ class TokenBook:
     def active_srdt_for(self, holder: str, service_id: str) -> Token | None:
         """Lowest-id active unexpired SRDT bound to the service, if any."""
         tick = self.ledger.tick
-        for token_id in sorted(self.srdts_by_holder_service.get((holder, service_id), ())):
+        for token_id in self.srdts_by_holder_service.get((holder, service_id), ()):
             token = self.srdts[token_id]
             if token.usable_at(tick):
                 return token
@@ -134,17 +130,15 @@ class TokenBook:
     def dret_count(self, provider: str) -> int:
         return self.dret.get(provider, 0)
 
-    def award_dret(self, provider: str, service_id: str, authentic_count: int) -> int:
-        """Mint one DRET per freshly crossed multiple of the award interval."""
-        crossings = authentic_count // self.config.dret_interval
-        rewarded = self._dret_rewarded.get(service_id, 0)
-        for _ in range(crossings - rewarded):
+    def award_dret(self, provider: str, service_id: str, before: int, after: int) -> int:
+        """Mint one DRET per multiple of the award interval crossed from `before` to `after` authentic reviews."""
+        interval = self.config.dret_interval
+        for _ in range(after // interval - before // interval):
             self.dret[provider] = self.dret.get(provider, 0) + 1
             self.ledger.append_event(
                 "DretAwarded",
                 {"provider": provider, "service": service_id, "new_count": self.dret[provider]},
             )
-        self._dret_rewarded[service_id] = max(rewarded, crossings)
         return self.dret.get(provider, 0)
 
     # -- shared lifecycle --

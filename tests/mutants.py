@@ -117,7 +117,7 @@ MUTANTS = (
     Mutant("endorsers-not-in-snapshot", "src/ddrm/sim.py",
            '"endorsers": sorted(r.endorsers),', "", "tests/test_endorsement.py"),
     Mutant("srat-expiry-ignored-by-review-gate", "src/ddrm/endorsement.py",
-           "if token is None or not token.usable_at(self.ledger.tick):", "if token is None:",
+           "if not token.usable_at(self.ledger.tick):", "if False:",
            "tests/test_endorsement.py"),
     Mutant("srdt-minted-with-srat-lifetime", "src/ddrm/tokens.py",
            "self.config.srdt_lifetime, holder, service_id)", "self.config.srat_lifetime, holder, service_id)",
@@ -129,6 +129,18 @@ MUTANTS = (
            "tests/test_cli.py"),
     Mutant("absent-sibling-metrics-read", "src/ddrm/cli.py",
            "if sibling.exists():", "if True:", "tests/test_cli.py"),
+    # Each protocol fact read from its one record.
+    Mutant("review-gate-ignores-burned-srat", "src/ddrm/endorsement.py",
+           "if token.state == BURNED:", "if False:", "tests/test_endorsement.py"),
+    Mutant("approved-claims-ignored", "src/ddrm/endorsement.py",
+           "any(claim.outcome == OUTCOME_APPROVED for claim", "any(False for claim", "tests/test_endorsement.py"),
+    Mutant("dret-award-ignores-before", "src/ddrm/tokens.py",
+           "after // interval - before // interval", "after // interval", "tests/test_tokens.py"),
+    Mutant("harness-reviews-burned-purchases", "src/ddrm/adversary.py",
+           "if self.sim.tokens.srat_for_purchase(purchase_id).state == BURNED:", "if False:",
+           "tests/test_fixed_points.py"),
+    Mutant("id-without-plus-one", "src/ddrm/marketplace.py",
+           'f"PUR-{len(self.purchases) + 1:05d}"', 'f"PUR-{len(self.purchases):05d}"', "tests/test_properties.py"),
     # Test helpers.
     Mutant("forged-log-edits-inside-the-loop", "tests/conftest.py",
            "for rec in list(iter_log_lines(log)):", "for rec in iter_log_lines(log):", "tests/test_adversary.py"),

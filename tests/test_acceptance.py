@@ -343,14 +343,14 @@ class TestCriterion8RefundAdjudication:
                 assert claim.outcome == "Approved"
                 assert sim.ledger.balance(provider) == provider_before - ether("0.5")
                 assert sim.ledger.balance(claimant) == claimant_before + ether("0.5")
-                assert sim.market.purchases[purchase].refunded
+                assert sim.reviews.refunded(purchase)
                 with pytest.raises(AlreadyRefunded):
                     sim.file_refund_claim(claimant, purchase)
             else:
                 assert claim.outcome == "Rejected"
                 assert sim.ledger.balance(provider) == provider_before
                 assert sim.ledger.balance(claimant) == claimant_before
-                assert not sim.market.purchases[purchase].refunded
+                assert not sim.reviews.refunded(purchase)
         report("8 refund adjudication (32/32 panel patterns)")
 
     def test_double_claim_while_open(self):

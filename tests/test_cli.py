@@ -61,6 +61,15 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", [["--seed", "3"], ["--out", "elsewhere"]], ids=["seed", "out"])
+    @pytest.mark.parametrize("doc", ["[]", '"x"', "3", "null"], ids=["list", "string", "number", "null"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, doc, override):
+        path = tmp_path / "c.json"
+        path.write_text(doc)
+        assert main(["run", "--config", str(path), *override]) == EXIT_CONFIG
+        assert "config error: run config must be a JSON object" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_seeded_rerun_byte_identical(self, tmp_path, config_path, capsys):
         main(["run", "--config", str(config_path), "--out", str(tmp_path / "a")])
         main(["run", "--config", str(config_path), "--out", str(tmp_path / "b")])

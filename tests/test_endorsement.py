@@ -34,8 +34,8 @@ from ddrm.errors import (
     ReviewAlreadyBadged,
     ValidationError,
 )
-from ddrm.identity import ROLE_CONSUMER, ROLE_ENDORSER
-from ddrm.tokens import Token, VOIDED
+from ddrm.identity import ROLE_CONSUMER
+from ddrm.tokens import BURNED, Token, VOIDED
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
 
@@ -291,8 +291,6 @@ class TestPenaltiesAndRoster:
         sim.endorse_review(old, review, VOTE_UP)
         sim.run_endorser_selection(service)
         assert sim.reviews.rosters[service] == {fresh}
-        assert not sim.identity.has_role(old, ROLE_ENDORSER)
-        assert sim.identity.has_role(fresh, ROLE_ENDORSER)
 
     def test_new_endorser_receives_srdt(self):
         sim = make_sim(endorsement_quorum=1)
@@ -355,7 +353,7 @@ class TestBootstrap:
         provider, service = provider_and_service(sim)
         pid, _, _ = reviewed_purchase(sim, service, "r-0")
         sim.bootstrap_endorsers(service, 1)
-        assert sim.identity.has_role(pid, ROLE_ENDORSER)
+        assert sim.reviews.rosters[service] == {pid}
         assert sim.tokens.active_srdt_for(pid, service) is not None
 
 
@@ -397,7 +395,7 @@ class TestRefunds:
         assert claim.outcome == OUTCOME_APPROVED
         assert sim.ledger.balance(arena.provider) == provider_before - ether("0.5")
         assert sim.ledger.balance(arena.claimant) == claimant_before + ether("0.5")
-        assert sim.market.purchases[arena.purchase].refunded
+        assert sim.reviews.refunded(arena.purchase)
 
     def test_two_two_with_abstention_rejected_at_window_close(self):
         arena = RefundArena(voting_window=3)
@@ -411,7 +409,7 @@ class TestRefunds:
         for _ in range(3):
             sim.advance_tick()
         assert sim.settle_refund(claim_id) == OUTCOME_REJECTED
-        assert not sim.market.purchases[arena.purchase].refunded
+        assert not sim.reviews.refunded(arena.purchase)
 
     def test_non_panel_member_cannot_vote(self):
         arena = RefundArena(roster=7)
@@ -485,7 +483,7 @@ class TestRefunds:
         assert claim.outcome == "Open"  # vote stands, payout deferred
         sim.buy_service(arena.claimant, arena.service)  # revenue restores the provider
         assert sim.settle_refund(claim_id) == OUTCOME_APPROVED
-        assert sim.market.purchases[arena.purchase].refunded
+        assert sim.reviews.refunded(arena.purchase)
 
     def test_refund_leaves_review_and_badge_untouched(self):
         arena = RefundArena()
@@ -495,4 +493,4 @@ class TestRefunds:
         for member in sim.reviews.claims[claim_id].panel:
             sim.vote_refund(member, claim_id, VOTE_APPROVE)
         assert sim.reviews.reviews[review].badge == BADGE_PENDING
-        assert sim.market.purchases[arena.purchase].reviewed
+        assert sim.tokens.srat_for_purchase(arena.purchase).state == BURNED

@@ -4,7 +4,7 @@ import pytest
 
 from ddrm import ProtocolConfig, Simulation, ether, text_digest
 from ddrm.errors import DuplicateCard, ParticipantExcluded, UnknownParticipant, ValidationError
-from ddrm.identity import ROLE_CONSUMER, ROLE_ENDORSER, ROLE_PROVIDER, STATUS_EXCLUDED
+from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
 
@@ -32,7 +32,7 @@ class TestRegistration:
 
     def test_earned_roles_cannot_be_registered(self, sim):
         with pytest.raises(ValidationError):
-            sim.register("visa-1", {ROLE_ENDORSER})
+            sim.register("visa-1", {"Endorser"})
 
     def test_dual_role_registration_permitted(self, sim):
         pid = sim.register("visa-1", {ROLE_PROVIDER, ROLE_CONSUMER})

@@ -1,17 +1,18 @@
-"""Property tests: conservation, atomicity, token state machine, determinism, indexes."""
+"""Property tests: conservation, atomicity, token state machine, determinism, indexes, ids."""
 
 import copy
 import random
 from operator import attrgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrm import ether, text_digest
-from ddrm.endorsement import BADGE_PENDING, OUTCOME_OPEN, VOTE_UP
-from ddrm.errors import DdrmError
+from ddrm.endorsement import BADGE_PENDING, OUTCOME_APPROVED, OUTCOME_OPEN, VOTE_UP
+from ddrm.errors import DdrmError, DuplicateCard, InsufficientFunds
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
-from ddrm.tokens import ACTIVE
+from ddrm.tokens import ACTIVE, BURNED
 
 from conftest import make_sim
 
@@ -107,6 +108,47 @@ def check_indexes(sim):
         ]
         assert voiding.void_all(holder) == {"voided_tokens": scanned}
     check_votes_against_log(sim)
+    check_ids(sim)
+    check_facts_against_log(sim)
+
+
+def check_ids(sim):
+    """Each book's ids are <prefix>1..n, in that order."""
+    books = [
+        ("P", 4, sim.identity.participants),
+        ("SVC-", 4, sim.market.services),
+        ("PUR-", 5, sim.market.purchases),
+        ("SRAT-", 5, sim.tokens.srats),
+        ("SRDT-", 5, sim.tokens.srdts),
+        ("REV-", 5, sim.reviews.reviews),
+        ("CLM-", 5, sim.reviews.claims),
+    ]
+    for prefix, width, book in books:
+        assert list(book) == [f"{prefix}{n:0{width}d}" for n in range(1, len(book) + 1)]
+
+
+def check_facts_against_log(sim):
+    """Reviewed, refunded and DRET, each read from its one record, agree with the log."""
+    reviewed, refunded, awarded = set(), set(), {}
+    for rec in sim.ledger.log:
+        if rec.kind == "ReviewSubmitted":
+            reviewed.add(rec.payload["purchase"])
+        elif rec.kind == "RefundSettled" and rec.payload["outcome"] == OUTCOME_APPROVED:
+            refunded.add(rec.payload["purchase"])
+        elif rec.kind == "DretAwarded":
+            awarded[rec.payload["provider"]] = awarded.get(rec.payload["provider"], 0) + 1
+    snapshot = sim.snapshot()["purchases"]
+    for purchase_id in sim.market.purchases:
+        is_reviewed = sim.tokens.srat_for_purchase(purchase_id).state == BURNED
+        assert is_reviewed == (purchase_id in reviewed) == snapshot[purchase_id]["reviewed"]
+        assert sim.reviews.refunded(purchase_id) == (purchase_id in refunded) == snapshot[purchase_id]["refunded"]
+    assert sim.tokens.dret == awarded
+    earned = {}
+    for service in sim.market.services.values():
+        crossings = service.authentic_review_count // sim.config.dret_interval
+        if crossings:
+            earned[service.provider] = earned.get(service.provider, 0) + crossings
+    assert sim.tokens.dret == earned
 
 
 def check_votes_against_log(sim):
@@ -240,6 +282,23 @@ def test_failed_operations_leave_state_byte_identical(seed):
         else:
             raise AssertionError("operation expected to fail succeeded")
         assert sim.fingerprint() == before
+
+
+def test_refused_operations_consume_no_id():
+    sim = make_sim()
+    provider = sim.register("prov", {ROLE_PROVIDER})
+    service = sim.add_service(provider, ether(1))
+    with pytest.raises(DuplicateCard):
+        sim.register("prov", {ROLE_CONSUMER})
+    consumer = sim.register("cons", {ROLE_CONSUMER})
+    assert consumer == "P0002"
+    sim.modify_service(provider, service, sim.ledger.balance(consumer) + 1)
+    with pytest.raises(InsufficientFunds):
+        sim.buy_service(consumer, service)
+    sim.modify_service(provider, service, ether(1))
+    assert sim.buy_service(consumer, service) == "PUR-00001"
+    assert sim.market.purchases["PUR-00001"].consumer == consumer
+    assert list(sim.tokens.srats) == ["SRAT-00001"]
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -8,6 +8,7 @@ from ddrm.identity import ROLE_CONSUMER
 from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, VOIDED
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
+from test_properties import check_facts_against_log
 
 
 class TestSratLifecycle:
@@ -194,6 +195,7 @@ class TestDret:
         counts.append(sim.tokens.dret_count(provider))
         assert counts == sorted(counts)
         assert counts[-1] == 2
+        check_facts_against_log(sim)
 
 
 class TestSupplyIdentity:
