@@ -275,7 +275,7 @@ class ScenarioRunner:
             return None
 
     def _attackers(self) -> list[str]:
-        return sorted(pid for pid, m in self.members.items() if m.attacker)
+        return [pid for pid, m in self.members.items() if m.attacker]
 
     def _is_attacker(self, pid: str) -> bool:
         return pid in self.members and self.members[pid].attacker
@@ -329,10 +329,7 @@ class ScenarioRunner:
         for register in order:
             register()
 
-        self.consumers = sorted(
-            pid for pid, m in self.members.items()
-            if ROLE_CONSUMER in self.sim.identity.get(pid).roles
-        )
+        self.consumers = [pid for pid in self.members if ROLE_CONSUMER in self.sim.identity.get(pid).roles]
 
         self.sim.ledger.append_event(
             "ScenarioSetup",
@@ -340,7 +337,7 @@ class ScenarioRunner:
                 "scenario": s.name,
                 "kind": s.kind,
                 "attackers": self._attackers(),
-                "ground_truth": dict(sorted(self.ground_truth.items())),
+                "ground_truth": dict(self.ground_truth),
                 "target_providers": list(self.target_providers),
             },
         )
@@ -371,7 +368,7 @@ class ScenarioRunner:
                 continue
             if not self._buys_this_round(member, rnd):
                 continue
-            for service_id in sorted(self.ground_truth):
+            for service_id in self.ground_truth:
                 self._attempt(self.sim.buy_service, pid, service_id)
         self._replenish_funds()
 
@@ -387,7 +384,7 @@ class ScenarioRunner:
 
     def _replenish_funds(self) -> None:
         """Providers keep their services reviewable by topping up dry funds."""
-        for service_id in sorted(self.ground_truth):
+        for service_id in self.ground_truth:
             service = self.sim.market.get_service(service_id)
             provider = service.provider
             if service.status != STATUS_LISTED or service.review_fund >= REVIEW_SUBSIDY:
@@ -423,7 +420,7 @@ class ScenarioRunner:
 
     def _endorse_phase(self, rnd: int) -> None:
         self._round_votes = {}
-        for service_id in sorted(self.ground_truth):
+        for service_id in self.ground_truth:
             roster = self.sim.reviews.rosters.get(service_id, set())
             has_reviews = bool(self.sim.reviews.reviews_by_service.get(service_id))
             if not roster and has_reviews:
@@ -451,7 +448,6 @@ class ScenarioRunner:
             return 0
         quality = self.ground_truth[service_id]
         quorum = self.protocol.endorsement_quorum
-        by_age = sorted(pending, key=lambda r: (r.tick, r.review_id))
         cast = 0
 
         def has_srdt(pid):
@@ -463,7 +459,7 @@ class ScenarioRunner:
             if not has_srdt(pid):
                 continue
             ally_pick = enemy_pick = None
-            for review in by_age:
+            for review in pending:
                 if pid in review.endorsers:
                     continue
                 if self._is_attacker(review.reviewer):
@@ -482,39 +478,31 @@ class ScenarioRunner:
         # attackers still hold one is fixed for the whole wave.
         available = [p for p in roster if not self._is_attacker(p) and has_srdt(p)]
         attacker_pool = [p for p in roster if self._is_attacker(p) and has_srdt(p)]
-        suspects = [r for r in by_age if not band_matches(r.rating, quality)]
-        ordinary = [r for r in by_age if band_matches(r.rating, quality)]
+        suspects = [r for r in pending if not band_matches(r.rating, quality)]
+        ordinary = [r for r in pending if band_matches(r.rating, quality)]
         for review in suspects + ordinary:
             if not available:
                 break
-            u, d = review.upvotes, review.downvotes
-            total = u + d
             hostile = not band_matches(review.rating, quality)
+            ours, theirs = (review.downvotes, review.upvotes) if hostile else (review.upvotes, review.downvotes)
+            aligned, inverted = (VOTE_DOWN, VOTE_UP) if hostile else (VOTE_UP, VOTE_DOWN)
+            if ours + theirs >= quorum and ours > theirs:
+                continue  # already badgeable with the right badge this round
             a_rem = sum(1 for p in attacker_pool if p not in review.endorsers)
-            if hostile:
-                if total >= quorum and d > u:
-                    continue  # already badgeable as Fraudulent this round
-                needed = max(quorum - total, u + a_rem + 1 - d)
-            else:
-                if total >= quorum and u > d:
-                    continue
-                needed = max(quorum - total, d + a_rem + 1 - u)
-            if needed <= 0:
-                continue
+            # At least 1: below quorum the first term is; at quorum ours <= theirs.
+            needed = max(quorum - ours - theirs, theirs + a_rem + 1 - ours)
             voters = [p for p in available if p not in review.endorsers]
             if len(voters) < needed:
                 continue  # unsafe to start; wait for a stronger roster
             for pid in voters[:needed]:
                 truthful = self.sim.ledger.beacon.chance(self.scenario.honest_vote_probability)
-                aligned = VOTE_DOWN if hostile else VOTE_UP
-                inverted = VOTE_UP if hostile else VOTE_DOWN
                 if self._vote(pid, review, aligned if truthful else inverted):
                     available.remove(pid)
                     cast += 1
         return cast
 
     def _selection_phase(self, rnd: int) -> None:
-        for service_id in sorted(self.ground_truth):
+        for service_id in self.ground_truth:
             pending = self.sim.reviews.pending_reviews(service_id)
             eligible = any(
                 r.upvotes + r.downvotes >= self.protocol.endorsement_quorum for r in pending
@@ -578,11 +566,11 @@ class ScenarioRunner:
             for p in market.purchases.values()
             if self._is_attacker(p.consumer) and not self._is_attacker(market.services[p.service_id].provider)
         )
-        self.extras["review_starved_services"] = sorted(
+        self.extras["review_starved_services"] = [
             s.service_id
             for s in market.services.values()
             if s.status == STATUS_LISTED and s.review_fund < REVIEW_SUBSIDY
-        )
+        ]
         return ScenarioResult(
             scenario=self.scenario,
             metrics=self._live_metrics(),

@@ -298,7 +298,7 @@ class ReviewBoard:
             raise ValidationError("bootstrap count must be positive")
         earliest: list[str] = []
         seen: set[str] = set()
-        for review in sorted(self._reviews_of(service_id), key=lambda r: r.tick):  # stable: ties by id
+        for review in self._reviews_of(service_id):  # id order is tick order
             reviewer = review.reviewer
             if reviewer not in seen and self.identity.get(reviewer).active:
                 seen.add(reviewer)

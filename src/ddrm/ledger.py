@@ -42,7 +42,6 @@ WEI_PER_GWEI = 10**9
 WEI_PER_ETHER = 10**18
 
 ZERO_DIGEST = "0" * 64
-_NO_FINAL_LF = "not canonical: the last line does not end in LF"
 
 # Operation kinds with a gas schedule entry.
 OP_ADD_SERVICE = "add_service"
@@ -349,11 +348,16 @@ def iter_log_lines(log):
     `log` is an exported log's bytes or a binary file at its start. Raises MalformedEvent on
     a line that is not UTF-8 or does not parse or type-check, and ChainBroken(seq,
     reason) on a broken link or hash or any byte export would not write ("not
-    canonical"; a missing final LF before any line, or at the last line of a pipe),
-    after yielding every record before that line.
+    canonical", a missing final LF included), after yielding every record before that line.
     """
     prev, last_tick = ZERO_DIGEST, 0
-    for seq, line in enumerate(_file_lines(io.BytesIO(log) if isinstance(log, bytes) else log)):
+    for seq, raw in enumerate(io.BytesIO(log) if isinstance(log, bytes) else log):
+        if raw[-1:] != b"\n":
+            raise ChainBroken(seq, "not canonical: the last line does not end in LF")
+        try:
+            line = raw[:-1].decode("utf-8")  # cheaper than a memoryview, which the GC tracks
+        except UnicodeDecodeError as exc:
+            raise MalformedEvent(f"malformed event at seq {seq}: log is not UTF-8: {exc}") from exc
         if not line:
             raise ChainBroken(seq, "not canonical: blank line")
         try:
@@ -366,20 +370,3 @@ def iter_log_lines(log):
             raise ChainBroken(seq, "not canonical: the line differs from its export form")
         yield rec
         prev, last_tick = rec.hash, rec.tick
-
-
-def _file_lines(f):
-    """Each line of binary file f, read from its start, as strict UTF-8 text without its LF."""
-    if f.seekable() and f.seek(0, io.SEEK_END):  # read the last byte; count LFs only to report it missing
-        f.seek(-1, io.SEEK_END)
-        last = f.read(1)
-        f.seek(0)
-        if last != b"\n":
-            raise ChainBroken(sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 16), b"")), _NO_FINAL_LF)
-    for seq, raw in enumerate(f):
-        if raw[-1:] != b"\n":  # only on a pipe: a seekable file was checked above
-            raise ChainBroken(seq, _NO_FINAL_LF)
-        try:
-            yield raw[:-1].decode("utf-8")  # cheaper than a memoryview, which the GC tracks
-        except UnicodeDecodeError as exc:
-            raise MalformedEvent(f"malformed event at seq {seq}: log is not UTF-8: {exc}") from exc

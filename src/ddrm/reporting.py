@@ -88,18 +88,7 @@ def format_gas_table(rows: list[GasReportRow]) -> str:
         "Function Caller", "Function Name", "Gas Limit (Units)", "Gas Used (Units)",
         "Gas Price (Gwei)", "Total (Ether)", "Total (USD)",
     )
-    return _render_table(headers, [
-        (
-            r.caller,
-            r.function_name,
-            str(r.gas_limit),
-            str(r.gas_used),
-            str(r.gas_price_gwei),
-            f"{r.total_ether:.6f}",
-            f"{r.total_usd:.3f}",
-        )
-        for r in rows
-    ])
+    return _render_table(headers, [tuple(map(str, row.values())) for row in gas_table_json(rows)])
 
 
 def gas_table_json(rows: list[GasReportRow]) -> list[dict]:
@@ -123,15 +112,6 @@ def format_metrics_table(named_metrics: list[tuple[str, ScenarioMetrics]]) -> st
         "Exclusions", "RefundFraud", "DretDelta",
     )
     return _render_table(headers, [
-        (
-            name,
-            f"{m.badge_accuracy:.4f}",
-            str(m.attacker_spend_wei),
-            str(m.attacker_reviews_accepted),
-            str(m.attacker_reviews_branded),
-            str(m.exclusions),
-            str(m.refund_fraud_approved),
-            str(m.provider_dret_delta),
-        )
+        (name, *(f"{v:.4f}" if isinstance(v, float) else str(v) for v in m.to_dict().values()))
         for name, m in named_metrics
     ])

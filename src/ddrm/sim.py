@@ -10,10 +10,10 @@ exclude runs ReviewBoard.exclude; advance_tick moves the ledger's tick on
 and then expires the tokens due by it (TokenBook.expiry_sweep).
 
 Operations validate all preconditions before touching state, so a raised
-DdrmError leaves the simulation exactly as it was. snapshot() serializes
-the entire mutable state to a JSON-safe dict, down to each review's
-sorted endorsers (and fingerprint() hashes it), which the test suite
-uses to prove that failed operations are side-effect free.
+DdrmError leaves the simulation exactly as it was. snapshot() copies the
+entire mutable state, every field of every record (and fingerprint()
+hashes it), which the test suite uses to prove that failed operations
+are side-effect free.
 
 Every id is its prefix and its book's size once filed (REV-00003 is the
 third review), and no record is ever removed, so each book, and each list
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 from .config import ProtocolConfig
 from .endorsement import ReviewBoard
@@ -32,7 +33,7 @@ from .errors import InvariantViolation
 from .identity import IdentityRegistry
 from .ledger import Ledger
 from .marketplace import Marketplace
-from .tokens import BURNED, TokenBook
+from .tokens import TokenBook
 
 
 class Simulation:
@@ -126,76 +127,30 @@ class Simulation:
     # -- state capture --
 
     def snapshot(self) -> dict:
-        """Full mutable state as a JSON-safe dict (ordering canonicalized)."""
+        """Full mutable state: the ledger's scalars and a copy of every record of every book."""
+        books = {
+            "participants": self.identity.participants,
+            "services": self.market.services,
+            "purchases": self.market.purchases,
+            "srats": self.tokens.srats,
+            "srdts": self.tokens.srdts,
+            "reviews": self.reviews.reviews,
+            "claims": self.reviews.claims,
+        }
         return {
-            "accounts": dict(sorted(self.ledger.accounts.items())),
-            "spent": dict(sorted(self.ledger.spent.items())),
+            "accounts": dict(self.ledger.accounts),
+            "spent": dict(self.ledger.spent),
             "gas_sink": self.ledger.gas_sink,
             "tick": self.ledger.tick,
             "log_len": len(self.ledger.log),
             "log_hash": self.ledger.final_hash(),
             "beacon_counter": self.ledger.beacon.counter,
-            "participants": {
-                pid: {
-                    "status": p.status,
-                    "roles": sorted(p.roles),
-                    "addresses": list(p.addresses),
-                    "card": p.card,
-                }
-                for pid, p in sorted(self.identity.participants.items())
-            },
-            "services": {
-                sid: {
-                    "provider": s.provider,
-                    "s_cost": s.s_cost,
-                    "fund": s.review_fund,
-                    "status": s.status,
-                    "authentic": s.authentic_review_count,
-                }
-                for sid, s in sorted(self.market.services.items())
-            },
-            "purchases": {
-                pid: {
-                    "service": p.service_id,
-                    "consumer": p.consumer,
-                    "price": p.price_paid,
-                    "reviewed": self.tokens.srat_for_purchase(pid).state == BURNED,
-                    "refunded": self.reviews.refunded(pid),
-                }
-                for pid, p in sorted(self.market.purchases.items())
-            },
-            "srats": {
-                tid: {"holder": t.holder, "state": t.state, "expiry": t.expiry_tick}
-                for tid, t in sorted(self.tokens.srats.items())
-            },
-            "srdts": {
-                tid: {"holder": t.holder, "state": t.state, "expiry": t.expiry_tick}
-                for tid, t in sorted(self.tokens.srdts.items())
-            },
-            "dret": dict(sorted(self.tokens.dret.items())),
-            "reviews": {
-                rid: {
-                    "reviewer": r.reviewer,
-                    "rating": r.rating,
-                    "up": r.upvotes,
-                    "down": r.downvotes,
-                    "badge": r.badge,
-                    "endorsers": sorted(r.endorsers),
-                }
-                for rid, r in sorted(self.reviews.reviews.items())
-            },
-            "rosters": {sid: sorted(m) for sid, m in sorted(self.reviews.rosters.items())},
-            "penalties": dict(sorted(self.reviews.penalties.items())),
-            "claims": {
-                cid: {
-                    "purchase": c.purchase_id,
-                    "outcome": c.outcome,
-                    "votes": dict(sorted(c.votes.items())),
-                }
-                for cid, c in sorted(self.reviews.claims.items())
-            },
+            "dret": dict(self.tokens.dret),
+            "rosters": {sid: set(members) for sid, members in self.reviews.rosters.items()},
+            "penalties": dict(self.reviews.penalties),
+            **{name: {rid: asdict(record) for rid, record in book.items()} for name, book in books.items()},
         }
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"), default=sorted)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

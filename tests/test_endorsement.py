@@ -242,7 +242,7 @@ class TestEndorsementRules:
         assert (token.holder, token.service_id, token.state) == (endorser, rec.service_id, "Consumed")
         assert rec.endorsers == {endorser}
         assert rec.upvotes + rec.downvotes == len(rec.endorsers)
-        assert sim.snapshot()["reviews"][review]["endorsers"] == [endorser]
+        assert sim.snapshot()["reviews"][review]["endorsers"] == {endorser}
 
 
 class TestPenaltiesAndRoster:

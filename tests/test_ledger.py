@@ -173,13 +173,29 @@ class TestEventChain:
             next(reader)
 
     @LOG_SOURCES
-    def test_missing_final_lf_is_refused_before_any_line(self, source):
+    def test_missing_final_lf_is_refused_at_the_last_line(self, source):
         sim = make_sim(seed=5)
         provider_and_service(sim)
-        data = b"not json\n" + exported_log(sim.ledger)[:-1]
+        data = exported_log(sim.ledger)[:-1]
+        reader = iter_log_lines(source(data))
+        last = data.count(b"\n")
+        assert [next(reader).seq for _ in range(last)] == list(range(last))
         with pytest.raises(ChainBroken, match="does not end in LF") as broken:
-            next(iter_log_lines(source(data)))
-        assert broken.value.seq == data.count(b"\n")
+            next(reader)
+        assert broken.value.seq == last
+
+    @LOG_SOURCES
+    def test_first_fault_in_log_order_is_reported(self, source):
+        # A malformed line 1 comes before the missing final LF, whatever the source.
+        sim = make_sim(seed=5)
+        provider_and_service(sim)
+        lines = exported_log(sim.ledger)[:-1].split(b"\n")
+        assert len(lines) > 2
+        lines[1] = b"not json"
+        reader = iter_log_lines(source(b"\n".join(lines)))
+        assert next(reader).seq == 0
+        with pytest.raises(MalformedEvent, match="malformed event at seq 1"):
+            next(reader)
 
 
 # JSON-native values: what a log line can carry and json.loads gives back equal.

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from dataclasses import fields
 from operator import attrgetter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrm import ether, text_digest
+from ddrm.adversary import AttackScenario, run_scenario
 from ddrm.endorsement import BADGE_PENDING, OUTCOME_APPROVED, OUTCOME_OPEN, VOTE_UP
 from ddrm.errors import DdrmError, DuplicateCard, InsufficientFunds
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
@@ -112,18 +114,22 @@ def check_indexes(sim):
     check_facts_against_log(sim)
 
 
+# The seven books of records: each one's name in snapshot(), its id prefix and width, and where it lives.
+BOOKS = {
+    "participants": ("P", 4, lambda sim: sim.identity.participants),
+    "services": ("SVC-", 4, lambda sim: sim.market.services),
+    "purchases": ("PUR-", 5, lambda sim: sim.market.purchases),
+    "srats": ("SRAT-", 5, lambda sim: sim.tokens.srats),
+    "srdts": ("SRDT-", 5, lambda sim: sim.tokens.srdts),
+    "reviews": ("REV-", 5, lambda sim: sim.reviews.reviews),
+    "claims": ("CLM-", 5, lambda sim: sim.reviews.claims),
+}
+
+
 def check_ids(sim):
     """Each book's ids are <prefix>1..n, in that order."""
-    books = [
-        ("P", 4, sim.identity.participants),
-        ("SVC-", 4, sim.market.services),
-        ("PUR-", 5, sim.market.purchases),
-        ("SRAT-", 5, sim.tokens.srats),
-        ("SRDT-", 5, sim.tokens.srdts),
-        ("REV-", 5, sim.reviews.reviews),
-        ("CLM-", 5, sim.reviews.claims),
-    ]
-    for prefix, width, book in books:
+    for prefix, width, book_of in BOOKS.values():
+        book = book_of(sim)
         assert list(book) == [f"{prefix}{n:0{width}d}" for n in range(1, len(book) + 1)]
 
 
@@ -137,11 +143,10 @@ def check_facts_against_log(sim):
             refunded.add(rec.payload["purchase"])
         elif rec.kind == "DretAwarded":
             awarded[rec.payload["provider"]] = awarded.get(rec.payload["provider"], 0) + 1
-    snapshot = sim.snapshot()["purchases"]
     for purchase_id in sim.market.purchases:
         is_reviewed = sim.tokens.srat_for_purchase(purchase_id).state == BURNED
-        assert is_reviewed == (purchase_id in reviewed) == snapshot[purchase_id]["reviewed"]
-        assert sim.reviews.refunded(purchase_id) == (purchase_id in refunded) == snapshot[purchase_id]["refunded"]
+        assert is_reviewed == (purchase_id in reviewed)
+        assert sim.reviews.refunded(purchase_id) == (purchase_id in refunded)
     assert sim.tokens.dret == awarded
     earned = {}
     for service in sim.market.services.values():
@@ -254,6 +259,17 @@ def test_indexes_match_full_scans_on_long_walks(seed):
     assert sim.conservation_ok()
 
 
+def test_walks_award_dret():
+    # The walk's DRET checks compare something: with a quorum and an interval
+    # of 1, some of these walks badge reviews authentic and cross an interval.
+    awards = 0
+    for seed in range(20):
+        sim = make_sim(seed=seed, endorsement_quorum=1, dret_interval=1)
+        random_protocol_walk(sim, random.Random(seed), steps=120)
+        awards += sum(rec.kind == "DretAwarded" for rec in sim.ledger.log)
+    assert awards >= 1
+
+
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_failed_operations_leave_state_byte_identical(seed):
@@ -282,6 +298,53 @@ def test_failed_operations_leave_state_byte_identical(seed):
         else:
             raise AssertionError("operation expected to fail succeeded")
         assert sim.fingerprint() == before
+
+
+def every_book_sim():
+    """A short false-refund run: every book holds records and the service's roster is not empty."""
+    scenario = AttackScenario(name="books", kind="false_refund", seed=7, rounds=3, attacker_count=2, honest_count=6)
+    sim = run_scenario(scenario).sim
+    assert all(book_of(sim) for _, _, book_of in BOOKS.values()) and any(sim.reviews.rosters.values())
+    return sim
+
+
+def changed(value):
+    """A value of the same kind as `value` that differs from it."""
+    if value is None:
+        return "changed"
+    if isinstance(value, set):
+        return value | {"changed"}
+    if isinstance(value, (tuple, list)):
+        return type(value)([*value, "changed"])
+    if isinstance(value, dict):
+        return {**value, "changed": "changed"}
+    return value + (1 if isinstance(value, int) else "-changed")
+
+
+@pytest.mark.parametrize("book", BOOKS)
+def test_every_record_field_is_in_the_fingerprint(book):
+    sim = every_book_sim()
+    record = next(iter(BOOKS[book][2](sim).values()))
+    for f in fields(record):
+        before, value = sim.fingerprint(), getattr(record, f.name)
+        setattr(record, f.name, changed(value))
+        assert sim.fingerprint() != before, f"{book}.{f.name} is not in the snapshot"
+        setattr(record, f.name, value)
+
+
+def test_a_saved_snapshot_does_not_follow_the_simulation():
+    sim = every_book_sim()
+    snapshot = sim.snapshot()
+    saved = copy.deepcopy(snapshot)
+    service, roster = next((sid, m) for sid, m in sim.reviews.rosters.items() if m)
+    endorser = min(roster)
+    sim.bind_address(endorser)
+    sim.exclude(endorser)
+    sim.exclude(sim.market.services[service].provider)
+    for _ in range(max(sim.config.srat_lifetime, sim.config.srdt_lifetime)):
+        sim.advance_tick()
+    assert snapshot == saved
+    assert sim.snapshot() != saved
 
 
 def test_refused_operations_consume_no_id():
