@@ -9,6 +9,7 @@ token award, and a refund adjudicated by an endorser panel.
 
 from ddrm import Simulation, ether, format_ether, text_digest
 from ddrm.errors import DuplicateCard
+from ddrm.ledger import verify_records
 
 
 def eth(wei):
@@ -85,7 +86,7 @@ def main():
     print(f"outcome: {outcome}; price returned to {claimant}")
 
     print("\n=== Ledger integrity ===")
-    sim.ledger.verify_chain()  # raises ChainBroken at the first bad record
+    verify_records(sim.ledger.log)  # raises ChainBroken at the first bad record
     print(f"event log: {len(sim.ledger.log)} records, chain verified")
     print(f"conservation holds: {sim.conservation_ok()}")
 

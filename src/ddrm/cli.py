@@ -4,12 +4,12 @@ Commands
     run            execute the configured scenarios; write a summary table and,
                    per scenario, metrics JSON and the event log it re-verified
     gas-table      print the operation cost table
-    verify         replay an exported log line by line: hash chain and metrics
+    verify         replay an exported log line by line: hash chain, last hash, metrics
     print-defaults dump the built-in configuration as JSON
 
 Exit codes: 0 success, 2 configuration error or unwritable output_dir, 3
 invariant violation during a run, 4 broken, malformed or non-UTF-8 event
-log, 5 replayed metrics disagree with the recorded metrics file. Artifacts
+log, 5 replayed last hash or metrics differ from the metrics file. Artifacts
 contain no wall-clock timestamps, so reruns with one seed are byte-identical.
 """
 
@@ -23,6 +23,7 @@ from pathlib import Path
 from .adversary import ScenarioMetrics, replay_verify, run_scenario
 from .config import RunConfig, default_config_doc, parse_run_config
 from .errors import ChainBroken, ConfigError, DdrmError, InvariantViolation, MalformedEvent
+from .ledger import ZERO_DIGEST
 from .reporting import format_gas_table, format_metrics_table, gas_table_json, gas_table_rows
 
 EXIT_OK = 0
@@ -51,24 +52,34 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConf
     return parse_run_config(doc)
 
 
-def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
-    """Run one scenario, check it live, then publish the log bytes that replay from disk.
+def _replay(f) -> tuple[ScenarioMetrics, str]:
+    """replay_verify(f) and the hash of the last record it replayed (ZERO_DIGEST if none)."""
+    last = [b""]
 
-    The log streams to a temporary file, which `ddrm verify`'s replay reads back once the
-    live state is released (one scenario's state at a time); only then is it renamed into
+    def lines():
+        for last[0] in f:
+            yield last[0]
+
+    metrics = replay_verify(lines())
+    # That line passed every check of the replay, so it is one canonical record.
+    return metrics, json.loads(last[0])["hash"] if last[0] else ZERO_DIGEST
+
+
+def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
+    """Run one scenario, then publish the log bytes that replay from disk to its live head and metrics.
+
+    A live record holds only the bytes the export writes, so the replay checks every record,
+    and the live head anchors the chain. The log streams to a temporary file, read back once
+    the live state is released (one scenario's state at a time); only then is it renamed into
     place and the metrics file written. Any failure removes the temporary file.
     """
     result = run_scenario(scenario, config.protocol, config.seed)
-    try:
-        result.sim.ledger.verify_chain()
-    except ChainBroken as exc:
-        raise InvariantViolation(f"scenario {scenario.name}: chain broken at {exc.seq}: {exc.reason}") from exc
-    metrics = result.metrics
+    metrics, head = result.metrics, result.final_log_hash()
     metrics_doc = {
         "scenario": scenario.name,
         "kind": scenario.kind,
         "seed": result.sim.seed,
-        "final_log_hash": result.final_log_hash(),
+        "final_log_hash": head,
         "metrics": metrics.to_dict(),
         "extras": result.extras,
     }
@@ -79,9 +90,13 @@ def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
         del result
         with tmp_path.open("rb") as f:
             try:
-                replayed = replay_verify(f)
+                replayed, replayed_head = _replay(f)
             except (ChainBroken, MalformedEvent) as exc:
                 raise InvariantViolation(f"scenario {scenario.name}: {exc}") from exc
+        if replayed_head != head:
+            raise InvariantViolation(
+                f"scenario {scenario.name}: replayed log ends at {replayed_head}, not at the live head {head}"
+            )
         if replayed != metrics:
             raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
         tmp_path.replace(out_dir / f"{scenario.name}.events.ndjson")
@@ -125,7 +140,7 @@ def cmd_verify(args) -> int:
     try:
         # Binary, not text mode: universal newlines would turn CR and CRLF into LF.
         with log_path.open("rb") as log:
-            replayed = replay_verify(log)
+            replayed, head = _replay(log)
     except OSError as exc:
         print(f"error: cannot read log {log_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -138,12 +153,16 @@ def cmd_verify(args) -> int:
     if metrics_path is not None:
         try:
             doc = json.loads(metrics_path.read_text(encoding="utf-8"))
-            recorded = ScenarioMetrics(**doc["metrics"])
+            recorded = {"final_log_hash": doc["final_log_hash"], **ScenarioMetrics(**doc["metrics"]).to_dict()}
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"error: cannot read metrics {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        if replayed != recorded:
-            print("metric mismatch between log replay and recorded metrics", file=sys.stderr)
+        # The last hash covers its record's seq, so it anchors the record count too.
+        found = {"final_log_hash": head, **replayed.to_dict()}
+        differing = [f"{key}: recorded {recorded[key]!r}, replayed {found[key]!r}"
+                     for key in recorded if recorded[key] != found[key]]
+        if differing:
+            print("mismatch between log replay and recorded metrics:", *differing, sep="\n  ", file=sys.stderr)
             return EXIT_MISMATCH
         print(f"ok: chain intact, metrics match {metrics_path.name}")
     else:

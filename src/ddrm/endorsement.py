@@ -71,7 +71,7 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(slots=True)
 class Review:
     review_id: str
     service_id: str
@@ -86,7 +86,7 @@ class Review:
     endorsers: set[str] = field(default_factory=set)   # who voted, each exactly once
 
 
-@dataclass
+@dataclass(slots=True)
 class RefundClaim:
     claim_id: str
     purchase_id: str
@@ -280,13 +280,9 @@ class ReviewBoard:
 
         self.tokens.award_dret(service.provider, service_id, authentic_before, service.authentic_review_count)
         report["roster"] = sorted(self.rosters[service_id])
+        # The log keeps the bytes append_event encoded, not the dict, so the caller may keep it.
         self.ledger.append_event("SelectionRun", report)
-        # The logged payload must stay as it was hashed, so the caller gets a
-        # copy; each value is a string or a list of strings and flat dicts.
-        return {
-            key: value if isinstance(value, str) else [dict(v) if isinstance(v, dict) else v for v in value]
-            for key, value in report.items()
-        }
+        return report
 
     def bootstrap_endorsers(self, service_id: str, n: int | None = None) -> list[str]:
         """Seed an empty roster by drawing from the service's earliest reviewers."""
@@ -450,6 +446,3 @@ class ReviewBoard:
 
     def refunded(self, purchase_id: str) -> bool:
         return any(claim.outcome == OUTCOME_APPROVED for claim in self.claims_by_purchase.get(purchase_id, ()))
-
-    def fraudulent_badge_count(self, pid: str) -> int:
-        return self.penalties.get(pid, 0)

@@ -43,7 +43,7 @@ def card_fingerprint(card: str) -> str:
     return hashlib.sha256(card.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(slots=True)
 class ParticipantRecord:
     participant_id: str
     card: str                      # fingerprint digest, never raw card data
@@ -125,11 +125,6 @@ class IdentityRegistry:
         if not record.active:
             raise ParticipantExcluded(participant_id)
         return record
-
-    def resolve_address(self, address: str) -> str:
-        if address not in self.address_owner:
-            raise UnknownParticipant(f"no participant for address {address}")
-        return self.address_owner[address]
 
     def has_role(self, participant_id: str, role: str) -> bool:
         return role in self.get(participant_id).roles

@@ -8,12 +8,12 @@ appends an EventRecord to a hash chain:
 
 where payload_json is the canonical JSON encoding (sorted keys, compact
 separators, UTF-8) and the genesis record's prev_hash is 64 zero hex digits.
-A record appended here keeps its payload_json, and write_log, the one export,
-streams those bytes into one line per record of a binary file. An exported log
-is bytes, never text: iter_log_lines, the one reader, takes a binary file or
-bytes, accepts only those exact bytes, LF included, as strict UTF-8, and checks
-each line as it reads it, holding one line and one record at a time. The codec
-needs CPython's `_json` module.
+A record is its bytes: append_event keeps payload_json and drops the dict, and
+write_log, the one export, streams those bytes into one line per record of a
+binary file. An exported log is bytes, never text: iter_log_lines, the one
+reader, takes a binary file or bytes, accepts only those exact bytes, LF
+included, as strict UTF-8, and checks each line as it reads it, holding one
+line and one record at a time. The codec needs CPython's `_json` module.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -134,21 +134,21 @@ class EventRecord:
     seq: int
     tick: int
     kind: str
-    payload: dict
+    payload_json: str  # the canonical payload bytes the hash covers and export writes
     prev_hash: str
     hash: str
-    # The canonical payload JSON the hash was computed over, set by
-    # Ledger.append_event only; export writes these exact bytes.
-    # verify_records never reads it, so an edit to `payload` after append
-    # still shows as a hash mismatch.
-    _payload_json: str | None = field(default=None, init=False, compare=False, repr=False)
+    # The dict from_json_line decoded the payload into, so the replay fold decodes each
+    # line once; None on a record built any other way (dataclasses.replace included).
+    _decoded: dict | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def payload(self) -> dict:
+        """The payload as a dict: the reader's decode, or a fresh one of payload_json."""
+        return json.loads(self.payload_json) if self._decoded is None else self._decoded
 
     def to_json_line(self) -> str:
         """The record as one canonical JSON object (sorted keys, compact, ASCII)."""
-        payload_json = self._payload_json
-        if payload_json is None:
-            payload_json = canonical_payload(self.payload)
-        return _splice(self, payload_json)
+        return _splice(self)
 
     @staticmethod
     def from_json_line(line: str) -> "EventRecord":
@@ -163,8 +163,9 @@ class EventRecord:
         if not isinstance(doc, dict):
             raise MalformedEvent("event line is not a JSON object")
         try:
-            # Positional: keyword arguments cost a dataclass constructor more.
-            record = EventRecord(doc["seq"], doc["tick"], doc["kind"], doc["payload"], doc["prev_hash"], doc["hash"])
+            # Positional: keyword arguments cost a dataclass constructor more. payload_json follows.
+            record = EventRecord(doc["seq"], doc["tick"], doc["kind"], "", doc["prev_hash"], doc["hash"])
+            payload = record._decoded = doc["payload"]
         except KeyError as exc:
             raise MalformedEvent(f"event missing field {exc}") from exc
         # `type(...) is int` also refuses bools, which are ints to isinstance.
@@ -172,20 +173,21 @@ class EventRecord:
             raise MalformedEvent(f"seq and tick must be integers, not {record.seq!r} and {record.tick!r}")
         if type(record.kind) is not str or type(record.hash) is not str or type(record.prev_hash) is not str:
             raise MalformedEvent("kind, hash and prev_hash must be strings")
-        if type(record.payload) is not dict:
-            raise MalformedEvent(f"payload must be a JSON object, not {type(record.payload).__name__}")
+        if type(payload) is not dict:
+            raise MalformedEvent(f"payload must be a JSON object, not {type(payload).__name__}")
+        record.payload_json = canonical_payload(payload)
         return record
 
 
-def _splice(rec: EventRecord, payload_json: str) -> str:
+def _splice(rec: EventRecord) -> str:
     return (
         f'{{"hash":{_encode_str(rec.hash)},"kind":{_encode_str(rec.kind)},'
-        f'"payload":{payload_json},"prev_hash":{_encode_str(rec.prev_hash)},'
+        f'"payload":{rec.payload_json},"prev_hash":{_encode_str(rec.prev_hash)},'
         f'"seq":{rec.seq},"tick":{rec.tick}}}'
     )
 
 
-def _check_link(rec: EventRecord, seq: int, prev: str, last_tick: int, payload_json: str) -> None:
+def _check_link(rec: EventRecord, seq: int, prev: str, last_tick: int) -> None:
     """Raise ChainBroken unless rec is record `seq`, links to `prev` and hashes right."""
     if rec.seq != seq:
         raise ChainBroken(rec.seq, f"seq gap: expected {seq}")
@@ -193,15 +195,15 @@ def _check_link(rec: EventRecord, seq: int, prev: str, last_tick: int, payload_j
         raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
     if rec.tick < last_tick:
         raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
-    if record_hash(rec.seq, rec.tick, rec.kind, payload_json, rec.prev_hash) != rec.hash:
+    if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
         raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
 
 
 def verify_records(records) -> None:
-    """Recompute every link and hash of a live chain; raise ChainBroken at the first bad record."""
+    """Recompute every link and hash of a chain of records; raise ChainBroken at the first bad one."""
     prev, last_tick = ZERO_DIGEST, 0
     for seq, rec in enumerate(records):
-        _check_link(rec, seq, prev, last_tick, canonical_payload(rec.payload))
+        _check_link(rec, seq, prev, last_tick)
         prev, last_tick = rec.hash, rec.tick
 
 
@@ -316,17 +318,14 @@ class Ledger:
     # -- event log --
 
     def append_event(self, kind: str, payload: dict) -> EventRecord:
+        """Encode payload once and append the record of those bytes; the dict is not kept."""
         seq = len(self.log)
         prev = self.log[-1].hash if self.log else ZERO_DIGEST
         payload_json = canonical_payload(payload)
-        rec = EventRecord(seq, self.tick, kind, payload, prev, record_hash(seq, self.tick, kind, payload_json, prev))
-        rec._payload_json = payload_json
+        digest = record_hash(seq, self.tick, kind, payload_json, prev)
+        rec = EventRecord(seq, self.tick, kind, payload_json, prev, digest)
         self.log.append(rec)
         return rec
-
-    def verify_chain(self) -> None:
-        """Raise ChainBroken unless the live log forms an intact chain."""
-        verify_records(self.log)
 
     def final_hash(self) -> str:
         return self.log[-1].hash if self.log else ZERO_DIGEST
@@ -364,9 +363,8 @@ def iter_log_lines(log):
             rec = EventRecord.from_json_line(line)
         except MalformedEvent as exc:
             raise MalformedEvent(f"malformed event at seq {seq}: {exc}") from exc
-        payload_json = canonical_payload(rec.payload)
-        _check_link(rec, seq, prev, last_tick, payload_json)
-        if _splice(rec, payload_json) != line:
+        _check_link(rec, seq, prev, last_tick)
+        if _splice(rec) != line:
             raise ChainBroken(seq, "not canonical: the line differs from its export form")
         yield rec
         prev, last_tick = rec.hash, rec.tick

@@ -28,7 +28,7 @@ STATUS_LISTED = "Listed"
 STATUS_WITHDRAWN = "Withdrawn"
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceListing:
     service_id: str
     provider: str
@@ -38,7 +38,7 @@ class ServiceListing:
     authentic_review_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class PurchaseRecord:
     purchase_id: str
     service_id: str

@@ -33,7 +33,7 @@ VOIDED = "Voided"
 _by_id = attrgetter("token_id")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """One SRAT or SRDT; an SRDT is bound to no purchase."""
 
@@ -171,9 +171,3 @@ class TokenBook:
                 token.state = VOIDED
                 voided.append(token.token_id)
         return {"voided_tokens": voided}
-
-    def srat_counts(self) -> dict[str, int]:
-        counts = {ACTIVE: 0, BURNED: 0, EXPIRED: 0, VOIDED: 0}
-        for token in self.srats.values():
-            counts[token.state] += 1
-        return counts

@@ -41,7 +41,7 @@ MUTANTS = (
     Mutant("lenient-utf8-decode", "src/ddrm/ledger.py",
            'raw[:-1].decode("utf-8")', 'raw[:-1].decode("utf-8", errors="replace")', "tests/test_cli.py"),
     Mutant("no-splice-comparison", "src/ddrm/ledger.py",
-           "if _splice(rec, payload_json) != line:", "if False:", "tests/test_ledger.py"),
+           "if _splice(rec) != line:", "if False:", "tests/test_ledger.py"),
     Mutant("no-blank-line-check", "src/ddrm/ledger.py",
            "if not line:", "if False:", "tests/test_cli.py"),
     Mutant("no-end-of-object-check", "src/ddrm/ledger.py",
@@ -144,7 +144,29 @@ MUTANTS = (
            "for rec in list(iter_log_lines(log)):", "for rec in iter_log_lines(log):", "tests/test_adversary.py"),
     # The snapshot copies each record rather than sharing its live fields.
     Mutant("snapshot-shares-records", "src/ddrm/sim.py",
-           "{rid: asdict(record) for", "{rid: vars(record) for", "tests/test_properties.py"),
+           "{rid: asdict(record) for", "{rid: {name: getattr(record, name) for name in record.__slots__} for",
+           "tests/test_properties.py"),
+    # A record is its bytes; `ddrm run` and `ddrm verify` check the head of the chain.
+    Mutant("no-head-check-in-run", "src/ddrm/cli.py",
+           "if replayed_head != head:", "if False:", "tests/test_cli.py"),
+    Mutant("live-payload-cached", "src/ddrm/ledger.py",
+           "return json.loads(self.payload_json) if self._decoded is None else self._decoded",
+           "self._decoded = json.loads(self.payload_json) if self._decoded is None else self._decoded\n"
+           "        return self._decoded",
+           "tests/test_ledger.py"),
+    Mutant("final-hash-not-compared", "src/ddrm/cli.py",
+           'found = {"final_log_hash": head,', 'found = {"final_log_hash": recorded["final_log_hash"],',
+           "tests/test_cli.py"),
+    Mutant("mismatch-names-no-metric", "src/ddrm/cli.py",
+           'print("mismatch between log replay and recorded metrics:", *differing, sep="\\n  ", file=sys.stderr)',
+           'print("mismatch between log replay and recorded metrics", file=sys.stderr)', "tests/test_cli.py"),
+    Mutant("append-stores-unsorted-json", "src/ddrm/ledger.py",
+           "payload_json = canonical_payload(payload)\n        digest",
+           'payload_json = json.dumps(payload, separators=(",", ":"))\n        digest',
+           "tests/test_ledger.py"),
+    Mutant("roster-logged-in-set-order", "src/ddrm/endorsement.py",
+           'report["roster"] = sorted(self.rosters[service_id])', 'report["roster"] = list(self.rosters[service_id])',
+           "tests/test_cli.py"),
 )
 
 

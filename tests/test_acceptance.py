@@ -227,7 +227,7 @@ class TestCriterion6AttackSuite:
         excluded = [p for p in attackers if sim.identity.get(p).status == "Excluded"]
         assert excluded
         for pid in excluded:
-            assert sim.reviews.fraudulent_badge_count(pid) > sim.config.penalty_threshold
+            assert sim.reviews.penalties.get(pid, 0) > sim.config.penalty_threshold
         report("6d bad-mouthing suppression")
 
         # e. Ballot-stuffing cost floor.
@@ -279,7 +279,8 @@ class TestCriterion7DeterminismReplay:
         log_path = tmp_path / "det.events.ndjson"
         metrics_path = tmp_path / "det.metrics.json"
         log_path.write_bytes(log)
-        metrics_path.write_text(json.dumps({"metrics": first.metrics.to_dict()}))
+        metrics_doc = {"final_log_hash": first.final_log_hash(), "metrics": first.metrics.to_dict()}
+        metrics_path.write_text(json.dumps(metrics_doc))
         assert main(["verify", str(log_path), "--metrics", str(metrics_path)]) == EXIT_OK
 
         # Single-byte mutations: sweep positions plus targeted semantic edits.

@@ -1,16 +1,20 @@
 """Command-line interface: commands, exit codes, artifact stability."""
 
 import gc
+import io
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
 
 import pytest
 
+import ddrm
 from ddrm import parse_scenario, replay_verify, run_scenario
-from ddrm.adversary import ScenarioResult
+from ddrm.adversary import ALL_KINDS, KIND_COLLUSION, KIND_FALSE_REFUND, ScenarioResult
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
 from ddrm.config import RATE_DIGITS, USD_DIGITS
 from ddrm.ledger import ZERO_DIGEST, Ledger, canonical_payload, record_hash
@@ -30,6 +34,24 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**MINIMAL_CONFIG, "output_dir": str(tmp_path / "out")}))
     return path
+
+
+def run_config(tmp_path, scenarios, **doc):
+    """`ddrm run` of the scenarios into tmp_path / "out", which it returns; the run must exit 0."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**doc, "scenarios": scenarios, "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    return tmp_path / "out"
+
+
+CUT_KINDS = [kind for kind in ALL_KINDS if kind != KIND_COLLUSION]
+
+
+@pytest.fixture(scope="module")
+def seven_kinds(tmp_path_factory):
+    """Artifacts of every kind but collusion at seed 7, 12 honest, 2 attackers and 4 rounds."""
+    scenarios = [{"name": k, "kind": k, "rounds": 4, "honest_count": 12, "attacker_count": 2} for k in CUT_KINDS]
+    return run_config(tmp_path_factory.mktemp("kinds"), scenarios, seed=7)
 
 
 class TestRun:
@@ -75,6 +97,22 @@ class TestRun:
         main(["run", "--config", str(config_path), "--out", str(tmp_path / "b")])
         for name in ("demo.metrics.json", "demo.events.ndjson", "summary.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Rosters are sets: only the code's sorting keeps their iteration order out of the artifacts.
+        scenarios = [{"name": k, "kind": k, "rounds": 3, "honest_count": 6, "attacker_count": 2} for k in ALL_KINDS]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 3, "scenarios": scenarios}))
+        src = os.path.dirname(os.path.dirname(ddrm.__file__))
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / f"hash-seed-{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            command = [sys.executable, "-m", "ddrm.cli", "run", "--config", str(config), "--out", str(out)]
+            stdout = subprocess.run(command, env=env, capture_output=True, check=True).stdout
+            outputs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert len(outputs[0][1]) == 2 * len(ALL_KINDS) + 1
+        assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_log(self, tmp_path, capsys):
         # Scenario without its own seed inherits the run seed.
@@ -408,12 +446,48 @@ class TestVerify:
         assert main(["verify", str(log)]) == EXIT_CHAIN
         assert message.format(last=exported.count(b"\n") - 1) in capsys.readouterr().err
 
-    def test_wrong_metrics_exit_5(self, tmp_path, config_path):
+    def test_wrong_metrics_exit_5(self, tmp_path, config_path, capsys):
         log, metrics = self._run(tmp_path, config_path)
         doc = json.loads(metrics.read_text())
+        spend, exclusions = doc["metrics"]["attacker_spend_wei"], doc["metrics"]["exclusions"]
         doc["metrics"]["attacker_spend_wei"] += 1
+        doc["metrics"]["exclusions"] += 2
         metrics.write_text(json.dumps(doc))
         assert main(["verify", str(log), "--metrics", str(metrics)]) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert f"attacker_spend_wei: recorded {spend + 1}, replayed {spend}" in err
+        assert f"exclusions: recorded {exclusions + 2}, replayed {exclusions}" in err
+        assert "final_log_hash" not in err and "badge_accuracy" not in err
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("kind", CUT_KINDS)
+    def test_log_cut_at_a_line_boundary_fails_against_its_metrics(self, seven_kinds, tmp_path, capsys, kind, cut):
+        lines = (seven_kinds / f"{kind}.events.ndjson").read_bytes().splitlines(keepends=True)
+        log = tmp_path / "cut.events.ndjson"
+        log.write_bytes(b"".join(lines[:-cut]))
+        metrics = seven_kinds / f"{kind}.metrics.json"
+        recorded = json.loads(metrics.read_text())["final_log_hash"]
+        assert main(["verify", str(log), "--metrics", str(metrics)]) == EXIT_MISMATCH
+        replayed = json.loads(lines[-cut - 1])["hash"]
+        assert f"final_log_hash: recorded {recorded!r}, replayed {replayed!r}" in capsys.readouterr().err
+
+    def test_swapped_metrics_file_with_equal_metrics_exits_5(self, tmp_path, capsys):
+        # The two runs differ only in the scenario name, which the log records and the metrics do not.
+        out = run_config(tmp_path, [{"name": name, "kind": "sybil", "rounds": 2, "honest_count": 3} for name in "ab"])
+        a, b = (json.loads((out / f"{name}.metrics.json").read_text()) for name in "ab")
+        assert a["metrics"] == b["metrics"] and a["final_log_hash"] != b["final_log_hash"]
+        capsys.readouterr()
+        assert main(["verify", str(out / "a.events.ndjson"), "--metrics", str(out / "b.metrics.json")]) == EXIT_MISMATCH
+        claims = capsys.readouterr().err.splitlines()[1:]
+        assert claims == [f"  final_log_hash: recorded {b['final_log_hash']!r}, replayed {a['final_log_hash']!r}"]
+
+    def test_metrics_file_without_final_log_hash_exits_2(self, tmp_path, config_path, capsys):
+        log, metrics = self._run(tmp_path, config_path)
+        doc = json.loads(metrics.read_text())
+        del doc["final_log_hash"]
+        metrics.write_text(json.dumps(doc))
+        assert main(["verify", str(log)]) == EXIT_CONFIG
+        assert "cannot read metrics" in capsys.readouterr().err
 
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.ndjson")]) == EXIT_CONFIG
@@ -591,31 +665,75 @@ class TestInvariantExit:
         monkeypatch.setattr(cli_mod, "replay_verify", lambda log: ScenarioMetrics(exclusions=999))
         assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
 
-    def test_broken_live_chain_names_the_check(self, config_path, monkeypatch, capsys):
-        from ddrm.errors import ChainBroken
-        from ddrm.ledger import Ledger
-
-        def broken(self):
-            raise ChainBroken(5, "tick regression: 1 after 2")
-
-        monkeypatch.setattr(Ledger, "verify_chain", broken)
-        assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
-        assert "chain broken at 5: tick regression" in capsys.readouterr().err
-
-
-    def test_payload_edited_after_append_exits_3(self, config_path, monkeypatch, capsys):
-        # The export still carries the hashed bytes, so only the live chain
-        # check can see the edit.
+    @staticmethod
+    def _edit_live_record(monkeypatch, seq, edit):
+        """Make `ddrm run` apply edit(record) to live record `seq` once its scenario has run."""
         import ddrm.cli as cli_mod
 
         def run_and_edit(*args):
             result = run_scenario(*args)
-            result.sim.ledger.log[3].payload["edited"] = True
+            edit(result.sim.ledger.log[seq])
             return result
 
         monkeypatch.setattr(cli_mod, "run_scenario", run_and_edit)
+
+    def test_broken_live_chain_names_the_check(self, tmp_path, config_path, monkeypatch, capsys):
+        def tick_back(rec):
+            rec.tick = -1
+
+        self._edit_live_record(monkeypatch, 5, tick_back)
         assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
-        assert "chain broken at 3: hash mismatch" in capsys.readouterr().err
+        assert "scenario demo: chain broken at seq 5: tick regression: -1 after" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_payload_edited_after_append_exits_3(self, tmp_path, config_path, monkeypatch, capsys):
+        # A live record holds only the bytes its hash covers, so an edit reaches the export.
+        def edit(rec):
+            rec.payload_json = canonical_payload({**rec.payload, "edited": True})
+
+        self._edit_live_record(monkeypatch, 3, edit)
+        assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
+        assert "scenario demo: chain broken at seq 3: hash mismatch" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "field, new", [("hash", lambda rec: "f" * 64), ("tick", lambda rec: rec.tick + 1)], ids=["hash", "tick"]
+    )
+    def test_edited_live_field_exits_3_naming_scenario_and_seq(self, tmp_path, config_path, monkeypatch, capsys,
+                                                               field, new):
+        # test_payload_edited_after_append_exits_3 edits the record's third field, payload_json.
+        self._edit_live_record(monkeypatch, 7, lambda rec: setattr(rec, field, new(rec)))
+        assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
+        assert "scenario demo: chain broken at seq 7: hash mismatch" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_log_missing_its_last_record_fails_the_head_check(self, tmp_path, monkeypatch, capsys):
+        import ddrm.cli as cli_mod
+
+        runs, written, write_log = [], [], Ledger.write_log
+
+        def run_and_keep(*args):
+            runs.append(run_scenario(*args))
+            return runs[-1]
+
+        def write_all_but_the_last(self, f):
+            whole = io.BytesIO()
+            write_log(self, whole)
+            written.append(whole.getvalue()[: whole.getvalue().rindex(b"\n", 0, -1) + 1])
+            f.write(written[-1])
+
+        monkeypatch.setattr(cli_mod, "run_scenario", run_and_keep)
+        monkeypatch.setattr(Ledger, "write_log", write_all_but_the_last)
+        path = tmp_path / "c.json"
+        scenario = {"name": "fr", "kind": KIND_FALSE_REFUND, "rounds": 4, "honest_count": 12, "attacker_count": 2}
+        path.write_text(json.dumps({"seed": 7, "scenarios": [scenario], "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == EXIT_INVARIANT
+        # The cut log replays to the live metrics: only its last hash tells it apart.
+        assert replay_verify(written[0]) == runs[0].metrics
+        head = runs[0].final_log_hash()
+        assert f"scenario fr: replayed log ends at {runs[0].sim.ledger.log[-2].hash}, not at the live head {head}" in (
+            capsys.readouterr().err)
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestUsdRateDerivation:

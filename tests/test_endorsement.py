@@ -35,6 +35,7 @@ from ddrm.errors import (
     ValidationError,
 )
 from ddrm.identity import ROLE_CONSUMER
+from ddrm.ledger import verify_records
 from ddrm.tokens import BURNED, Token, VOIDED
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
@@ -261,7 +262,7 @@ class TestPenaltiesAndRoster:
             sim.run_endorser_selection(service)
             if not sim.reviews.rosters[service] and i < 2:
                 sim.bootstrap_endorsers(service, 3)
-        assert sim.reviews.fraudulent_badge_count(offender) == 3
+        assert sim.reviews.penalties.get(offender, 0) == 3
         assert sim.identity.get(offender).status == "Excluded"
 
     def test_exactly_threshold_badges_do_not_exclude(self):
@@ -278,7 +279,7 @@ class TestPenaltiesAndRoster:
             sim.run_endorser_selection(service)
             if not sim.reviews.rosters[service] and i < 1:
                 sim.bootstrap_endorsers(service, 2)
-        assert sim.reviews.fraudulent_badge_count(offender) == 2
+        assert sim.reviews.penalties.get(offender, 0) == 2
         assert sim.identity.get(offender).status == "Active"
 
     def test_selection_rebuilds_roster_from_authentic_reviewers(self):
@@ -315,7 +316,7 @@ class TestPenaltiesAndRoster:
         report["roster"].append("intruder")
         report["badged"][0]["badge"] = BADGE_FRAUDULENT
         report["service"] = "elsewhere"
-        sim.ledger.verify_chain()
+        verify_records(sim.ledger.log)
         assert logged.payload["roster"] == [fresh]
 
 

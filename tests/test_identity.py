@@ -57,9 +57,9 @@ class TestAddresses:
         b = sim.register("visa-2", {ROLE_CONSUMER})
         extra = sim.bind_address(a)
         for addr in sim.identity.get(a).addresses:
-            assert sim.identity.resolve_address(addr) == a
-        assert sim.identity.resolve_address(extra) == a
-        assert sim.identity.resolve_address(sim.identity.get(b).addresses[0]) == b
+            assert sim.identity.address_owner[addr] == a
+        assert sim.identity.address_owner[extra] == a
+        assert sim.identity.address_owner[sim.identity.get(b).addresses[0]] == b
 
     def test_excluded_participant_cannot_bind(self, sim):
         pid = sim.register("visa-1", {ROLE_CONSUMER})
@@ -78,7 +78,7 @@ class TestAddresses:
         sim.bootstrap_endorsers(service, 2)
         sim.endorse_review(voter, review, "Down")
         sim.run_endorser_selection(service)
-        assert sim.reviews.fraudulent_badge_count(consumer) == 1
+        assert sim.reviews.penalties.get(consumer, 0) == 1
         assert len(sim.identity.get(consumer).addresses) == 3
 
 

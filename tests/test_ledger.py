@@ -92,13 +92,13 @@ class TestEventChain:
         assert digest == "7dbfe2a0d7cb2fa3c3436fa0e3686cdc0f1499d969ba3b95c4a7f13a7f80b4ac"
 
     def test_empty_log_verifies(self):
-        fresh_ledger().verify_chain()
+        verify_records(fresh_ledger().log)
 
     def test_untouched_log_verifies(self):
         ledger = fresh_ledger()
         for i in range(10):
             ledger.append_event("Ping", {"i": i})
-        ledger.verify_chain()
+        verify_records(ledger.log)
 
     def test_tampered_payload_detected_at_seq(self):
         ledger = fresh_ledger()
@@ -109,12 +109,12 @@ class TestEventChain:
             seq=7,
             tick=pristine.tick,
             kind=pristine.kind,
-            payload={"i": 999},
+            payload_json=canonical_payload({"i": 999}),
             prev_hash=pristine.prev_hash,
             hash=pristine.hash,
         )
         with pytest.raises(ChainBroken) as broken:
-            ledger.verify_chain()
+            verify_records(ledger.log)
         assert broken.value.seq == 7
         assert broken.value.reason.startswith("hash mismatch")
 
@@ -126,7 +126,7 @@ class TestEventChain:
         ):
             ledger.log[7] = tampered
             with pytest.raises(ChainBroken, match=reason) as broken:
-                ledger.verify_chain()
+                verify_records(ledger.log)
             assert broken.value.seq == tampered.seq
             assert broken.value.reason.startswith(reason)
 
@@ -210,9 +210,9 @@ JSON_VALUES = st.recursive(
 )
 
 
-def reference_line(rec: EventRecord) -> str:
-    fields = {name: getattr(rec, name) for name in ("seq", "tick", "kind", "payload", "prev_hash", "hash")}
-    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+def reference_line(rec: EventRecord, payload: dict) -> str:
+    fields = {name: getattr(rec, name) for name in ("seq", "tick", "kind", "prev_hash", "hash")}
+    return json.dumps({**fields, "payload": payload}, sort_keys=True, separators=(",", ":"))
 
 
 class TestLogCodec:
@@ -223,14 +223,12 @@ class TestLogCodec:
         ledger.tick = tick
         ledger.append_event("Ping", {})
         appended = ledger.append_event(kind, payload)
-        built = EventRecord(appended.seq, tick, kind, payload, appended.prev_hash, appended.hash)
-        # Both paths are taken: the appended record writes the bytes it was
-        # hashed over, the directly built one encodes its payload.
-        assert appended._payload_json is not None and built._payload_json is None
-        for rec in (appended, built):
-            line = rec.to_json_line()
-            assert line == reference_line(rec)
-            assert EventRecord.from_json_line(line) == rec
+        assert appended.payload_json == canonical_payload(payload) and appended.payload == payload
+        line = appended.to_json_line()
+        assert line == reference_line(appended, payload)
+        # A read record holds the same bytes and the dict it decoded them from.
+        read = EventRecord.from_json_line(line)
+        assert read == appended and read.payload == payload and read.to_json_line() == line
         verify_records(list(iter_log_lines(exported_log(ledger))))
 
     @given(value=JSON_VALUES)
@@ -261,9 +259,15 @@ class TestLogCodec:
             EventRecord.from_json_line(prefix + line + suffix)
 
     def test_replace_drops_the_committed_bytes(self):
-        rec = fresh_ledger().append_event("Ping", {"i": 1})
-        assert replace(rec, payload={"i": 2})._payload_json is None
-        assert "_payload_json" not in repr(rec)
+        # A record's payload is its bytes: a copy with other bytes reads and writes
+        # those, not the dict the original was read into.
+        read = EventRecord.from_json_line(fresh_ledger().append_event("Ping", {"i": 1}).to_json_line())
+        assert read.payload == {"i": 1}
+        edited = replace(read, payload_json=canonical_payload({"i": 2}))
+        assert edited.payload == {"i": 2} and '"payload":{"i":2}' in edited.to_json_line()
+        with pytest.raises(AttributeError):
+            read.payload = {"i": 2}
+        assert "_decoded" not in repr(read) and "{'i': 1}" not in repr(read)
 
 
 def single_byte_edits(data: bytes):
@@ -296,7 +300,7 @@ class TestByteExactness:
 
 
 class TestCommittedBytes:
-    """Export writes the hashed bytes; the live check still re-encodes each payload.
+    """A live record holds the bytes its hash covers and export writes, and no dict.
 
     That an untouched export replays to the live metrics is checked for
     every scenario kind by test_adversary's test_replay_metrics_equal_live_metrics.
@@ -306,11 +310,31 @@ class TestCommittedBytes:
         ledger = fresh_ledger()
         for i in range(10):
             ledger.append_event("Ping", {"i": i, "tags": ["a"]})
-        ledger.log[4].payload["tags"].append("b")
+        ledger.log[4].payload_json = canonical_payload({"i": 4, "tags": ["a", "b"]})
         with pytest.raises(ChainBroken) as broken:
-            ledger.verify_chain()
+            verify_records(ledger.log)
         assert broken.value.seq == 4
         assert broken.value.reason.startswith("hash mismatch")
+
+    def test_payload_dicts_do_not_reach_the_record(self):
+        ledger = fresh_ledger()
+        payload = {"i": 1, "tags": ["a"]}
+        rec = ledger.append_event("Ping", payload)
+        ledger.append_event("Ping", {"i": 2})
+        head, export = ledger.final_hash(), exported_log(ledger)
+        payload["tags"].append("b")
+        rec.payload["tags"].append("c")
+        assert rec.payload == {"i": 1, "tags": ["a"]}
+        assert ledger.final_hash() == head and exported_log(ledger) == export
+        verify_records(ledger.log)
+
+    def test_no_live_record_holds_a_dict(self):
+        sim = make_sim(seed=5)
+        provider, service = provider_and_service(sim)
+        consumer_with_purchase(sim, service)
+        assert len(sim.ledger.log) > 3
+        for rec in sim.ledger.log:
+            assert not any(isinstance(getattr(rec, name), dict) for name in EventRecord.__slots__)
 
 
 class TestBeacon:

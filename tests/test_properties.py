@@ -2,6 +2,7 @@
 
 import copy
 import random
+from collections import Counter
 from dataclasses import fields
 from operator import attrgetter
 
@@ -14,7 +15,8 @@ from ddrm.adversary import AttackScenario, run_scenario
 from ddrm.endorsement import BADGE_PENDING, OUTCOME_APPROVED, OUTCOME_OPEN, VOTE_UP
 from ddrm.errors import DdrmError, DuplicateCard, InsufficientFunds
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
-from ddrm.tokens import ACTIVE, BURNED
+from ddrm.ledger import verify_records
+from ddrm.tokens import ACTIVE, BURNED, EXPIRED, VOIDED
 
 from conftest import make_sim
 
@@ -247,7 +249,7 @@ def test_conservation_holds_under_random_walks(seed):
     genesis = sim.conservation_total()
     random_protocol_walk(sim, random.Random(seed), steps=25)
     assert sim.conservation_total() == genesis
-    sim.ledger.verify_chain()
+    verify_records(sim.ledger.log)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -380,7 +382,8 @@ def test_tokens_never_leave_terminal_states(seed):
                     terminal_seen[tid] = token.state
         sim.advance_tick()
     # SRAT supply identity: every token is in exactly one lifecycle state.
-    counts = sim.tokens.srat_counts()
+    counts = Counter(token.state for token in sim.tokens.srats.values())
+    assert set(counts) <= {ACTIVE, BURNED, EXPIRED, VOIDED}
     assert sum(counts.values()) == len(sim.tokens.srats) == len(sim.market.purchases)
 
 

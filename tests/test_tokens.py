@@ -1,5 +1,7 @@
 """Token lifecycle: single-use semantics, expiry boundaries, DRET awards."""
 
+from collections import Counter
+
 import pytest
 
 from ddrm import ether, text_digest
@@ -205,6 +207,6 @@ class TestSupplyIdentity:
         purchases = [sim.buy_service(consumer, service) for _ in range(6)]
         sim.submit_review(consumer, purchases[0], 5, text_digest("a"))
         sim.submit_review(consumer, purchases[1], 4, text_digest("b"))
-        counts = sim.tokens.srat_counts()
-        assert counts[ACTIVE] == len(purchases) - counts[BURNED] - counts[EXPIRED] - counts["Voided"]
+        counts = Counter(token.state for token in sim.tokens.srats.values())
+        assert counts[ACTIVE] == len(purchases) - counts[BURNED] - counts[EXPIRED] - counts[VOIDED]
         assert counts[BURNED] == 2
