@@ -4,12 +4,16 @@
 Covers: registration with the one-card rule, listing a service (review fund
 seeding), purchasing (SRAT mint), reviewing (fund subsidy, SRAT burn),
 endorser bootstrap, endorsement voting, selection badging, a reputation
-token award, and a refund adjudicated by an endorser panel.
+token award, and a refund adjudicated by an endorser panel. It ends by
+reading the exported log back through the one log reader, which checks
+every link of the hash chain.
 """
+
+import io
 
 from ddrm import Simulation, ether, format_ether, text_digest
 from ddrm.errors import DuplicateCard
-from ddrm.ledger import verify_records
+from ddrm.ledger import iter_log_lines
 
 
 def eth(wei):
@@ -18,6 +22,7 @@ def eth(wei):
 
 def main():
     sim = Simulation(seed=2024)
+    genesis_total = sim.conservation_total()
 
     print("=== Registration ===")
     operator = sim.register("card:drone-operator", {"ServiceProvider"})
@@ -86,9 +91,11 @@ def main():
     print(f"outcome: {outcome}; price returned to {claimant}")
 
     print("\n=== Ledger integrity ===")
-    verify_records(sim.ledger.log)  # raises ChainBroken at the first bad record
-    print(f"event log: {len(sim.ledger.log)} records, chain verified")
-    print(f"conservation holds: {sim.conservation_ok()}")
+    exported = io.BytesIO()
+    sim.ledger.write_log(exported)
+    records = list(iter_log_lines(exported.getvalue()))  # raises ChainBroken at the first bad record
+    print(f"event log: {len(records)} records, {len(exported.getvalue())} bytes, chain verified")
+    print(f"conservation holds: {sim.conservation_total() == genesis_total}")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,8 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConf
     return parse_run_config(doc)
 
 
-def _replay(f) -> tuple[ScenarioMetrics, str]:
-    """replay_verify(f) and the hash of the last record it replayed (ZERO_DIGEST if none)."""
+def _replay(f) -> dict:
+    """What a replay of f finds: its last record's hash (ZERO_DIGEST if none) and replay_verify's metrics."""
     last = [b""]
 
     def lines():
@@ -62,24 +62,36 @@ def _replay(f) -> tuple[ScenarioMetrics, str]:
 
     metrics = replay_verify(lines())
     # That line passed every check of the replay, so it is one canonical record.
-    return metrics, json.loads(last[0])["hash"] if last[0] else ZERO_DIGEST
+    head = json.loads(last[0])["hash"] if last[0] else ZERO_DIGEST
+    return {"final_log_hash": head, **metrics.to_dict()}
+
+
+def _claims(metrics_doc: dict) -> dict:
+    """What a metrics document claims a replay of its log finds, keyed as _replay keys it."""
+    return {"final_log_hash": metrics_doc["final_log_hash"], **ScenarioMetrics(**metrics_doc["metrics"]).to_dict()}
+
+
+def _differing(claims: dict, found: dict) -> list[str]:
+    """One line per claim the replay did not find (the last hash covers its record's seq, so the count too)."""
+    return [f"{key}: recorded {claims[key]!r}, replayed {found[key]!r}" for key in claims if claims[key] != found[key]]
 
 
 def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
-    """Run one scenario, then publish the log bytes that replay from disk to its live head and metrics.
+    """Run one scenario, then publish the log bytes whose replay from disk finds what its metrics file claims.
 
     A live record holds only the bytes the export writes, so the replay checks every record,
     and the live head anchors the chain. The log streams to a temporary file, read back once
     the live state is released (one scenario's state at a time); only then is it renamed into
-    place and the metrics file written. Any failure removes the temporary file.
+    place and the metrics file written. Any failure removes the temporary file. The replay is
+    judged exactly as a later `ddrm verify` of the two files judges it.
     """
     result = run_scenario(scenario, config.protocol, config.seed)
-    metrics, head = result.metrics, result.final_log_hash()
+    metrics = result.metrics
     metrics_doc = {
         "scenario": scenario.name,
         "kind": scenario.kind,
         "seed": result.sim.seed,
-        "final_log_hash": head,
+        "final_log_hash": result.final_log_hash(),
         "metrics": metrics.to_dict(),
         "extras": result.extras,
     }
@@ -90,15 +102,13 @@ def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
         del result
         with tmp_path.open("rb") as f:
             try:
-                replayed, replayed_head = _replay(f)
+                found = _replay(f)
             except (ChainBroken, MalformedEvent) as exc:
                 raise InvariantViolation(f"scenario {scenario.name}: {exc}") from exc
-        if replayed_head != head:
-            raise InvariantViolation(
-                f"scenario {scenario.name}: replayed log ends at {replayed_head}, not at the live head {head}"
-            )
-        if replayed != metrics:
-            raise InvariantViolation(f"scenario {scenario.name}: replayed metrics diverge")
+        differing = _differing(_claims(metrics_doc), found)
+        if differing:
+            lines = [f"scenario {scenario.name}: replay from disk differs from the live run:", *differing]
+            raise InvariantViolation("\n  ".join(lines))
         tmp_path.replace(out_dir / f"{scenario.name}.events.ndjson")
     finally:
         tmp_path.unlink(missing_ok=True)
@@ -140,7 +150,7 @@ def cmd_verify(args) -> int:
     try:
         # Binary, not text mode: universal newlines would turn CR and CRLF into LF.
         with log_path.open("rb") as log:
-            replayed, head = _replay(log)
+            found = _replay(log)
     except OSError as exc:
         print(f"error: cannot read log {log_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -152,15 +162,11 @@ def cmd_verify(args) -> int:
     metrics_path = Path(args.metrics) if args.metrics else _sibling_metrics(log_path)
     if metrics_path is not None:
         try:
-            doc = json.loads(metrics_path.read_text(encoding="utf-8"))
-            recorded = {"final_log_hash": doc["final_log_hash"], **ScenarioMetrics(**doc["metrics"]).to_dict()}
+            claims = _claims(json.loads(metrics_path.read_text(encoding="utf-8")))
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"error: cannot read metrics {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        # The last hash covers its record's seq, so it anchors the record count too.
-        found = {"final_log_hash": head, **replayed.to_dict()}
-        differing = [f"{key}: recorded {recorded[key]!r}, replayed {found[key]!r}"
-                     for key in recorded if recorded[key] != found[key]]
+        differing = _differing(claims, found)
         if differing:
             print("mismatch between log replay and recorded metrics:", *differing, sep="\n  ", file=sys.stderr)
             return EXIT_MISMATCH

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .errors import ConfigError
-from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasRow, GasSchedule
+from .errors import ConfigError, ValidationError
+from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasRow, GasSchedule, ether
 
 # Fixed by the protocol's funding equations: every listing seeds its review
 # fund with 1 Ether, which underwrites one hundred review submissions.
@@ -39,8 +39,8 @@ class ProtocolConfig:
     """Every tunable protocol parameter, with desk-scale defaults."""
 
     gas: GasSchedule = field(default_factory=GasSchedule)
-    genesis_balance: int = 10 * WEI_PER_ETHER       # faucet credit per registration
-    faucet_balance: int = 10**6 * WEI_PER_ETHER     # minted once at genesis
+    genesis_balance: int = ether(10)                 # faucet credit per registration
+    faucet_balance: int = ether(10**6)               # minted once at genesis
     srat_lifetime: int = 100                        # ticks until a review token expires
     srdt_lifetime: int = 200                        # ticks until a discount token expires
     srdt_discount: Fraction = Fraction(1, 5)        # price reduction for token purchases
@@ -122,14 +122,10 @@ def _as_decimal(value, where: str) -> Decimal:
 
 def _as_wei(value, where: str, unit: int = WEI_PER_ETHER) -> int:
     """An amount from outside the program, in Ether unless `unit` says otherwise, as whole Wei."""
-    number = _as_decimal(value, where)
     try:
-        wei = number * unit
-    except Overflow as exc:  # past the decimal context's exponent range
-        raise ConfigError(f"{where} is out of range: {value!r}") from exc
-    if wei != wei.to_integral_value():
-        raise ConfigError(f"{where} is not a whole number of Wei: {value!r}")
-    return int(wei)
+        return ether(value, unit)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_gas_schedule(doc: dict) -> GasSchedule:

@@ -245,10 +245,7 @@ class ReviewBoard:
                 service.authentic_review_count += 1
                 if review.reviewer not in candidates:
                     candidates.append(review.reviewer)
-            elif review.downvotes > review.upvotes:
-                review.badge = BADGE_FRAUDULENT
-                penalize.append(review.reviewer)
-            elif self.config.literal_alg2_ties:
+            elif review.downvotes > review.upvotes or self.config.literal_alg2_ties:
                 review.badge = BADGE_FRAUDULENT
                 penalize.append(review.reviewer)
             if review.badge != BADGE_PENDING:

@@ -13,7 +13,9 @@ write_log, the one export, streams those bytes into one line per record of a
 binary file. An exported log is bytes, never text: iter_log_lines, the one
 reader, takes a binary file or bytes, accepts only those exact bytes, LF
 included, as strict UTF-8, and checks each line as it reads it, holding one
-line and one record at a time. The codec needs CPython's `_json` module.
+line and one record at a time. It is the only chain check: a live chain is
+checked by reading back the bytes write_log writes for it. The codec needs
+CPython's `_json` module.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -27,6 +29,8 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
+from fractions import Fraction
 
 from .errors import (
     ChainBroken,
@@ -40,6 +44,7 @@ from .errors import (
 
 WEI_PER_GWEI = 10**9
 WEI_PER_ETHER = 10**18
+MAX_WEI = 2**256 - 1  # a uint256, as on Ethereum
 
 ZERO_DIGEST = "0" * 64
 
@@ -50,22 +55,32 @@ OP_ENDORSE_REVIEW = "endorse_review"
 GAS_OPS = (OP_ADD_SERVICE, OP_REQUEST_SERVICE, OP_ENDORSE_REVIEW)
 
 
-def ether(amount) -> int:
-    """Convert an Ether quantity (int, float, str, Decimal) to integer Wei."""
-    from decimal import Decimal
+def ether(amount, unit: int = WEI_PER_ETHER) -> int:
+    """An amount of `unit` Wei, Ether by default (int, float, str, Decimal), as Wei exactly.
 
-    wei = Decimal(str(amount)) * WEI_PER_ETHER
+    Raises ValidationError unless it is a finite whole number of Wei of magnitude at most MAX_WEI.
+    """
+    try:
+        number = Decimal(str(amount))
+    except InvalidOperation as exc:
+        raise ValidationError(f"{amount!r} is not a number") from exc
+    if not number.is_finite():
+        raise ValidationError(f"{amount!r} is not finite")
+    # An exact comparison, made before the product, which could leave the exponent range.
+    if number.copy_abs() > Fraction(MAX_WEI, unit):
+        raise ValidationError(f"{amount!r} is more than 2**256 - 1 Wei")
+    wei = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).multiply(number, unit)  # rounds no digit
     if wei != wei.to_integral_value():
-        raise ValidationError(f"{amount} Ether is not a whole number of Wei")
+        raise ValidationError(f"{amount!r} is not a whole number of Wei")
     return int(wei)
 
 
 def format_ether(wei: int, places: int = 6) -> str:
-    """Render Wei as a fixed-point Ether string (ROUND_HALF_UP)."""
-    from decimal import ROUND_HALF_UP, Decimal
-
-    q = Decimal(1).scaleb(-places)
-    return str((Decimal(wei) / WEI_PER_ETHER).quantize(q, rounding=ROUND_HALF_UP))
+    """Render Wei as a fixed-point Ether string, rounded exactly, half away from zero (ROUND_HALF_UP)."""
+    scale = 10**places
+    units = (2 * abs(wei) * scale + WEI_PER_ETHER) // (2 * WEI_PER_ETHER)  # in 10**-places Ether, half up
+    sign = "-" if wei < 0 else ""
+    return f"{sign}{units // scale}.{units % scale:0{places}d}" if places else f"{sign}{units}"
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,7 @@ def record_hash(seq: int, tick: int, kind: str, payload_json: str, prev_hash: st
 
 
 # Not frozen: a frozen dataclass sets each field through object.__setattr__, which
-# makes building a record about 5x slower. The chain checks recompute every field.
+# makes building a record about 5x slower. iter_log_lines recomputes every field.
 @dataclass(slots=True)
 class EventRecord:
     seq: int
@@ -185,26 +200,6 @@ def _splice(rec: EventRecord) -> str:
         f'"payload":{rec.payload_json},"prev_hash":{_encode_str(rec.prev_hash)},'
         f'"seq":{rec.seq},"tick":{rec.tick}}}'
     )
-
-
-def _check_link(rec: EventRecord, seq: int, prev: str, last_tick: int) -> None:
-    """Raise ChainBroken unless rec is record `seq`, links to `prev` and hashes right."""
-    if rec.seq != seq:
-        raise ChainBroken(rec.seq, f"seq gap: expected {seq}")
-    if rec.prev_hash != prev:
-        raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
-    if rec.tick < last_tick:
-        raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
-    if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
-        raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
-
-
-def verify_records(records) -> None:
-    """Recompute every link and hash of a chain of records; raise ChainBroken at the first bad one."""
-    prev, last_tick = ZERO_DIGEST, 0
-    for seq, rec in enumerate(records):
-        _check_link(rec, seq, prev, last_tick)
-        prev, last_tick = rec.hash, rec.tick
 
 
 class RandomBeacon:
@@ -363,7 +358,14 @@ def iter_log_lines(log):
             rec = EventRecord.from_json_line(line)
         except MalformedEvent as exc:
             raise MalformedEvent(f"malformed event at seq {seq}: {exc}") from exc
-        _check_link(rec, seq, prev, last_tick)
+        if rec.seq != seq:
+            raise ChainBroken(rec.seq, f"seq gap: expected {seq}")
+        if rec.prev_hash != prev:
+            raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
+        if rec.tick < last_tick:
+            raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
+        if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
+            raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
         if _splice(rec) != line:
             raise ChainBroken(seq, "not canonical: the line differs from its export form")
         yield rec

@@ -1,8 +1,8 @@
 """Gas-cost table and scenario report formatting.
 
 Monetary display follows the published precision: Ether to 6 decimal
-places, USD to 3, both ROUND_HALF_UP, with the USD figure computed from
-the already-rounded Ether value.
+places (format_ether, exact), USD to 3, both ROUND_HALF_UP, with the USD
+figure computed from the already-rounded Ether value.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from .ledger import (
     OP_ADD_SERVICE,
     OP_ENDORSE_REVIEW,
     OP_REQUEST_SERVICE,
-    WEI_PER_ETHER,
     WEI_PER_GWEI,
     GasSchedule,
+    format_ether,
 )
 
 # The three operations of the published cost table, in row order.
@@ -27,7 +27,6 @@ GAS_TABLE_OPS = (
     (OP_ENDORSE_REVIEW, "Endorser", "Endorse Review"),
 )
 
-_ETHER_Q = Decimal("0.000001")
 _USD_Q = Decimal("0.001")
 
 
@@ -49,7 +48,7 @@ def gas_table_rows(schedule: GasSchedule, usd_per_ether: Decimal) -> list[GasRep
     for op, caller, name in GAS_TABLE_OPS:
         row = schedule.rows[op]
         wei = row.gas_used * schedule.price_wei
-        total_ether = (Decimal(wei) / WEI_PER_ETHER).quantize(_ETHER_Q, rounding=ROUND_HALF_UP)
+        total_ether = Decimal(format_ether(wei))
         with localcontext() as ctx:
             # Room for every digit of the exact product and for the three
             # places the quantize pads it to: the default 28 digits overflow

@@ -55,9 +55,6 @@ class Simulation:
     def conservation_total(self) -> int:
         return self.ledger.total_account_wei() + self.ledger.gas_sink + self.market.total_fund_wei()
 
-    def conservation_ok(self) -> bool:
-        return self.conservation_total() == self._genesis_total
-
     def _conserved(self, value):
         total = self.conservation_total()
         if total != self._genesis_total:

@@ -148,14 +148,16 @@ MUTANTS = (
            "tests/test_properties.py"),
     # A record is its bytes; `ddrm run` and `ddrm verify` check the head of the chain.
     Mutant("no-head-check-in-run", "src/ddrm/cli.py",
-           "if replayed_head != head:", "if False:", "tests/test_cli.py"),
+           "_differing(_claims(metrics_doc), found)",
+           '_differing(_claims(metrics_doc), {**found, "final_log_hash": metrics_doc["final_log_hash"]})',
+           "tests/test_cli.py"),
     Mutant("live-payload-cached", "src/ddrm/ledger.py",
            "return json.loads(self.payload_json) if self._decoded is None else self._decoded",
            "self._decoded = json.loads(self.payload_json) if self._decoded is None else self._decoded\n"
            "        return self._decoded",
            "tests/test_ledger.py"),
     Mutant("final-hash-not-compared", "src/ddrm/cli.py",
-           'found = {"final_log_hash": head,', 'found = {"final_log_hash": recorded["final_log_hash"],',
+           "_differing(claims, found)", '_differing(claims, {**found, "final_log_hash": claims["final_log_hash"]})',
            "tests/test_cli.py"),
     Mutant("mismatch-names-no-metric", "src/ddrm/cli.py",
            'print("mismatch between log replay and recorded metrics:", *differing, sep="\\n  ", file=sys.stderr)',
@@ -167,6 +169,25 @@ MUTANTS = (
     Mutant("roster-logged-in-set-order", "src/ddrm/endorsement.py",
            'report["roster"] = sorted(self.rosters[service_id])', 'report["roster"] = list(self.rosters[service_id])',
            "tests/test_cli.py"),
+    # One log check, and `ddrm run` judges its replay as `ddrm verify` does.
+    Mutant("run-compares-only-the-head", "src/ddrm/cli.py",
+           "_differing(_claims(metrics_doc), found)",
+           '_differing({"final_log_hash": metrics_doc["final_log_hash"]}, found)',
+           "tests/test_cli.py"),
+    # Ether and Wei convert exactly, within a uint256.
+    Mutant("no-uint256-bound", "src/ddrm/ledger.py",
+           "if number.copy_abs() > Fraction(MAX_WEI, unit):", "if False:", "tests/test_ledger.py"),
+    Mutant("ether-product-rounded", "src/ddrm/ledger.py",
+           "Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).multiply(number, unit)", "number * unit",
+           "tests/test_ledger.py"),
+    Mutant("format-ether-truncates", "src/ddrm/ledger.py",
+           "(2 * abs(wei) * scale + WEI_PER_ETHER) // (2 * WEI_PER_ETHER)", "abs(wei) * scale // WEI_PER_ETHER",
+           "tests/test_ledger.py"),
+    Mutant("ether-at-decimal-precision", "src/ddrm/config.py",
+           "return ether(value, unit)", "return int(Decimal(str(value)) * unit)", "tests/test_cli.py"),
+    Mutant("format-ether-at-decimal-precision", "src/ddrm/reporting.py",
+           "total_ether = Decimal(format_ether(wei))",
+           'total_ether = (Decimal(wei) / 10**18).quantize(Decimal("0.000001"))', "tests/test_cli.py"),
 )
 
 

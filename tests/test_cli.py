@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ import ddrm
 from ddrm import parse_scenario, replay_verify, run_scenario
 from ddrm.adversary import ALL_KINDS, KIND_COLLUSION, KIND_FALSE_REFUND, ScenarioResult
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
-from ddrm.config import RATE_DIGITS, USD_DIGITS
+from ddrm.config import RATE_DIGITS, USD_DIGITS, parse_run_config
 from ddrm.ledger import ZERO_DIGEST, Ledger, canonical_payload, record_hash
 
 from conftest import exported_log, forged_log, make_sim, provider_and_service
@@ -261,21 +262,51 @@ class TestUntrustedNumbers:
             {"protocol": {"srdt_discount_rate": float("nan")}},
             {"protocol": {"genesis_balance_ether": 1e-30}},
             {"protocol": {"genesis_balance_ether": "1e999999"}},
+            {"protocol": {"genesis_balance_ether": "1e-9999999"}},
+            {"protocol": {"genesis_balance_ether": "1.0000000000000000000000000001"}},
+            {"protocol": {"genesis_balance_ether": "1e5000", "faucet_balance_ether": "1e5001"}},
+            {"protocol": {"gas": {"gas_price_gwei": "1e999999"}}},
             {"scenarios": [{**SCENARIO, "service_cost_ether": 1e-30}]},
+            {"scenarios": [{**SCENARIO, "service_cost_ether": "1e5000"}]},
             {"scenarios": [{**SCENARIO, "service_cost_ether": float("nan")}]},
             {"scenarios": [{**SCENARIO, "service_cost_ether": "abc"}]},
             {"scenarios": [{**SCENARIO, "service_cost_ether": [1]}]},
         ],
         ids=[
-            "usd-nan", "usd-inf", "discount-nan", "genesis-sub-wei", "genesis-overflow",
-            "cost-sub-wei", "cost-nan", "cost-string", "cost-list",
+            "usd-nan", "usd-inf", "discount-nan", "genesis-sub-wei", "genesis-overflow", "genesis-tiny",
+            "genesis-29th-digit-sub-wei", "genesis-and-faucet-past-uint256", "gas-price-overflow",
+            "cost-sub-wei", "cost-past-uint256", "cost-nan", "cost-string", "cost-list",
         ],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+        start = time.perf_counter()
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"protocol": {"genesis_balance_ether": "1e5000", "faucet_balance_ether": "1e5001"}},
+             "genesis_balance_ether: '1e5000' is more than 2**256 - 1 Wei"),
+            ({"scenarios": [{**SCENARIO, "service_cost_ether": "1e5000"}]},
+             "scenario s: service_cost_ether: '1e5000' is more than 2**256 - 1 Wei"),
+            ({"protocol": {"gas": {"gas_price_gwei": 0.1e-9}}},
+             "gas.gas_price_gwei: 1e-10 is not a whole number of Wei"),
+        ],
+        ids=["genesis", "service-cost", "gas-price"],
+    )
+    def test_wei_amount_failure_names_its_key(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_29_digit_ether_amount_parses_exactly(self):
+        doc = {"protocol": {"faucet_balance_ether": "12345678901234567890123456789"}}
+        assert parse_run_config(doc).protocol.faucet_balance == 12345678901234567890123456789 * 10**18
 
 
     @pytest.mark.parametrize(
@@ -377,6 +408,17 @@ class TestGasTable:
             "529000000000000000000000000.000",
             "185000000000000000000000000.000",
             "251000000000000000000000000.000",
+        ]
+
+    def test_huge_gas_price_prints_exact_totals(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"protocol": {"gas": {"gas_price_gwei": 1e30}}}))
+        assert main(["gas-table", "--config", str(path), "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        # gas_used * 10**39 Wei is gas_used * 10**21 Ether, times 1586 USD per Ether.
+        assert [(r["total_ether"], r["total_usd"]) for r in rows] == [
+            (f"{used * 10**21}.000000", f"{used * 10**21 * 1586}.000")
+            for used in (182304, 63789, 86532)
         ]
 
     def test_gas_override_via_config(self, tmp_path, capsys):
@@ -730,9 +772,30 @@ class TestInvariantExit:
         assert main(["run", "--config", str(path)]) == EXIT_INVARIANT
         # The cut log replays to the live metrics: only its last hash tells it apart.
         assert replay_verify(written[0]) == runs[0].metrics
-        head = runs[0].final_log_hash()
-        assert f"scenario fr: replayed log ends at {runs[0].sim.ledger.log[-2].hash}, not at the live head {head}" in (
-            capsys.readouterr().err)
+        head, cut_head = runs[0].final_log_hash(), runs[0].sim.ledger.log[-2].hash
+        assert capsys.readouterr().err == (
+            "invariant violation: scenario fr: replay from disk differs from the live run:\n"
+            f"  final_log_hash: recorded {head!r}, replayed {cut_head!r}\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_replayed_metric_that_differs_exits_3_naming_it(self, tmp_path, config_path, monkeypatch, capsys):
+        # The replayed log ends at the live head; only one replayed metric is off.
+        import ddrm.cli as cli_mod
+
+        replayed = []
+
+        def replay_one_exclusion_more(log):
+            replayed.append(replay_verify(log))
+            return replace(replayed[-1], exclusions=replayed[-1].exclusions + 1)
+
+        monkeypatch.setattr(cli_mod, "replay_verify", replay_one_exclusion_more)
+        assert main(["run", "--config", str(config_path)]) == EXIT_INVARIANT
+        exclusions = replayed[0].exclusions
+        assert capsys.readouterr().err == (
+            "invariant violation: scenario demo: replay from disk differs from the live run:\n"
+            f"  exclusions: recorded {exclusions!r}, replayed {exclusions + 1!r}\n"
+        )
         assert list((tmp_path / "out").iterdir()) == []
 
 

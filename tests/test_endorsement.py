@@ -35,10 +35,10 @@ from ddrm.errors import (
     ValidationError,
 )
 from ddrm.identity import ROLE_CONSUMER
-from ddrm.ledger import verify_records
+from ddrm.ledger import iter_log_lines
 from ddrm.tokens import BURNED, Token, VOIDED
 
-from conftest import make_sim, provider_and_service, reviewed_purchase
+from conftest import exported_log, make_sim, provider_and_service, reviewed_purchase
 
 
 def review_gate_oracle(purchased: bool, has_srat: bool, unexpired: bool) -> bool:
@@ -316,7 +316,7 @@ class TestPenaltiesAndRoster:
         report["roster"].append("intruder")
         report["badged"][0]["badge"] = BADGE_FRAUDULENT
         report["service"] = "elsewhere"
-        verify_records(sim.ledger.log)
+        assert list(iter_log_lines(exported_log(sim.ledger)))[-1].payload["roster"] == [fresh]
         assert logged.payload["roster"] == [fresh]
 
 

@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddrm import GasSchedule, RandomBeacon, ether
-from ddrm.errors import ChainBroken, InsufficientFunds, MalformedEvent, PoolTooSmall, ConfigError
+from ddrm import GasSchedule, RandomBeacon, ether, format_ether
+from ddrm.errors import ChainBroken, InsufficientFunds, MalformedEvent, PoolTooSmall, ConfigError, ValidationError
 from ddrm.ledger import (
     OP_ADD_SERVICE,
     OP_ENDORSE_REVIEW,
     OP_REQUEST_SERVICE,
+    MAX_WEI,
+    WEI_PER_GWEI,
     ZERO_DIGEST,
     EventRecord,
     Ledger,
     canonical_payload,
     iter_log_lines,
     record_hash,
-    verify_records,
 )
 
 from conftest import consumer_with_purchase, exported_log, make_sim, provider_and_service
@@ -79,6 +80,47 @@ class TestGasCharges:
             GasSchedule(rows=rows).validate()
 
 
+class TestEtherAndWei:
+    """ether and format_ether are exact both ways, at any size up to a uint256."""
+
+    def test_29_digit_ether_converts_exactly(self):
+        assert ether("12345678901234567890123456789") == 12345678901234567890123456789 * 10**18
+
+    def test_trailing_zeros_and_units(self):
+        assert ether("1." + "0" * 1000) == 10**18
+        assert ether("2.9", WEI_PER_GWEI) == 2_900_000_000
+        assert ether("-0.5") == -(10**17) * 5
+
+    @pytest.mark.parametrize("amount", ["1.0000000000000000000000000001", "1e-19", "1e-9999999"])
+    def test_fraction_of_a_wei_refused(self, amount):
+        with pytest.raises(ValidationError, match="not a whole number of Wei"):
+            ether(amount)
+
+    def test_uint256_bound(self):
+        assert ether(MAX_WEI, unit=1) == 2**256 - 1
+        for amount in (MAX_WEI + 1, -MAX_WEI - 1, "1e5000", "1e999999"):
+            with pytest.raises(ValidationError, match=r"more than 2\*\*256 - 1 Wei"):
+                ether(amount, unit=1)
+
+    @pytest.mark.parametrize("amount", ["nan", float("inf"), "abc", True, None])
+    def test_non_number_refused(self, amount):
+        with pytest.raises(ValidationError):
+            ether(amount)
+
+    @pytest.mark.parametrize(
+        "wei, text",
+        [
+            (10**38 + 499_999_999_999, "100000000000000000000.000000"),
+            (10**38 + 500_000_000_000, "100000000000000000000.000001"),
+            (10**45, "1000000000000000000000000000.000000"),
+            (528_681_600_000_000, "0.000529"),
+            (-500_000_000_000, "-0.000001"),
+        ],
+    )
+    def test_format_ether_rounds_exactly_half_up(self, wei, text):
+        assert format_ether(wei) == text
+
+
 class TestEventChain:
     def test_genesis_prev_hash_is_zero(self):
         ledger = fresh_ledger()
@@ -92,13 +134,13 @@ class TestEventChain:
         assert digest == "7dbfe2a0d7cb2fa3c3436fa0e3686cdc0f1499d969ba3b95c4a7f13a7f80b4ac"
 
     def test_empty_log_verifies(self):
-        verify_records(fresh_ledger().log)
+        assert list(iter_log_lines(exported_log(fresh_ledger()))) == []
 
     def test_untouched_log_verifies(self):
         ledger = fresh_ledger()
         for i in range(10):
             ledger.append_event("Ping", {"i": i})
-        verify_records(ledger.log)
+        assert [rec.hash for rec in iter_log_lines(exported_log(ledger))] == [rec.hash for rec in ledger.log]
 
     def test_tampered_payload_detected_at_seq(self):
         ledger = fresh_ledger()
@@ -114,7 +156,7 @@ class TestEventChain:
             hash=pristine.hash,
         )
         with pytest.raises(ChainBroken) as broken:
-            verify_records(ledger.log)
+            list(iter_log_lines(exported_log(ledger)))
         assert broken.value.seq == 7
         assert broken.value.reason.startswith("hash mismatch")
 
@@ -126,7 +168,7 @@ class TestEventChain:
         ):
             ledger.log[7] = tampered
             with pytest.raises(ChainBroken, match=reason) as broken:
-                verify_records(ledger.log)
+                list(iter_log_lines(exported_log(ledger)))
             assert broken.value.seq == tampered.seq
             assert broken.value.reason.startswith(reason)
 
@@ -146,7 +188,6 @@ class TestEventChain:
         consumer_with_purchase(sim, service)
         records = list(iter_log_lines(exported_log(sim.ledger)))
         assert [r.hash for r in records] == [r.hash for r in sim.ledger.log]
-        verify_records(records)
 
     def test_reordered_lines_break_chain(self):
         sim = make_sim(seed=5)
@@ -229,7 +270,7 @@ class TestLogCodec:
         # A read record holds the same bytes and the dict it decoded them from.
         read = EventRecord.from_json_line(line)
         assert read == appended and read.payload == payload and read.to_json_line() == line
-        verify_records(list(iter_log_lines(exported_log(ledger))))
+        assert [rec.to_json_line() for rec in iter_log_lines(exported_log(ledger))][1] == line
 
     @given(value=JSON_VALUES)
     @settings(max_examples=300, deadline=None)
@@ -312,7 +353,7 @@ class TestCommittedBytes:
             ledger.append_event("Ping", {"i": i, "tags": ["a"]})
         ledger.log[4].payload_json = canonical_payload({"i": 4, "tags": ["a", "b"]})
         with pytest.raises(ChainBroken) as broken:
-            verify_records(ledger.log)
+            list(iter_log_lines(exported_log(ledger)))
         assert broken.value.seq == 4
         assert broken.value.reason.startswith("hash mismatch")
 
@@ -326,7 +367,7 @@ class TestCommittedBytes:
         rec.payload["tags"].append("c")
         assert rec.payload == {"i": 1, "tags": ["a"]}
         assert ledger.final_hash() == head and exported_log(ledger) == export
-        verify_records(ledger.log)
+        assert len(list(iter_log_lines(export))) == 2
 
     def test_no_live_record_holds_a_dict(self):
         sim = make_sim(seed=5)
