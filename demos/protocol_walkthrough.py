@@ -77,7 +77,7 @@ def main():
     print(f"new roster (this round's authentic reviewers): {report['roster']}")
 
     print("\n=== Reputation accrues per five authentic badges ===")
-    print(f"operator DRET count: {sim.tokens.dret_count(operator)}")
+    print(f"operator DRET count: {sim.tokens.dret.get(operator, 0)}")
 
     print("\n=== Refund claim judged by an endorser panel ===")
     claimant = scouts[0]

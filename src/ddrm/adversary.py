@@ -9,11 +9,12 @@ ground-truth quality, then drives rounds of
 advancing one tick per phase. Protocol rejections never abort a run; they
 are recorded as denial counts. Metrics are computed twice by independent
 routes: live from simulation state alone, and by replay_verify() purely
-from an exported event log, folded line by line as it is verified, so the
-replay holds per-participant totals and never a list of the log's records.
-The two must agree exactly. Attacker spend is every Wei that left attacker
-accounts (gas, purchase prices, review-fund deposits and refunds paid), read
-live from Ledger.spent.
+from an exported event log, folded line by line as it is verified. Each
+route builds per-participant totals, never a list of the log's records,
+for _metrics, the one definition of the seven metrics; the two must agree
+exactly. Attacker spend is every Wei that left attacker accounts (gas,
+purchase prices, review-fund deposits and refunds paid), read live from
+Ledger.spent.
 
 Voting behavior: honest endorsers vote Up on reviews whose rating band
 matches the service's ground truth and Down otherwise (inverted with
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import io
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .config import (
@@ -58,7 +59,7 @@ from .endorsement import (
 )
 from .errors import ConfigError, DdrmError, DuplicateCard, InsufficientFunds, MalformedEvent
 from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
-from .ledger import ether, iter_log_lines
+from .ledger import ether, iter_log_lines, quoted
 from .marketplace import STATUS_LISTED
 from .sim import Simulation
 from .tokens import BURNED
@@ -122,7 +123,7 @@ class AttackScenario:
         if not self.name:
             raise ConfigError("scenario name required")
         if self.kind not in ALL_KINDS:
-            raise ConfigError(f"unknown scenario kind {self.kind!r}")
+            raise ConfigError(f"unknown scenario kind {quoted(self.kind)}")
         if self.rounds < 1:
             raise ConfigError("rounds must be at least 1")
         if self.attacker_count < 0 or self.honest_count < 0:
@@ -152,7 +153,7 @@ def parse_scenario(doc, index: int = 0) -> AttackScenario:
     if not isinstance(kwargs["name"], str):
         raise ConfigError(f"scenario #{index}: name must be a string")
     if any(part in kwargs["name"] for part in ("/", "\\", "..", "\0")):  # it names files in output_dir
-        raise ConfigError(f"scenario #{index}: name {kwargs['name']!r} must not contain '/', '\\', '..' or NUL")
+        raise ConfigError(f"scenario #{index}: name {quoted(kwargs['name'])} must not contain '/', '\\', '..' or NUL")
     where = f"scenario {kwargs['name']}"
     for key in _SCENARIO_INT_KEYS:
         if key in doc:
@@ -478,16 +479,16 @@ class ScenarioRunner:
         # attackers still hold one is fixed for the whole wave.
         available = [p for p in roster if not self._is_attacker(p) and has_srdt(p)]
         attacker_pool = [p for p in roster if self._is_attacker(p) and has_srdt(p)]
-        suspects = [r for r in pending if not band_matches(r.rating, quality)]
-        ordinary = [r for r in pending if band_matches(r.rating, quality)]
-        for review in suspects + ordinary:
+        marked = [(not band_matches(r.rating, quality), r) for r in pending]
+        for hostile, review in sorted(marked, key=lambda m: not m[0]):  # stable: suspects, then ordinary
             if not available:
                 break
-            hostile = not band_matches(review.rating, quality)
             ours, theirs = (review.downvotes, review.upvotes) if hostile else (review.upvotes, review.downvotes)
             aligned, inverted = (VOTE_DOWN, VOTE_UP) if hostile else (VOTE_UP, VOTE_DOWN)
             if ours + theirs >= quorum and ours > theirs:
                 continue  # already badgeable with the right badge this round
+            if quorum - ours - theirs > len(available):
+                continue  # too few voters left to reach quorum, whoever they are
             a_rem = sum(1 for p in attacker_pool if p not in review.endorsers)
             # At least 1: below quorum the first term is; at quorum ours <= theirs.
             needed = max(quorum - ours - theirs, theirs + a_rem + 1 - ours)
@@ -541,12 +542,13 @@ class ScenarioRunner:
                 self._attempt(self.sim.settle_refund, claim_id)
 
     def _file_false_claims(self) -> None:
+        claimed = {claim.purchase_id for claim in self.sim.reviews.claims.values()}
         for pid in self._attackers():
             if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
                 continue
             for purchase_id in self.sim.market.purchases_by_consumer.get(pid, ()):
                 # A refused claim is retried next round while the window allows.
-                if purchase_id not in self.sim.reviews.claims_by_purchase:
+                if purchase_id not in claimed:
                     self._attempt(self.sim.file_refund_claim, pid, purchase_id)
 
     # -- execution and metrics --
@@ -580,39 +582,38 @@ class ScenarioRunner:
 
     def _live_metrics(self) -> ScenarioMetrics:
         sim = self.sim
-        attackers = set(self._attackers())
         reviews = sim.reviews.reviews.values()
         return _metrics(
-            self.ground_truth,
-            attackers,
+            (set(self._attackers()), self.ground_truth, set(self.target_providers)),
             [(r.service_id, r.reviewer, r.rating, r.badge) for r in reviews if r.badge != BADGE_PENDING],
-            spend=sum(sim.ledger.spent[pid] for pid in attackers),
-            accepted=sum(1 for r in reviews if r.reviewer in attackers),
-            exclusions=sum(1 for p in sim.identity.participants.values() if p.status == STATUS_EXCLUDED),
-            refund_fraud=sum(
-                1 for c in sim.reviews.claims.values() if c.outcome == OUTCOME_APPROVED and c.claimant in attackers
-            ),
-            dret=sum(sim.tokens.dret_count(pid) for pid in self.target_providers),
+            sim.ledger.spent,
+            Counter(r.reviewer for r in reviews),
+            Counter(c.claimant for c in sim.reviews.claims.values() if c.outcome == OUTCOME_APPROVED),
+            sim.tokens.dret,
+            sum(1 for p in sim.identity.participants.values() if p.status == STATUS_EXCLUDED),
         )
 
 
 def _metrics(
-    truth: dict, attackers: set, badged: list, spend: int, accepted: int, exclusions: int, refund_fraud: int, dret: int
+    setup: tuple, badged: list, spent: dict, accepted: dict, refunds: dict, dret: dict, exclusions: int
 ) -> ScenarioMetrics:
-    """The seven metrics from badged (service, reviewer, rating, badge) tuples and five counts.
+    """The seven metrics: the one place that selects attackers and target providers and sums their totals.
 
-    A badged service missing from `truth` raises KeyError.
+    `setup` is (attackers, ground truth, targets); `badged` holds (service, reviewer, rating, badge)
+    tuples; spent Wei, accepted reviews, approved refunds and DRET are per-participant totals (absent
+    is 0). A badged service missing from the ground truth raises KeyError.
     """
+    attackers, truth, targets = setup
     matched = sum(1 for service, _, rating, badge in badged if badge == expected_badge(rating, truth[service]))
     branded = sum(1 for _, reviewer, _, badge in badged if badge == BADGE_FRAUDULENT and reviewer in attackers)
     return ScenarioMetrics(
         badge_accuracy=matched / len(badged) if badged else 0.0,
-        attacker_spend_wei=spend,
-        attacker_reviews_accepted=accepted,
+        attacker_spend_wei=sum(spent.get(a, 0) for a in attackers),
+        attacker_reviews_accepted=sum(accepted.get(a, 0) for a in attackers),
         attacker_reviews_branded=branded,
         exclusions=exclusions,
-        refund_fraud_approved=refund_fraud,
-        provider_dret_delta=dret,
+        refund_fraud_approved=sum(refunds.get(a, 0) for a in attackers),
+        provider_dret_delta=sum(dret.get(t, 0) for t in targets),
     )
 
 
@@ -674,11 +675,7 @@ def replay_verify(log) -> ScenarioMetrics:
                     raise TypeError("ScenarioSetup attackers, target_providers or ground_truth mistyped")
                 setup = set(attackers), truth, set(targets)
         rec = None  # past the last record: a failure below comes from the metrics
-        attackers, truth, targets = setup or (set(), {}, set())
-        return _metrics(
-            truth, attackers, badged, sum(spent[a] for a in attackers), sum(accepted[a] for a in attackers),
-            exclusions, sum(refunds[a] for a in attackers), sum(dret[t] for t in targets),
-        )
+        return _metrics(setup or (set(), {}, set()), badged, spent, accepted, refunds, dret, exclusions)
     except (KeyError, TypeError, ValueError) as exc:
         where = f"at seq {rec.seq}, kind {rec.kind}" if rec is not None else "computing the metrics after the log"
         raise MalformedEvent(f"event payload missing or mistyped field: {exc} ({where})") from exc

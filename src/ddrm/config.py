@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ConfigError, ValidationError
-from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasRow, GasSchedule, ether
+from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasRow, GasSchedule, ether, json_number, quoted
 
 # Fixed by the protocol's funding equations: every listing seeds its review
 # fund with 1 Ether, which underwrites one hundred review submissions.
@@ -109,15 +109,10 @@ def _as_bool(value, where: str) -> bool:
 
 
 def _as_decimal(value, where: str) -> Decimal:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
-        raise ConfigError(f"{where} must be a number")
     try:
-        number = Decimal(str(value))
-    except InvalidOperation as exc:
-        raise ConfigError(f"{where} is not a valid number: {value!r}") from exc
-    if not number.is_finite():
-        raise ConfigError(f"{where} must be finite, not {value!r}")
-    return number
+        return json_number(value)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _as_wei(value, where: str, unit: int = WEI_PER_ETHER) -> int:
@@ -168,7 +163,7 @@ def parse_protocol_config(doc: dict, base: ProtocolConfig | None = None) -> Prot
         if abs(rate.as_tuple().exponent) > RATE_DIGITS:
             raise ConfigError(
                 f"srdt_discount_rate allows at most {RATE_DIGITS} fractional digits"
-                f" and a decimal exponent of at most {RATE_DIGITS}: {doc['srdt_discount_rate']!r}"
+                f" and a decimal exponent of at most {RATE_DIGITS}: {quoted(doc['srdt_discount_rate'])}"
             )
         updates["srdt_discount"] = Fraction(rate)
     for key in _PROTOCOL_INT_KEYS:
@@ -191,7 +186,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     if usd <= 0:
         raise ConfigError("usd_per_ether must be strictly positive")
     if usd.adjusted() >= USD_DIGITS:
-        raise ConfigError(f"usd_per_ether allows at most {USD_DIGITS} integer digits: {doc['usd_per_ether']!r}")
+        raise ConfigError(f"usd_per_ether allows at most {USD_DIGITS} integer digits: {quoted(doc['usd_per_ether'])}")
     out = doc.get("output_dir", "out")
     if not isinstance(out, str) or not out or "\0" in out:
         raise ConfigError("output_dir must be a non-empty string without NUL")

@@ -114,11 +114,10 @@ class ReviewBoard:
         self.market = market
         self.tokens = tokens
         self.reviews: dict[str, Review] = {}
-        self.reviews_by_service: dict[str, list[str]] = {}      # append-only: keys never change
+        self.reviews_by_service: dict[str, list[str]] = {}      # append-only index, read on every selection
         self.rosters: dict[str, set[str]] = {}
         self.penalties: dict[str, int] = {}
-        self.claims: dict[str, RefundClaim] = {}
-        self.claims_by_purchase: dict[str, list[RefundClaim]] = {}  # append-only, like reviews_by_service
+        self.claims: dict[str, RefundClaim] = {}                # the one record of a purchase's claims
 
     # -- reviews (authorization gate) --
 
@@ -223,12 +222,13 @@ class ReviewBoard:
         bootstrap_endorsers, which is how voting capacity regenerates.
         """
         service = self.market.get_service(service_id)
-        authentic_before = service.authentic_review_count
-        eligible = [
-            r
-            for r in self._reviews_of(service_id)
-            if r.badge == BADGE_PENDING and r.upvotes + r.downvotes >= self.config.endorsement_quorum
-        ]
+        authentic_before = authentic_new = 0
+        eligible = []
+        for r in self._reviews_of(service_id):
+            if r.badge == BADGE_AUTHENTIC:
+                authentic_before += 1
+            elif r.badge == BADGE_PENDING and r.upvotes + r.downvotes >= self.config.endorsement_quorum:
+                eligible.append(r)
         report = {
             "service": service_id,
             "badged": [],
@@ -242,7 +242,7 @@ class ReviewBoard:
         for review in eligible:
             if review.upvotes > review.downvotes:
                 review.badge = BADGE_AUTHENTIC
-                service.authentic_review_count += 1
+                authentic_new += 1
                 if review.reviewer not in candidates:
                     candidates.append(review.reviewer)
             elif review.downvotes > review.upvotes or self.config.literal_alg2_ties:
@@ -275,7 +275,7 @@ class ReviewBoard:
                 self.exclude(pid)
                 report["excluded"].append(pid)
 
-        self.tokens.award_dret(service.provider, service_id, authentic_before, service.authentic_review_count)
+        self.tokens.award_dret(service.provider, service_id, authentic_before, authentic_before + authentic_new)
         report["roster"] = sorted(self.rosters[service_id])
         # The log keeps the bytes append_event encoded, not the dict, so the caller may keep it.
         self.ledger.append_event("SelectionRun", report)
@@ -342,7 +342,7 @@ class ReviewBoard:
             raise NoPurchase(f"{consumer} has no purchase {purchase_id}")
         if self.refunded(purchase_id):
             raise AlreadyRefunded(purchase_id)
-        if any(claim.outcome == OUTCOME_OPEN for claim in self.claims_by_purchase.get(purchase_id, ())):
+        if any(c.purchase_id == purchase_id and c.outcome == OUTCOME_OPEN for c in self.claims.values()):
             raise DuplicateClaim(purchase_id)
         if self.ledger.tick > purchase.tick + self.config.claim_window:
             raise ClaimWindowClosed(purchase_id)
@@ -360,7 +360,6 @@ class ReviewBoard:
             filed_tick=self.ledger.tick,
         )
         self.claims[claim_id] = claim
-        self.claims_by_purchase.setdefault(purchase_id, []).append(claim)
         self.ledger.append_event(
             "RefundClaimFiled",
             {"claim": claim_id, "purchase": purchase_id, "claimant": consumer, "panel": sorted(panel)},
@@ -442,4 +441,4 @@ class ReviewBoard:
         return [review for review in self._reviews_of(service_id) if review.badge == BADGE_PENDING]
 
     def refunded(self, purchase_id: str) -> bool:
-        return any(claim.outcome == OUTCOME_APPROVED for claim in self.claims_by_purchase.get(purchase_id, ()))
+        return any(c.purchase_id == purchase_id and c.outcome == OUTCOME_APPROVED for c in self.claims.values())

@@ -28,8 +28,9 @@ import hashlib
 import io
 import json
 import random
+import re
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -55,23 +56,33 @@ OP_ENDORSE_REVIEW = "endorse_review"
 GAS_OPS = (OP_ADD_SERVICE, OP_REQUEST_SERVICE, OP_ENDORSE_REVIEW)
 
 
-def ether(amount, unit: int = WEI_PER_ETHER) -> int:
-    """An amount of `unit` Wei, Ether by default (int, float, str, Decimal), as Wei exactly.
+# JSON's number syntax: no blank, underscore, leading "+" or ".", NaN or Infinity.
+_JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
-    Raises ValidationError unless it is a finite whole number of Wei of magnitude at most MAX_WEI.
-    """
-    try:
-        number = Decimal(str(amount))
-    except InvalidOperation as exc:
-        raise ValidationError(f"{amount!r} is not a number") from exc
-    if not number.is_finite():
-        raise ValidationError(f"{amount!r} is not finite")
+
+def quoted(value, limit: int = 60) -> str:
+    """repr(value) for an error message, cut to about `limit` characters."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit - 20]}... ({len(text)} characters)"
+
+
+def json_number(value) -> Decimal:
+    """A JSON number, or a string in JSON's number syntax, as an exact Decimal; else ValidationError."""
+    text = str(value)
+    if isinstance(value, bool) or not _JSON_NUMBER.fullmatch(text):
+        raise ValidationError(f"{quoted(value)} is not a number")
+    return Decimal(text)
+
+
+def ether(amount, unit: int = WEI_PER_ETHER) -> int:
+    """A json_number() of `unit` Wei (Ether by default) as whole Wei within MAX_WEI, else ValidationError."""
+    number = json_number(amount)
     # An exact comparison, made before the product, which could leave the exponent range.
     if number.copy_abs() > Fraction(MAX_WEI, unit):
-        raise ValidationError(f"{amount!r} is more than 2**256 - 1 Wei")
+        raise ValidationError(f"{quoted(amount)} is more than 2**256 - 1 Wei")
     wei = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).multiply(number, unit)  # rounds no digit
     if wei != wei.to_integral_value():
-        raise ValidationError(f"{amount!r} is not a whole number of Wei")
+        raise ValidationError(f"{quoted(amount)} is not a whole number of Wei")
     return int(wei)
 
 

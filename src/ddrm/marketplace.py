@@ -35,7 +35,6 @@ class ServiceListing:
     s_cost: int
     review_fund: int
     status: str = STATUS_LISTED
-    authentic_review_count: int = 0
 
 
 @dataclass(slots=True)

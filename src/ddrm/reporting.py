@@ -2,7 +2,8 @@
 
 Monetary display follows the published precision: Ether to 6 decimal
 places (format_ether, exact), USD to 3, both ROUND_HALF_UP, with the USD
-figure computed from the already-rounded Ether value.
+figure computed from the already-rounded Ether value. The gas price is
+printed in Gwei exactly, in fixed point.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class GasReportRow:
 
 def gas_table_rows(schedule: GasSchedule, usd_per_ether: Decimal) -> list[GasReportRow]:
     schedule.validate()
-    price_gwei = (Decimal(schedule.price_wei) / WEI_PER_GWEI).normalize()
+    whole, frac = divmod(schedule.price_wei, WEI_PER_GWEI)  # exact, in fixed point: 2900000000 Wei is 2.9 Gwei
+    price_gwei = Decimal(f"{whole}.{frac:09d}".rstrip("0").rstrip("."))
     rows = []
     for op, caller, name in GAS_TABLE_OPS:
         row = schedule.rows[op]

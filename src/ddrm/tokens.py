@@ -30,8 +30,6 @@ CONSUMED = "Consumed"
 EXPIRED = "Expired"
 VOIDED = "Voided"
 
-_by_id = attrgetter("token_id")
-
 
 @dataclass(slots=True)
 class Token:
@@ -58,11 +56,11 @@ class TokenBook:
         self.srats: dict[str, Token] = {}
         self.srdts: dict[str, Token] = {}
         self.srat_by_purchase: dict[str, str] = {}
-        # Append-only indexes over keys a token never changes. Token ids sort
-        # every SRAT before every SRDT ("SRAT-" < "SRDT-"), so sorting a
-        # mixed list by id gives the order of walking srats, then srdts.
+        # Append-only indexes over keys a token never changes, each serving a
+        # per-operation lookup. Token ids sort every SRAT before every SRDT
+        # ("SRAT-" < "SRDT-"), so sorting a due bucket by id gives the order
+        # of walking srats, then srdts.
         self.srdts_by_holder_service: dict[tuple[str, str], list[str]] = {}
-        self.tokens_by_holder: dict[str, list[Token]] = {}
         self.tokens_by_expiry: dict[int, list[Token]] = {}
         self.dret: dict[str, int] = {}
 
@@ -78,12 +76,11 @@ class TokenBook:
     def _mint(
         self, book: dict, prefix: str, lifetime: int, holder: str, service_id: str, purchase_id: str | None = None
     ) -> str:
-        """File a new Active token in its book and in the holder and expiry indexes."""
+        """File a new Active token in its book and in the expiry index."""
         token_id = f"{prefix}-{len(book) + 1:05d}"
         tick = self.ledger.tick
         token = Token(token_id, holder, service_id, purchase_id, tick, tick + lifetime)
         book[token_id] = token
-        self.tokens_by_holder.setdefault(holder, []).append(token)
         self.tokens_by_expiry.setdefault(token.expiry_tick, []).append(token)
         return token_id
 
@@ -127,10 +124,7 @@ class TokenBook:
 
     # -- DRET --
 
-    def dret_count(self, provider: str) -> int:
-        return self.dret.get(provider, 0)
-
-    def award_dret(self, provider: str, service_id: str, before: int, after: int) -> int:
+    def award_dret(self, provider: str, service_id: str, before: int, after: int) -> None:
         """Mint one DRET per multiple of the award interval crossed from `before` to `after` authentic reviews."""
         interval = self.config.dret_interval
         for _ in range(after // interval - before // interval):
@@ -139,7 +133,6 @@ class TokenBook:
                 "DretAwarded",
                 {"provider": provider, "service": service_id, "new_count": self.dret[provider]},
             )
-        return self.dret.get(provider, 0)
 
     # -- shared lifecycle --
 
@@ -155,7 +148,7 @@ class TokenBook:
         for expiry in [t for t in self.tokens_by_expiry if t <= tick]:
             due.extend(self.tokens_by_expiry.pop(expiry))
         expired = []
-        for token in sorted(due, key=_by_id):
+        for token in sorted(due, key=attrgetter("token_id")):
             if token.state == ACTIVE:
                 token.state = EXPIRED
                 expired.append(token.token_id)
@@ -164,10 +157,11 @@ class TokenBook:
         return expired
 
     def void_all(self, holder: str) -> dict:
-        """Void every active token a participant holds (on exclusion)."""
+        """Void every active token a participant holds (on exclusion), SRATs then SRDTs, in mint order."""
         voided = []
-        for token in sorted(self.tokens_by_holder.get(holder, ()), key=_by_id):
-            if token.state == ACTIVE:
-                token.state = VOIDED
-                voided.append(token.token_id)
+        for book in (self.srats, self.srdts):
+            for token in book.values():
+                if token.holder == holder and token.state == ACTIVE:
+                    token.state = VOIDED
+                    voided.append(token.token_id)
         return {"voided_tokens": voided}

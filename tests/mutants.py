@@ -66,8 +66,11 @@ MUTANTS = (
            'elif kind == "RefundSettled":\n                spent[p["provider"]] += p["amount_wei"]',
            'elif kind == "RefundSettled":\n                pass', "tests/test_adversary.py"),
     Mutant("accepted-counts-badged-only", "src/ddrm/adversary.py",
-           "accepted=sum(1 for r in reviews if r.reviewer in attackers)",
-           "accepted=sum(1 for r in reviews if r.reviewer in attackers and r.badge != BADGE_PENDING)",
+           "Counter(r.reviewer for r in reviews),",
+           "Counter(r.reviewer for r in reviews if r.badge != BADGE_PENDING),",
+           "tests/test_fixed_points.py"),
+    Mutant("metrics-sum-every-participant", "src/ddrm/adversary.py",
+           "attacker_spend_wei=sum(spent.get(a, 0) for a in attackers)", "attacker_spend_wei=sum(spent.values())",
            "tests/test_fixed_points.py"),
     # ddrm run: artifacts and its errors.
     Mutant("no-del-result", "src/ddrm/cli.py",
@@ -106,7 +109,10 @@ MUTANTS = (
     Mutant("honest-buy-round-fixed-at-1", "src/ddrm/adversary.py",
            "return rnd == (2 if self.policy.early else 1)", "return rnd == 1", "tests/test_fixed_points.py"),
     Mutant("refund-claim-refiled", "src/ddrm/adversary.py",
-           "if purchase_id not in self.sim.reviews.claims_by_purchase:", "if True:", "tests/test_fixed_points.py"),
+           "if purchase_id not in claimed:", "if True:", "tests/test_fixed_points.py"),
+    Mutant("wave-skip-at-equal", "src/ddrm/adversary.py",
+           "if quorum - ours - theirs > len(available):", "if quorum - ours - theirs >= len(available):",
+           "tests/test_fixed_points.py"),
     # One record per protocol fact: tokens, votes, and the --metrics rule.
     Mutant("no-duplicate-endorsement-check", "src/ddrm/endorsement.py",
            "if endorser in review.endorsers:", "if False:", "tests/test_endorsement.py"),
@@ -131,7 +137,19 @@ MUTANTS = (
     Mutant("review-gate-ignores-burned-srat", "src/ddrm/endorsement.py",
            "if token.state == BURNED:", "if False:", "tests/test_endorsement.py"),
     Mutant("approved-claims-ignored", "src/ddrm/endorsement.py",
-           "any(claim.outcome == OUTCOME_APPROVED for claim", "any(False for claim", "tests/test_endorsement.py"),
+           "c.outcome == OUTCOME_APPROVED for c in self.claims.values()", "False for c in self.claims.values()",
+           "tests/test_endorsement.py"),
+    Mutant("refunded-ignores-purchase", "src/ddrm/endorsement.py",
+           "c.purchase_id == purchase_id and c.outcome == OUTCOME_APPROVED", "c.outcome == OUTCOME_APPROVED",
+           "tests/test_endorsement.py"),
+    Mutant("duplicate-claim-ignores-purchase", "src/ddrm/endorsement.py",
+           "c.purchase_id == purchase_id and c.outcome == OUTCOME_OPEN", "c.outcome == OUTCOME_OPEN",
+           "tests/test_endorsement.py"),
+    Mutant("void-all-ignores-holder", "src/ddrm/tokens.py",
+           "if token.holder == holder and token.state == ACTIVE:", "if token.state == ACTIVE:",
+           "tests/test_properties.py"),
+    Mutant("dret-before-counts-every-badge", "src/ddrm/endorsement.py",
+           "if r.badge == BADGE_AUTHENTIC:", "if r.badge != BADGE_PENDING:", "tests/test_tokens.py"),
     Mutant("dret-award-ignores-before", "src/ddrm/tokens.py",
            "after // interval - before // interval", "after // interval", "tests/test_tokens.py"),
     Mutant("harness-reviews-burned-purchases", "src/ddrm/adversary.py",
@@ -174,7 +192,7 @@ MUTANTS = (
            "_differing(_claims(metrics_doc), found)",
            '_differing({"final_log_hash": metrics_doc["final_log_hash"]}, found)',
            "tests/test_cli.py"),
-    # Ether and Wei convert exactly, within a uint256.
+    # Untrusted numbers take JSON syntax only; Ether, Wei and Gwei convert and print exactly, within a uint256.
     Mutant("no-uint256-bound", "src/ddrm/ledger.py",
            "if number.copy_abs() > Fraction(MAX_WEI, unit):", "if False:", "tests/test_ledger.py"),
     Mutant("ether-product-rounded", "src/ddrm/ledger.py",
@@ -185,6 +203,15 @@ MUTANTS = (
            "tests/test_ledger.py"),
     Mutant("ether-at-decimal-precision", "src/ddrm/config.py",
            "return ether(value, unit)", "return int(Decimal(str(value)) * unit)", "tests/test_cli.py"),
+    Mutant("lenient-number-syntax", "src/ddrm/ledger.py",
+           "not _JSON_NUMBER.fullmatch(text)", "not _JSON_NUMBER.fullmatch(text.strip().replace('_', ''))",
+           "tests/test_cli.py"),
+    Mutant("unbounded-quote", "src/ddrm/ledger.py",
+           "return text if len(text) <= limit else", "return text if True else", "tests/test_cli.py"),
+    Mutant("gwei-at-decimal-precision", "src/ddrm/reporting.py",
+           'price_gwei = Decimal(f"{whole}.{frac:09d}".rstrip("0").rstrip("."))',
+           "price_gwei = (Decimal(schedule.price_wei) / WEI_PER_GWEI).normalize()",
+           "tests/test_cli.py"),
     Mutant("format-ether-at-decimal-precision", "src/ddrm/reporting.py",
            "total_ether = Decimal(format_ether(wei))",
            'total_ether = (Decimal(wei) / 10**18).quantize(Decimal("0.000001"))', "tests/test_cli.py"),

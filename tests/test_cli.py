@@ -271,11 +271,20 @@ class TestUntrustedNumbers:
             {"scenarios": [{**SCENARIO, "service_cost_ether": float("nan")}]},
             {"scenarios": [{**SCENARIO, "service_cost_ether": "abc"}]},
             {"scenarios": [{**SCENARIO, "service_cost_ether": [1]}]},
+            # Python's Decimal takes blanks and digit-group underscores; JSON's number syntax does not.
+            {"protocol": {"genesis_balance_ether": " 1_0 "}},
+            {"protocol": {"genesis_balance_ether": "1_000"}},
+            {"protocol": {"genesis_balance_ether": "\t5\n"}},
+            {"usd_per_ether": " 1_586 "},
+            {"protocol": {"srdt_discount_rate": " 0.2_5 "}},
+            {"protocol": {"gas": {"gas_price_gwei": " 2_9 "}}},
         ],
         ids=[
             "usd-nan", "usd-inf", "discount-nan", "genesis-sub-wei", "genesis-overflow", "genesis-tiny",
             "genesis-29th-digit-sub-wei", "genesis-and-faucet-past-uint256", "gas-price-overflow",
             "cost-sub-wei", "cost-past-uint256", "cost-nan", "cost-string", "cost-list",
+            "genesis-blank-underscore", "genesis-underscore", "genesis-tab-newline", "usd-blank-underscore",
+            "discount-blank-underscore", "gas-price-blank-underscore",
         ],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, doc):
@@ -303,6 +312,25 @@ class TestUntrustedNumbers:
         path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"protocol": {"genesis_balance_ether": "1" * 99_999 + "x"}},
+            {"protocol": {"genesis_balance_ether": "1" * 4000}},
+            {"usd_per_ether": "1" * 99_999 + "x"},
+            {"usd_per_ether": "1" * 4000},
+            {"protocol": {"srdt_discount_rate": "0." + "1" * 4000}},
+            {"scenarios": [{**SCENARIO, "kind": "k" * 100_000}]},
+        ],
+        ids=["malformed-amount", "amount-past-uint256", "malformed-usd", "usd-digits", "discount-digits", "kind"],
+    )
+    def test_long_input_gives_a_short_message(self, tmp_path, capsys, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err) < 200
 
     def test_29_digit_ether_amount_parses_exactly(self):
         doc = {"protocol": {"faucet_balance_ether": "12345678901234567890123456789"}}
@@ -420,6 +448,22 @@ class TestGasTable:
             (f"{used * 10**21}.000000", f"{used * 10**21 * 1586}.000")
             for used in (182304, 63789, 86532)
         ]
+
+    @pytest.mark.parametrize(
+        "price, printed",
+        [("1234567890123456789012345678.9", "1234567890123456789012345678.9"), (1e30, "1" + "0" * 30)],
+        ids=["29-digit", "1e30"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_huge_gas_price_prints_exact_gwei(self, tmp_path, capsys, price, printed, fmt):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"protocol": {"gas": {"gas_price_gwei": price}}}))
+        assert main(["gas-table", "--config", str(path), "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert [r["gas_price_gwei"] for r in json.loads(out)] == [printed] * 3
+        else:
+            assert [line.split()[-3] for line in out.splitlines()[2:]] == [printed] * 3
 
     def test_gas_override_via_config(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -486,6 +486,19 @@ class TestRefunds:
         assert sim.settle_refund(claim_id) == OUTCOME_APPROVED
         assert sim.reviews.refunded(arena.purchase)
 
+    def test_claims_are_judged_per_purchase(self):
+        arena = RefundArena()
+        sim = arena.sim
+        other = sim.buy_service(arena.claimant, arena.service)
+        claim_id = arena.file()
+        sim.file_refund_claim(arena.claimant, other)  # another purchase's open claim is no duplicate
+        for member in sim.reviews.claims[claim_id].panel:
+            sim.vote_refund(member, claim_id, VOTE_APPROVE)
+        assert sim.reviews.refunded(arena.purchase)
+        assert not sim.reviews.refunded(other)
+        with pytest.raises(DuplicateClaim):
+            sim.file_refund_claim(arena.claimant, other)
+
     def test_refund_leaves_review_and_badge_untouched(self):
         arena = RefundArena()
         sim = arena.sim

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ddrm import ether, text_digest
 from ddrm.adversary import AttackScenario, run_scenario
-from ddrm.endorsement import BADGE_PENDING, OUTCOME_APPROVED, OUTCOME_OPEN, VOTE_UP
+from ddrm.endorsement import BADGE_AUTHENTIC, BADGE_PENDING, OUTCOME_APPROVED, OUTCOME_OPEN, VOTE_UP
 from ddrm.errors import DdrmError, DuplicateCard, InsufficientFunds
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
 from ddrm.ledger import iter_log_lines
@@ -37,16 +37,12 @@ def brute_force_indexes(sim):
             sim.market.purchases.values(), attrgetter("consumer"), attrgetter("purchase_id")
         ),
         "srdts_by_holder_service": _group(tokens.srdts.values(), attrgetter("holder", "service_id")),
-        "tokens_by_holder": _group(every_token, attrgetter("holder")),
         # Buckets due by the current tick have been swept and dropped.
         "tokens_by_expiry": _group(
             [t for t in every_token if t.expiry_tick > sim.ledger.tick], attrgetter("expiry_tick")
         ),
         "reviews_by_service": _group(
             board.reviews.values(), attrgetter("service_id"), attrgetter("review_id")
-        ),
-        "claims_by_purchase": _group(
-            board.claims.values(), attrgetter("purchase_id"), attrgetter("claim_id")
         ),
     }
 
@@ -61,10 +57,8 @@ def live_indexes(sim):
     return {
         "purchases_by_consumer": ids(sim.market.purchases_by_consumer),
         "srdts_by_holder_service": ids(tokens.srdts_by_holder_service),
-        "tokens_by_holder": ids(tokens.tokens_by_holder),
         "tokens_by_expiry": ids(tokens.tokens_by_expiry),
         "reviews_by_service": ids(board.reviews_by_service),
-        "claims_by_purchase": ids(board.claims_by_purchase, attrgetter("claim_id")),
     }
 
 
@@ -152,7 +146,10 @@ def check_facts_against_log(sim):
     assert sim.tokens.dret == awarded
     earned = {}
     for service in sim.market.services.values():
-        crossings = service.authentic_review_count // sim.config.dret_interval
+        authentic = sum(
+            r.badge == BADGE_AUTHENTIC for r in sim.reviews.reviews.values() if r.service_id == service.service_id
+        )
+        crossings = authentic // sim.config.dret_interval
         if crossings:
             earned[service.provider] = earned.get(service.provider, 0) + crossings
     assert sim.tokens.dret == earned

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from ddrm import ether, text_digest
+from ddrm.endorsement import BADGE_FRAUDULENT
 from ddrm.errors import TokenExpired, TokenNotActive
 from ddrm.identity import ROLE_CONSUMER
 from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, VOIDED
@@ -167,34 +168,47 @@ class TestDret:
         sim = make_sim(endorsement_quorum=1)
         provider, service = provider_and_service(sim, ether("0.01"))
         self._badge_authentic_reviews(sim, service, 4)
-        assert sim.tokens.dret_count(provider) == 0
+        assert sim.tokens.dret.get(provider, 0) == 0
 
     def test_fifth_badge_awards_one(self):
         sim = make_sim(endorsement_quorum=1)
         provider, service = provider_and_service(sim, ether("0.01"))
         self._badge_authentic_reviews(sim, service, 5)
-        assert sim.tokens.dret_count(provider) == 1
+        assert sim.tokens.dret.get(provider, 0) == 1
 
     def test_ten_badges_award_two(self):
         sim = make_sim(endorsement_quorum=1)
         provider, service = provider_and_service(sim, ether("0.01"))
         self._badge_authentic_reviews(sim, service, 10)
-        assert sim.tokens.dret_count(provider) == 2
+        assert sim.tokens.dret.get(provider, 0) == 2
 
     def test_interval_configurable(self):
         sim = make_sim(endorsement_quorum=1, dret_interval=2)
         provider, service = provider_and_service(sim, ether("0.01"))
         self._badge_authentic_reviews(sim, service, 4)
-        assert sim.tokens.dret_count(provider) == 2
+        assert sim.tokens.dret.get(provider, 0) == 2
+
+    def test_fraudulent_badges_do_not_count(self):
+        sim = make_sim(endorsement_quorum=1)
+        provider, service = provider_and_service(sim, ether("0.01"))
+        _, _, review = reviewed_purchase(sim, service, "fraud", rating=1)
+        sim.bootstrap_endorsers(service, 1)
+        (member,) = sim.reviews.rosters[service]
+        sim.endorse_review(member, review, "Down")
+        sim.run_endorser_selection(service)
+        assert sim.reviews.reviews[review].badge == BADGE_FRAUDULENT
+        self._badge_authentic_reviews(sim, service, 4, start=1)
+        assert sim.tokens.dret.get(provider, 0) == 0
+        check_facts_against_log(sim)
 
     def test_award_monotone_non_decreasing(self):
         sim = make_sim(endorsement_quorum=1)
         provider, service = provider_and_service(sim, ether("0.01"))
         counts = []
         self._badge_authentic_reviews(sim, service, 6)
-        counts.append(sim.tokens.dret_count(provider))
+        counts.append(sim.tokens.dret.get(provider, 0))
         self._badge_authentic_reviews(sim, service, 5, start=1)
-        counts.append(sim.tokens.dret_count(provider))
+        counts.append(sim.tokens.dret.get(provider, 0))
         assert counts == sorted(counts)
         assert counts[-1] == 2
         check_facts_against_log(sim)
