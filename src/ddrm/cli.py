@@ -16,6 +16,7 @@ contain no wall-clock timestamps, so reruns with one seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 from .adversary import ScenarioMetrics, replay_verify, run_scenario
 from .config import RunConfig, default_config_doc, parse_run_config
 from .errors import ChainBroken, ConfigError, DdrmError, InvariantViolation, MalformedEvent
-from .ledger import ZERO_DIGEST
+from .ledger import ZERO_DIGEST, quoted
 from .reporting import format_gas_table, format_metrics_table, gas_table_json, gas_table_rows
 
 EXIT_OK = 0
@@ -72,8 +73,12 @@ def _claims(metrics_doc: dict) -> dict:
 
 
 def _differing(claims: dict, found: dict) -> list[str]:
-    """One line per claim the replay did not find (the last hash covers its record's seq, so the count too)."""
-    return [f"{key}: recorded {claims[key]!r}, replayed {found[key]!r}" for key in claims if claims[key] != found[key]]
+    """One line per claim the replay did not find (the last hash covers its record's seq, so the count too).
+
+    A claim is untrusted input, so it is quoted cut, at a length that keeps a whole hash.
+    """
+    return [f"{key}: recorded {quoted(claims[key], 80)}, replayed {found[key]!r}"
+            for key in claims if claims[key] != found[key]]
 
 
 def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:
@@ -190,7 +195,9 @@ def cmd_print_defaults(_args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: main parses every command line with it."""
     parser = argparse.ArgumentParser(prog="ddrm", description="DDRM reputation-protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -199,27 +206,24 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output directory")
     run_p.add_argument("--format", choices=("json", "table"), default="table")
-    run_p.set_defaults(func=cmd_run)
 
     gas_p = sub.add_parser("gas-table", help="print the operation gas-cost table")
     gas_p.add_argument("--config", default=None, help="optional JSON run config")
     gas_p.add_argument("--format", choices=("json", "table"), default="table")
-    gas_p.set_defaults(func=cmd_gas_table)
 
     verify_p = sub.add_parser("verify", help="verify an exported event log")
     verify_p.add_argument("log", help="path to an ndjson event log")
     verify_p.add_argument("--metrics", default=None, help="metrics JSON to compare against")
-    verify_p.set_defaults(func=cmd_verify)
 
-    defaults_p = sub.add_parser("print-defaults", help="dump the default configuration")
-    defaults_p.set_defaults(func=cmd_print_defaults)
+    sub.add_parser("print-defaults", help="dump the default configuration")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at each call, not bound in the parser, so a cmd_* replaced after the first call is the one run.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,9 +13,13 @@ write_log, the one export, streams those bytes into one line per record of a
 binary file. An exported log is bytes, never text: iter_log_lines, the one
 reader, takes a binary file or bytes, accepts only those exact bytes, LF
 included, as strict UTF-8, and checks each line as it reads it, holding one
-line and one record at a time. It is the only chain check: a live chain is
-checked by reading back the bytes write_log writes for it. The codec needs
-CPython's `_json` module.
+line and one record at a time. A line is accepted by its exact export form:
+the envelope is matched around the payload, the payload alone is decoded
+once and re-encoded to compare, and the hash is recomputed. Any other line
+is parsed in full, to accept it if it is a valid record after all or else
+to name what broke. It is the only chain check: a live chain is checked by
+reading back the bytes write_log writes for it. The codec needs CPython's
+`_json` module.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -163,7 +167,7 @@ class EventRecord:
     payload_json: str  # the canonical payload bytes the hash covers and export writes
     prev_hash: str
     hash: str
-    # The dict from_json_line decoded the payload into, so the replay fold decodes each
+    # The dict the reader decoded the payload into, so the replay fold decodes each
     # line once; None on a record built any other way (dataclasses.replace included).
     _decoded: dict | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -365,19 +369,71 @@ def iter_log_lines(log):
             raise MalformedEvent(f"malformed event at seq {seq}: log is not UTF-8: {exc}") from exc
         if not line:
             raise ChainBroken(seq, "not canonical: blank line")
-        try:
-            rec = EventRecord.from_json_line(line)
-        except MalformedEvent as exc:
-            raise MalformedEvent(f"malformed event at seq {seq}: {exc}") from exc
-        if rec.seq != seq:
-            raise ChainBroken(rec.seq, f"seq gap: expected {seq}")
-        if rec.prev_hash != prev:
-            raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
-        if rec.tick < last_tick:
-            raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
-        if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
-            raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
-        if _splice(rec) != line:
-            raise ChainBroken(seq, "not canonical: the line differs from its export form")
+        rec = _exact_record(line, seq, prev, last_tick)
+        if rec is None:
+            rec = _parsed_record(line, seq, prev, last_tick)
         yield rec
         prev, last_tick = rec.hash, rec.tick
+
+
+def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord | None:
+    """The record `line` is if it is exactly the export of a valid record `seq` after `prev`, else None.
+
+    The envelope is matched in place around the payload. Only the payload is decoded; it must
+    re-encode to its own bytes, and the hash is recomputed. A line this accepts is one that
+    _parsed_record accepts as the same record; _parsed_record judges every other line.
+    """
+    if not (line.startswith('{"hash":"') and line.startswith('","kind":"', 73)):
+        return None
+    kind_end = line.find('"', 83)
+    kind = line[83:kind_end]
+    # Printable ASCII with no backslash is its own JSON string form (a '"' would end it).
+    if not (kind.isascii() and kind.isprintable()) or "\\" in kind:
+        return None
+    if not line.startswith('","payload":', kind_end):
+        return None
+    start = kind_end + 12
+    try:
+        payload, end = _raw_decode(line, start)
+        payload_json = canonical_payload(payload)
+    except (ValueError, RecursionError):
+        return None
+    if type(payload) is not dict or end - start != len(payload_json) or not line.startswith(payload_json, start):
+        return None
+    tail = f',"prev_hash":"{prev}","seq":{seq},"tick":'
+    if not line.startswith(tail, end):
+        return None
+    digits = line[end + len(tail):-1]
+    # JSON's integer form, and short enough that int() cannot refuse it (past 4300 digits).
+    if line[-1] != "}" or not (digits.isascii() and digits.isdigit()) or len(digits) > 4300:
+        return None
+    if digits[0] == "0" and digits != "0":
+        return None
+    tick = int(digits)
+    if tick < last_tick:
+        return None
+    digest = line[9:73]
+    if record_hash(seq, tick, kind, payload_json, prev) != digest:
+        return None
+    rec = EventRecord(seq, tick, kind, payload_json, prev, digest)
+    rec._decoded = payload
+    return rec
+
+
+def _parsed_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord:
+    """Parse `line` in full and check it as record `seq` after `prev`: the record, or the error naming what broke."""
+    try:
+        rec = EventRecord.from_json_line(line)
+    except MalformedEvent as exc:
+        raise MalformedEvent(f"malformed event at seq {seq}: {exc}") from exc
+    if rec.seq != seq:
+        raise ChainBroken(rec.seq, f"seq gap: expected {seq}")
+    if rec.prev_hash != prev:
+        raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
+    if rec.tick < last_tick:
+        raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
+    if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
+        raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
+    if _splice(rec) != line:
+        raise ChainBroken(seq, "not canonical: the line differs from its export form")
+    return rec

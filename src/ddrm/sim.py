@@ -18,8 +18,8 @@ are side-effect free.
 Every id is its prefix and its book's size once filed (REV-00003 is the
 third review), and no record is ever removed, so each book, and each list
 appended as records are created, is already in id order. Nothing re-sorts
-them but TokenBook.expiry_sweep, the one place that sorts token ids as
-strings (which misorders ids past the padding width).
+them but TokenBook.expiry_sweep, which orders the tokens due at once by
+book, then by id number, as if walking the two token books.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ exactly when its SRAT is Burned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .config import ProtocolConfig
 from .errors import TokenExpired, TokenNotActive, ValidationError
@@ -47,6 +46,11 @@ class Token:
         return self.state == ACTIVE and tick < self.expiry_tick
 
 
+def _mint_order(token: Token) -> tuple[bool, int]:
+    """SRATs before SRDTs, each by id number: the order of walking srats, then srdts."""
+    return token.token_id.startswith("SRDT"), int(token.token_id[5:])
+
+
 class TokenBook:
     """Registry and state machine for all token instances."""
 
@@ -57,9 +61,7 @@ class TokenBook:
         self.srdts: dict[str, Token] = {}
         self.srat_by_purchase: dict[str, str] = {}
         # Append-only indexes over keys a token never changes, each serving a
-        # per-operation lookup. Token ids sort every SRAT before every SRDT
-        # ("SRAT-" < "SRDT-"), so sorting a due bucket by id gives the order
-        # of walking srats, then srdts.
+        # per-operation lookup.
         self.srdts_by_holder_service: dict[tuple[str, str], list[str]] = {}
         self.tokens_by_expiry: dict[int, list[Token]] = {}
         self.dret: dict[str, int] = {}
@@ -148,7 +150,7 @@ class TokenBook:
         for expiry in [t for t in self.tokens_by_expiry if t <= tick]:
             due.extend(self.tokens_by_expiry.pop(expiry))
         expired = []
-        for token in sorted(due, key=attrgetter("token_id")):
+        for token in sorted(due, key=_mint_order):
             if token.state == ACTIVE:
                 token.state = EXPIRED
                 expired.append(token.token_id)

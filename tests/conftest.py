@@ -40,17 +40,17 @@ def exported_log(ledger) -> bytes:
     return f.getvalue()
 
 
-def forged_log(log: bytes, edit) -> bytes:
+def forged_log(log: bytes, edit, encode=canonical_payload) -> bytes:
     """An exported log with edit(record) applied to every record, then re-hashed so the chain holds.
 
-    edit may change the dict `rec.payload` returns (a read record's own decode); the
-    edited dict is re-encoded into the bytes the record holds.
+    edit may change the dict `rec.payload` returns (a read record's own decode); encode
+    (canonical JSON unless given) turns the edited dict into the bytes the record holds.
     """
     prev, lines = ZERO_DIGEST, []
     # Read the whole log first: the reader links each record through its hash after yielding it.
     for rec in list(iter_log_lines(log)):
         edit(rec)
-        rec.payload_json = canonical_payload(rec.payload)
+        rec.payload_json = encode(rec.payload)
         rec.prev_hash = prev
         rec.hash = prev = record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, prev)
         lines.append(rec.to_json_line().encode() + b"\n")

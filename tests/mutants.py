@@ -48,6 +48,22 @@ MUTANTS = (
            "if end != len(line):", "if False:", "tests/test_ledger.py"),
     Mutant("no-seq-check", "src/ddrm/ledger.py",
            "if rec.seq != seq:", "if False:", "tests/test_ledger.py"),
+    # The exact-form test: each condition under which it accepts a line without the full parse.
+    Mutant("exact-form-skips-reencode", "src/ddrm/ledger.py",
+           " or end - start != len(payload_json) or not line.startswith(payload_json, start)", "",
+           "tests/test_ledger.py"),
+    Mutant("exact-form-skips-hash", "src/ddrm/ledger.py",
+           "if record_hash(seq, tick, kind, payload_json, prev) != digest:", "if False:", "tests/test_ledger.py"),
+    Mutant("exact-form-skips-tick-order", "src/ddrm/ledger.py",
+           "if tick < last_tick:", "if False:", "tests/test_ledger.py"),
+    Mutant("exact-form-takes-leading-zero-tick", "src/ddrm/ledger.py",
+           'if digits[0] == "0" and digits != "0":', "if False:", "tests/test_ledger.py"),
+    Mutant("exact-form-skips-prev-hash-and-seq", "src/ddrm/ledger.py",
+           "if not line.startswith(tail, end):", "if False:", "tests/test_ledger.py"),
+    Mutant("exact-form-takes-unescaped-kind", "src/ddrm/ledger.py",
+           "if not (kind.isascii() and kind.isprintable()) or", "if False or", "tests/test_ledger.py"),
+    Mutant("exact-form-takes-backslash-kind", "src/ddrm/ledger.py",
+           ' or "\\\\" in kind', "", "tests/test_ledger.py"),
     Mutant("unsorted-encoder", "src/ddrm/ledger.py",
            '":", ",", True, False, True)', '":", ",", False, False, True)', "tests/test_ledger.py"),
     Mutant("shared-markers-dict", "src/ddrm/ledger.py",
@@ -206,6 +222,12 @@ MUTANTS = (
     Mutant("lenient-number-syntax", "src/ddrm/ledger.py",
            "not _JSON_NUMBER.fullmatch(text)", "not _JSON_NUMBER.fullmatch(text.strip().replace('_', ''))",
            "tests/test_cli.py"),
+    Mutant("expiry-sweep-sorts-id-strings", "src/ddrm/tokens.py",
+           "sorted(due, key=_mint_order)", "sorted(due, key=lambda token: token.token_id)", "tests/test_tokens.py"),
+    Mutant("recorded-claim-unquoted", "src/ddrm/cli.py",
+           "{quoted(claims[key], 80)}", "{claims[key]!r}", "tests/test_cli.py"),
+    Mutant("recorded-hash-cut", "src/ddrm/cli.py",
+           "{quoted(claims[key], 80)}", "{quoted(claims[key])}", "tests/test_cli.py"),
     Mutant("unbounded-quote", "src/ddrm/ledger.py",
            "return text if len(text) <= limit else", "return text if True else", "tests/test_cli.py"),
     Mutant("gwei-at-decimal-precision", "src/ddrm/reporting.py",

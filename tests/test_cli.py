@@ -545,6 +545,17 @@ class TestVerify:
         assert f"exclusions: recorded {exclusions + 2}, replayed {exclusions}" in err
         assert "final_log_hash" not in err and "badge_accuracy" not in err
 
+    def test_long_recorded_value_gives_a_short_message(self, tmp_path, config_path, capsys):
+        log, metrics = self._run(tmp_path, config_path)
+        doc = json.loads(metrics.read_text())
+        doc["final_log_hash"] = "f" * 100_000
+        metrics.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(log), "--metrics", str(metrics)]) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "final_log_hash: recorded 'ffff" in err and "(100002 characters)" in err
+        assert len(err) < 300
+
     @pytest.mark.parametrize("cut", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("kind", CUT_KINDS)
     def test_log_cut_at_a_line_boundary_fails_against_its_metrics(self, seven_kinds, tmp_path, capsys, kind, cut):
@@ -741,6 +752,19 @@ class TestPrintDefaults:
         assert config.protocol.endorsement_quorum == 3
         assert config.protocol.gas.rows["add_service"].gas_used == 182304
         assert doc["protocol"]["gas"]["gas_price_gwei"] == 2.9
+
+
+class TestParser:
+    def test_command_replaced_after_the_first_call_is_the_one_run(self, monkeypatch, capsys):
+        import ddrm.cli as cli_mod
+
+        assert main(["print-defaults"]) == EXIT_OK
+        parser = cli_mod.build_parser()
+        seen = []
+        monkeypatch.setattr(cli_mod, "cmd_verify", lambda args: seen.append(args.log) or 17)
+        assert main(["verify", "some.events.ndjson"]) == 17
+        assert seen == ["some.events.ndjson"]
+        assert cli_mod.build_parser() is parser
 
 
 class TestInvariantExit:

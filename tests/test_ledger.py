@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddrm import GasSchedule, RandomBeacon, ether, format_ether
+from ddrm import AttackScenario, GasSchedule, RandomBeacon, ether, format_ether, run_scenario
+from ddrm import ledger as ledger_mod
+from ddrm.adversary import ALL_KINDS, KIND_FALSE_REFUND
 from ddrm.errors import ChainBroken, InsufficientFunds, MalformedEvent, PoolTooSmall, ConfigError, ValidationError
 from ddrm.ledger import (
     OP_ADD_SERVICE,
@@ -24,7 +26,7 @@ from ddrm.ledger import (
     record_hash,
 )
 
-from conftest import consumer_with_purchase, exported_log, make_sim, provider_and_service
+from conftest import consumer_with_purchase, exported_log, forged_log, make_sim, provider_and_service
 
 # The two forms iter_log_lines takes: an exported log's bytes, whole, and a binary file.
 LOG_SOURCES = pytest.mark.parametrize(
@@ -338,6 +340,167 @@ class TestByteExactness:
             accepted.append((pos, edited[max(pos - 8, 0):pos + 8]))
         assert accepted == []
         assert edits > 5 * len(data)
+
+
+def small_log(kind: str, seed: int = 7) -> bytes:
+    scenario = AttackScenario(name=kind, kind=kind, seed=seed, rounds=3, honest_count=6, attacker_count=2)
+    return run_scenario(scenario).log_text()
+
+
+def verdict(log: bytes):
+    """What iter_log_lines makes of a log: each record it yields, with its payload, then the error it raises."""
+    records = []
+    try:
+        for rec in iter_log_lines(log):
+            records.append((rec, rec.payload))
+    except (ChainBroken, MalformedEvent) as exc:
+        return records, (type(exc), getattr(exc, "seq", None), str(exc))
+    return records, None
+
+
+def full_parse_verdict(log: bytes, monkeypatch):
+    """verdict(log) with every line parsed in full, as when the exact-form test accepts none."""
+    with monkeypatch.context() as patched:
+        patched.setattr(ledger_mod, "_exact_record", lambda line, seq, prev, last_tick: None)
+        return verdict(log)
+
+
+# The record the forgeries below edit: its payload has several keys and it follows a record at tick >= 1.
+T = 29
+
+
+def edit_at(log: bytes, edit) -> bytes:
+    """log with line T replaced by edit(line), LF kept; its hash and the other lines are untouched."""
+    lines = log.splitlines(keepends=True)
+    lines[T] = edit(lines[T][:-1]) + b"\n"
+    return b"".join(lines)
+
+
+def forge_at(log: bytes, change) -> bytes:
+    """forged_log with change(record) applied to the record at T only."""
+    return forged_log(log, lambda rec: change(rec) if rec.seq == T else None)
+
+
+def forge_fields(log: bytes, **fields) -> bytes:
+    def change(rec):
+        for name, value in fields.items():
+            setattr(rec, name, value)
+
+    return forge_at(log, change)
+
+
+def forge_all(log: bytes, encode) -> bytes:
+    """forged_log with every payload written, and hashed, as encode writes it."""
+    return forged_log(log, lambda rec: None, encode)
+
+
+def reversed_keys(payload: dict) -> str:
+    return json.dumps(dict(reversed(payload.items())), separators=(",", ":"))
+
+
+def unsorted_payload(line: bytes) -> bytes:
+    payload = json.loads(line)["payload"]
+    return line.replace(canonical_payload(payload).encode(), reversed_keys(payload).encode())
+
+
+def envelope_tail(rec):
+    rec.payload.update(prev_hash=rec.prev_hash, seq=rec.seq, tick=rec.tick, zz=f',"prev_hash":"{rec.prev_hash}"')
+
+
+# name -> (build(log) -> edited log, what the full parse makes of it: None to accept, else part of its error)
+FORGERIES = {
+    "envelope-whitespace": (lambda log: edit_at(log, lambda b: b.replace(b'","kind":', b'", "kind":')),
+                            "not canonical"),
+    "payload-whitespace": (lambda log: edit_at(log, lambda b: b.replace(b'"payload":{', b'"payload":{ ')),
+                           "not canonical"),
+    "payload-whitespace-hashed": (lambda log: forge_all(log, lambda p: json.dumps(p, sort_keys=True)), "hash mismatch"),
+    "unsorted-keys": (lambda log: edit_at(log, unsorted_payload), "not canonical"),
+    "unsorted-keys-hashed": (lambda log: forge_all(log, reversed_keys), "hash mismatch"),
+    "list-payload": (lambda log: forge_all(log, lambda p: canonical_payload([p])),
+                     "payload must be a JSON object, not list"),
+    "escaped-kind": (lambda log: forge_fields(log, kind="Caf\u00e9"), None),
+    "control-character-kind": (lambda log: forge_fields(log, kind="Tab\tKind"), None),
+    "unescaped-kind": (lambda log: forge_fields(log, kind="Caf\u00e9").replace(b"Caf\\u00e9", "Caf\u00e9".encode()),
+                       "not canonical"),
+    "kind-hashed-over-its-escape": (
+        lambda log: forge_fields(log, kind="Caf\\u00e9").replace(b"Caf\\\\u00e9", b"Caf\\u00e9"), "hash mismatch"),
+    "leading-zero-tick": (lambda log: edit_at(log, lambda b: b.replace(b',"tick":', b',"tick":0')), "not valid JSON"),
+    "negative-tick": (lambda log: forge_fields(log, tick=-1), "tick regression"),
+    "tick-regression": (lambda log: forge_at(log, lambda rec: setattr(rec, "tick", rec.tick - 1)), "tick regression"),
+    "5000-digit-tick": (lambda log: edit_at(log, lambda b: b[:b.rindex(b":") + 1] + b"1" * 5000 + b"}"),
+                        "not valid JSON"),
+    "4300-digit-tick": (lambda log: forged_log(log, lambda rec: rec.seq >= T and setattr(rec, "tick", 10**4299)), None),
+    "tick-in-payload": (lambda log: forge_at(log, lambda rec: rec.payload.update(tick=1, zz=',"tick":2}')), None),
+    "envelope-tail-in-payload": (lambda log: forge_at(log, envelope_tail), None),
+    "prev-hash-text-replaced": (
+        lambda log: edit_at(log, lambda b: b.replace(json.loads(b)["prev_hash"].encode(), b"f" * 64)),
+        "prev-hash mismatch"),
+    "seq-text-replaced": (lambda log: edit_at(log, lambda b: b.replace(b'"seq":%d,' % T, b'"seq":%d,' % (T + 1))),
+                          "seq gap"),
+}
+
+
+@pytest.fixture(scope="module")
+def refund_log() -> bytes:
+    return small_log(KIND_FALSE_REFUND)
+
+
+class TestExactForm:
+    """The exact-form test accepts a line exactly when the full parse accepts it as the same record."""
+
+    @pytest.mark.parametrize("seed", [7, 2407])
+    def test_every_exported_line_takes_the_exact_form(self, seed):
+        for kind in ALL_KINDS:
+            prev, last_tick = ZERO_DIGEST, 0
+            for seq, raw in enumerate(small_log(kind, seed).splitlines()):
+                line = raw.decode("utf-8")
+                exact = ledger_mod._exact_record(line, seq, prev, last_tick)
+                parsed = ledger_mod._parsed_record(line, seq, prev, last_tick)
+                assert exact is not None, (kind, seq)
+                assert exact == parsed and exact.payload == parsed.payload
+                prev, last_tick = exact.hash, exact.tick
+
+    @pytest.mark.parametrize("name", FORGERIES)
+    def test_forgery_gets_the_full_parse_verdict(self, name, refund_log, monkeypatch):
+        records = list(iter_log_lines(refund_log))
+        assert records[T - 1].tick >= 1 and len(records[T].payload) >= 2
+        build, expected = FORGERIES[name]
+        log = build(refund_log)
+        assert log != refund_log
+        got = verdict(log)
+        assert got == full_parse_verdict(log, monkeypatch)
+        if expected is None:
+            assert got[1] is None and len(got[0]) == len(records)
+        else:
+            assert got[1] is not None and expected in got[1][2], got[1]
+
+    def test_lines_that_hold_an_envelope_tail_take_the_exact_form(self, refund_log, monkeypatch):
+        full_parses = []
+        parse = ledger_mod._parsed_record
+        monkeypatch.setattr(ledger_mod, "_parsed_record", lambda *args: full_parses.append(args) or parse(*args))
+        for name in ("tick-in-payload", "envelope-tail-in-payload", "4300-digit-tick"):
+            log = FORGERIES[name][0](refund_log)
+            assert len(list(iter_log_lines(log))) == log.count(b"\n")
+        assert full_parses == []
+
+    def test_single_byte_edits_get_the_full_parse_verdict(self, monkeypatch):
+        logs = {kind: small_log(kind) for kind in ALL_KINDS}
+        first = {}  # event kind -> (its log, the seq of its first record)
+        for log in logs.values():
+            for rec in iter_log_lines(log):
+                first.setdefault(rec.kind, (log, rec.seq))
+        assert len(first) >= 13
+        edits = 0
+        for log, seq in first.values():
+            lines = log.splitlines(keepends=True)[:seq + 1]
+            line = lines[-1]
+            for pos in range(0, len(line) - 1, 11):
+                for new in (b'"', b"\\", b"0", b" "):
+                    if line[pos:pos + 1] != new:
+                        edited = b"".join(lines[:-1]) + line[:pos] + new + line[pos + 1:]
+                        assert verdict(edited) == full_parse_verdict(edited, monkeypatch), (seq, pos, new)
+                        edits += 1
+        assert edits > 1000
 
 
 class TestCommittedBytes:

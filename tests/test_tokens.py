@@ -4,11 +4,12 @@ from collections import Counter
 
 import pytest
 
-from ddrm import ether, text_digest
+from ddrm import GasSchedule, ProtocolConfig, ether, text_digest
 from ddrm.endorsement import BADGE_FRAUDULENT
 from ddrm.errors import TokenExpired, TokenNotActive
 from ddrm.identity import ROLE_CONSUMER
-from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, VOIDED
+from ddrm.ledger import Ledger
+from ddrm.tokens import ACTIVE, BURNED, CONSUMED, EXPIRED, VOIDED, TokenBook
 
 from conftest import make_sim, provider_and_service, reviewed_purchase
 from test_properties import check_facts_against_log
@@ -104,6 +105,19 @@ class TestExpirySweep:
 
     def test_sweep_with_no_tokens(self, sim):
         assert sim.tokens.expiry_sweep(0) == []
+
+    def test_due_tokens_expire_by_book_then_id_number(self):
+        # Past the five-digit padding an id string sorts SRAT-100000 right after SRAT-10000.
+        config = ProtocolConfig(srat_lifetime=2, srdt_lifetime=1)
+        book = TokenBook(config, Ledger(GasSchedule(), seed=1))
+        book.mint_srdt("holder", "SVC-00001")  # filed first, in the earlier bucket
+        for n in range(100_001):
+            book.mint_srat("consumer", "SVC-00001", f"PUR-{n}")
+        expired = book.expiry_sweep(2)
+        assert book.ledger.log[-1].payload == {"tokens": expired}
+        assert len(expired) == 100_002
+        assert expired[:2] == ["SRAT-00001", "SRAT-00002"]
+        assert expired[-4:] == ["SRAT-99999", "SRAT-100000", "SRAT-100001", "SRDT-00001"]
 
     def test_expired_srat_blocks_review(self):
         sim = make_sim(srat_lifetime=1)
