@@ -9,6 +9,7 @@ endorse-review in gas units at 2.9 Gwei; the table converts to Ether
 from decimal import Decimal
 
 from ddrm import ProtocolConfig, Simulation, ether, format_ether, gas_table_rows, text_digest
+from ddrm.ledger import GAS_SINK
 from ddrm.reporting import format_gas_table
 
 
@@ -34,7 +35,7 @@ def main():
             print(f"  {p['op']:16s} payer {p['payer']}  {format_ether(p['amount_wei'])} ETH")
     print(f"\nreview submission cost the consumer nothing; the service fund paid "
           f"{format_ether(10**16)} ETH into the gas sink")
-    print(f"gas sink total: {format_ether(sim.ledger.gas_sink)} ETH")
+    print(f"gas sink total: {format_ether(sim.ledger.balance(GAS_SINK))} ETH")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ def main():
     service = sim.add_service(operator, ether("0.5"))
     listing = sim.market.get_service(service)
     print(f"{service} listed at {eth(listing.s_cost)}")
-    print(f"review fund seeded with {eth(listing.review_fund)} (100 subsidized reviews)")
+    print(f"review fund seeded with {eth(sim.ledger.balance(service))} (100 subsidized reviews)")
     print(f"operator balance now {eth(sim.ledger.balance(operator))} (gas + 1 ETH fund)")
 
     print("\n=== Purchases mint review-authorization tokens ===")
@@ -57,7 +57,7 @@ def main():
     balance_before = sim.ledger.balance(authority)
     review = sim.submit_review(authority, purchase, 4, text_digest("good coverage, minor lag"))
     print(f"authority balance unchanged by reviewing: {sim.ledger.balance(authority) == balance_before}")
-    print(f"fund after 6 reviews: {eth(sim.market.get_service(service).review_fund)}")
+    print(f"fund after 6 reviews: {eth(sim.ledger.balance(service))}")
     print(f"token state after use: {token.state}")
 
     print("\n=== Bootstrap endorsers from the earliest reviewers ===")

@@ -14,7 +14,8 @@ route builds per-participant totals, never a list of the log's records,
 for _metrics, the one definition of the seven metrics; the two must agree
 exactly. Attacker spend is every Wei that left attacker accounts (gas,
 purchase prices, review-fund deposits and refunds paid), read live from
-Ledger.spent.
+Ledger.spent, which also counts what left the fund accounts; the metrics
+read only participants.
 
 Voting behavior: honest endorsers vote Up on reviews whose rating band
 matches the service's ground truth and Down otherwise (inverted with
@@ -388,7 +389,7 @@ class ScenarioRunner:
         for service_id in self.ground_truth:
             service = self.sim.market.get_service(service_id)
             provider = service.provider
-            if service.status != STATUS_LISTED or service.review_fund >= REVIEW_SUBSIDY:
+            if service.status != STATUS_LISTED or self.sim.ledger.balance(service_id) >= REVIEW_SUBSIDY:
                 continue
             if self.sim.identity.get(provider).status == STATUS_EXCLUDED:
                 continue
@@ -571,7 +572,7 @@ class ScenarioRunner:
         self.extras["review_starved_services"] = [
             s.service_id
             for s in market.services.values()
-            if s.status == STATUS_LISTED and s.review_fund < REVIEW_SUBSIDY
+            if s.status == STATUS_LISTED and self.sim.ledger.balance(s.service_id) < REVIEW_SUBSIDY
         ]
         return ScenarioResult(
             scenario=self.scenario,

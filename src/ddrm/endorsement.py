@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .identity import STATUS_EXCLUDED, IdentityRegistry
-from .ledger import OP_ENDORSE_REVIEW, Ledger
+from .ledger import GAS_SINK, OP_ENDORSE_REVIEW, Ledger
 from .marketplace import Marketplace
 from .tokens import BURNED, TokenBook
 
@@ -135,17 +135,16 @@ class ReviewBoard:
             raise ValidationError("text digest required")
         if not token.usable_at(self.ledger.tick):
             raise NoValidSrat(purchase_id)
-        service = self.market.get_service(purchase.service_id)
-        if service.review_fund < REVIEW_SUBSIDY:
-            raise FundExhausted(service.service_id)
+        service_id = purchase.service_id
+        if self.ledger.balance(service_id) < REVIEW_SUBSIDY:
+            raise FundExhausted(service_id)
 
         self.tokens.burn_srat(token.token_id)
-        service.review_fund -= REVIEW_SUBSIDY
-        self.ledger.credit_gas_sink(REVIEW_SUBSIDY)
+        self.ledger.transfer(service_id, GAS_SINK, REVIEW_SUBSIDY)
         review_id = f"REV-{len(self.reviews) + 1:05d}"
         review = Review(
             review_id=review_id,
-            service_id=service.service_id,
+            service_id=service_id,
             reviewer=consumer,
             purchase_id=purchase_id,
             rating=rating,
@@ -159,7 +158,7 @@ class ReviewBoard:
             {
                 "review": review_id,
                 "purchase": purchase_id,
-                "service": service.service_id,
+                "service": service_id,
                 "reviewer": consumer,
                 "rating": rating,
                 "text_digest": digest,

@@ -59,6 +59,10 @@ OP_REQUEST_SERVICE = "request_service"
 OP_ENDORSE_REVIEW = "endorse_review"
 GAS_OPS = (OP_ADD_SERVICE, OP_REQUEST_SERVICE, OP_ENDORSE_REVIEW)
 
+# The account gas and review subsidies are paid into; no participant (P0001),
+# service (SVC-0001) or the faucet (FAUCET) is ever named so.
+GAS_SINK = "GAS-SINK"
+
 
 # JSON's number syntax: no blank, underscore, leading "+" or ".", NaN or Infinity.
 _JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
@@ -203,6 +207,10 @@ class EventRecord:
             raise MalformedEvent(f"seq and tick must be integers, not {record.seq!r} and {record.tick!r}")
         if type(record.kind) is not str or type(record.hash) is not str or type(record.prev_hash) is not str:
             raise MalformedEvent("kind, hash and prev_hash must be strings")
+        try:
+            record.kind.encode("utf-8")  # as the hash preimage carries it; a lone surrogate has no UTF-8 form
+        except UnicodeEncodeError as exc:
+            raise MalformedEvent(f"kind is not valid UTF-8: {exc}") from exc
         if type(payload) is not dict:
             raise MalformedEvent(f"payload must be a JSON object, not {type(payload).__name__}")
         record.payload_json = canonical_payload(payload)
@@ -252,12 +260,12 @@ class RandomBeacon:
 
 
 class Ledger:
-    """Single-threaded account store with gas sink, tick counter, and event log.
+    """Single-threaded account store with tick counter and event log.
 
-    Accounts are opened with a zero balance except at genesis (the faucet);
-    afterwards money only moves, so the sum of all accounts plus the gas
-    sink is constant apart from amounts explicitly parked in external pools
-    (service review funds) via debit()/credit().
+    Every Wei lives in an account: each participant's, the faucet's, each
+    service's review fund (named by its service id) and the gas sink. Only
+    the faucet opens with a balance; afterwards money only moves, by
+    transfer, so the sum of all accounts is constant.
     """
 
     def __init__(self, gas: GasSchedule, seed: int):
@@ -265,10 +273,10 @@ class Ledger:
         self.gas = gas
         self.accounts: dict[str, int] = {}
         self.spent: dict[str, int] = {}   # Wei that ever left each account
-        self.gas_sink = 0
         self.log: list[EventRecord] = []
         self.tick = 0
         self.beacon = RandomBeacon(seed)
+        self.open_account(GAS_SINK)
 
     # -- accounts --
 
@@ -285,32 +293,15 @@ class Ledger:
             raise UnknownAccount(account_id)
         return self.accounts[account_id]
 
-    def debit(self, account_id: str, amount: int) -> None:
-        if amount < 0:
-            raise ValidationError("negative debit")
-        if self.balance(account_id) < amount:
-            raise InsufficientFunds(f"{account_id} holds {self.accounts[account_id]} Wei, needs {amount}")
-        self.accounts[account_id] -= amount
-        self.spent[account_id] += amount
-
-    def credit(self, account_id: str, amount: int) -> None:
-        if amount < 0:
-            raise ValidationError("negative credit")
-        self.balance(account_id)
-        self.accounts[account_id] += amount
-
     def transfer(self, src: str, dst: str, amount: int) -> None:
-        self.balance(dst)
-        self.debit(src, amount)
-        self.accounts[dst] += amount
-
-    def credit_gas_sink(self, amount: int) -> None:
         if amount < 0:
-            raise ValidationError("negative gas sink credit")
-        self.gas_sink += amount
-
-    def total_account_wei(self) -> int:
-        return sum(self.accounts.values())
+            raise ValidationError("negative transfer")
+        self.balance(dst)
+        if self.balance(src) < amount:
+            raise InsufficientFunds(f"{src} holds {self.accounts[src]} Wei, needs {amount}")
+        self.accounts[src] -= amount
+        self.spent[src] += amount
+        self.accounts[dst] += amount
 
     # -- gas --
 
@@ -318,10 +309,9 @@ class Ledger:
         return self.gas.charge(op)
 
     def charge_gas(self, payer: str, op: str) -> int:
-        """Debit gas_used(op) * price from payer into the gas sink."""
+        """Move gas_used(op) * price from payer into the gas sink."""
         amount = self.gas.charge(op)
-        self.debit(payer, amount)
-        self.gas_sink += amount
+        self.transfer(payer, GAS_SINK, amount)
         self.append_event("GasCharged", {"payer": payer, "op": op, "amount_wei": amount})
         return amount
 

@@ -1,10 +1,11 @@
 """Service listings, purchases, and review-fund economics.
 
-Listing a service debits the provider the listing gas plus 1 Ether, and
-that Ether seeds the service's review fund. A purchase debits the consumer
-gas plus the price, credits the provider the price, and mints one review
-authorization token bound to the purchase. All checks run before any money
-moves, so a failed call never leaves a partial debit.
+A service's review fund is a ledger account named by its service id, as
+a contract's escrow balance would be. Listing a service charges the
+provider the listing gas and moves 1 Ether into that account. A purchase
+charges the consumer gas, moves the price to the provider, and mints one
+review authorization token bound to the purchase. All checks run before
+any money moves, so a failed call never leaves a partial transfer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class ServiceListing:
     service_id: str
     provider: str
     s_cost: int
-    review_fund: int
     status: str = STATUS_LISTED
 
 
@@ -79,15 +79,11 @@ class Marketplace:
         if self.ledger.balance(provider) < gas + REVIEW_FUND_SEED:
             raise InsufficientFunds(f"{provider} cannot cover listing gas plus fund seed")
 
-        self.ledger.charge_gas(provider, OP_ADD_SERVICE)
-        self.ledger.debit(provider, REVIEW_FUND_SEED)
         service_id = f"SVC-{len(self.services) + 1:04d}"
-        self.services[service_id] = ServiceListing(
-            service_id=service_id,
-            provider=provider,
-            s_cost=s_cost,
-            review_fund=REVIEW_FUND_SEED,
-        )
+        self.ledger.open_account(service_id)
+        self.ledger.charge_gas(provider, OP_ADD_SERVICE)
+        self.ledger.transfer(provider, service_id, REVIEW_FUND_SEED)
+        self.services[service_id] = ServiceListing(service_id=service_id, provider=provider, s_cost=s_cost)
         self.ledger.append_event(
             "ServiceAdded",
             {
@@ -173,10 +169,9 @@ class Marketplace:
     def _withdraw(self, service: ServiceListing) -> None:
         service.status = STATUS_WITHDRAWN
         refunded = 0
-        if self.config.refund_fund_on_withdraw and service.review_fund > 0:
-            refunded = service.review_fund
-            service.review_fund = 0
-            self.ledger.credit(service.provider, refunded)
+        if self.config.refund_fund_on_withdraw:
+            refunded = self.ledger.balance(service.service_id)
+            self.ledger.transfer(service.service_id, service.provider, refunded)
         self.ledger.append_event(
             "ServiceWithdrawn",
             {"service": service.service_id, "fund_refunded_wei": refunded},
@@ -188,18 +183,18 @@ class Marketplace:
         if amount < 0:
             raise ValidationError("replenish amount cannot be negative")
         if amount == 0:
-            return service.review_fund
+            return self.ledger.balance(service_id)
         gas = self.ledger.gas_cost(OP_ADD_SERVICE)
         if self.ledger.balance(provider) < amount + gas:
             raise InsufficientFunds(f"{provider} cannot cover replenishment plus gas")
         self.ledger.charge_gas(provider, OP_ADD_SERVICE)
-        self.ledger.debit(provider, amount)
-        service.review_fund += amount
+        self.ledger.transfer(provider, service_id, amount)
+        fund = self.ledger.balance(service_id)
         self.ledger.append_event(
             "FundReplenished",
-            {"service": service_id, "provider": provider, "amount_wei": amount, "fund_wei": service.review_fund},
+            {"service": service_id, "provider": provider, "amount_wei": amount, "fund_wei": fund},
         )
-        return service.review_fund
+        return fund
 
     def withdraw_all_for(self, provider: str) -> dict:
         """On exclusion: withdraw every listed service, as withdraw_service would."""
@@ -209,6 +204,3 @@ class Marketplace:
                 self._withdraw(service)
                 withdrawn.append(service.service_id)
         return {"services_withdrawn": withdrawn}
-
-    def total_fund_wei(self) -> int:
-        return sum(s.review_fund for s in self.services.values())

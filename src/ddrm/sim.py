@@ -2,9 +2,11 @@
 
 A Simulation owns one isolated protocol instance. All mutations go through
 its methods; after every committed operation it re-asserts the money
-conservation law, always (there is no switch to turn it off):
+conservation law, always (there is no switch to turn it off), as a full
+sum over every ledger account (participants, faucet, review funds and
+the gas sink), never a running count:
 
-    sum(accounts) + gas_sink + sum(review funds) == genesis total
+    sum(accounts) == genesis total
 
 exclude runs ReviewBoard.exclude; advance_tick moves the ledger's tick on
 and then expires the tokens due by it (TokenBook.expiry_sweep).
@@ -54,7 +56,7 @@ class Simulation:
     # -- invariants --
 
     def conservation_total(self) -> int:
-        return self.ledger.total_account_wei() + self.ledger.gas_sink + self.market.total_fund_wei()
+        return sum(self.ledger.accounts.values())
 
     def _conserved(self, value):
         total = self.conservation_total()
@@ -138,7 +140,6 @@ class Simulation:
         return {
             "accounts": dict(self.ledger.accounts),
             "spent": dict(self.ledger.spent),
-            "gas_sink": self.ledger.gas_sink,
             "tick": self.ledger.tick,
             "log_len": len(self.ledger.log),
             "log_hash": self.ledger.final_hash(),

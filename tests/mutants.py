@@ -237,6 +237,32 @@ MUTANTS = (
     Mutant("format-ether-at-decimal-precision", "src/ddrm/reporting.py",
            "total_ether = Decimal(format_ether(wei))",
            'total_ether = (Decimal(wei) / 10**18).quantize(Decimal("0.000001"))', "tests/test_cli.py"),
+    # Money lives only in ledger accounts, and one full sum over them checks conservation.
+    Mutant("fund-seed-moved-before-check", "src/ddrm/marketplace.py",
+           "        if self.ledger.balance(provider) < gas + REVIEW_FUND_SEED:\n"
+           '            raise InsufficientFunds(f"{provider} cannot cover listing gas plus fund seed")\n\n'
+           '        service_id = f"SVC-{len(self.services) + 1:04d}"\n'
+           "        self.ledger.open_account(service_id)\n"
+           "        self.ledger.charge_gas(provider, OP_ADD_SERVICE)\n"
+           "        self.ledger.transfer(provider, service_id, REVIEW_FUND_SEED)\n",
+           '        service_id = f"SVC-{len(self.services) + 1:04d}"\n'
+           "        self.ledger.open_account(service_id)\n"
+           "        self.ledger.transfer(provider, service_id, REVIEW_FUND_SEED)\n"
+           "        if self.ledger.balance(provider) < gas:\n"
+           '            raise InsufficientFunds(f"{provider} cannot cover listing gas plus fund seed")\n'
+           "        self.ledger.charge_gas(provider, OP_ADD_SERVICE)\n",
+           "tests/test_marketplace.py"),
+    Mutant("fund-gate-reads-provider", "src/ddrm/endorsement.py",
+           "if self.ledger.balance(service_id) < REVIEW_SUBSIDY:",
+           "if self.ledger.balance(self.market.services[service_id].provider) < REVIEW_SUBSIDY:",
+           "tests/test_marketplace.py"),
+    Mutant("conservation-skips-sink", "src/ddrm/sim.py",
+           "return sum(self.ledger.accounts.values())",
+           'return sum(wei for account, wei in self.ledger.accounts.items() if account != "GAS-SINK")',
+           "tests/test_properties.py"),
+    # The full parse refuses a kind the hash preimage cannot carry as UTF-8.
+    Mutant("surrogate-kind-hashed", "src/ddrm/ledger.py",
+           'record.kind.encode("utf-8")  #', "pass  #", "tests/test_cli.py"),
 )
 
 

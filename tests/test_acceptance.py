@@ -80,7 +80,7 @@ class TestCriterion2EquationBookkeeping:
                     sid = sim.add_service(provider, cost)
                     services.append(sid)
                     assert sim.ledger.balance(provider) == before - add_gas - one_ether
-                    assert sim.market.get_service(sid).review_fund == one_ether
+                    assert sim.ledger.balance(sid) == one_ether
                 else:
                     sid = rng.choice(services)
                     consumer = rng.choice(consumers)
@@ -158,11 +158,11 @@ class TestCriterion5ReviewFund:
         sim = make_sim(genesis_balance=ether(100))
         provider, service = provider_and_service(sim, ether("0.001"))
         consumer = sim.register("cons", {ROLE_CONSUMER})
-        assert sim.market.get_service(service).review_fund == ether(1)
+        assert sim.ledger.balance(service) == ether(1)
         for i in range(100):
             purchase = sim.buy_service(consumer, service)
             sim.submit_review(consumer, purchase, 5, text_digest(f"n{i}"))
-        assert sim.market.get_service(service).review_fund == 0
+        assert sim.ledger.balance(service) == 0
         purchase_101 = sim.buy_service(consumer, service)
         with pytest.raises(FundExhausted):
             sim.submit_review(consumer, purchase_101, 5, text_digest("n100"))
@@ -171,7 +171,7 @@ class TestCriterion5ReviewFund:
         for i in range(99):
             purchase = sim.buy_service(consumer, service)
             sim.submit_review(consumer, purchase, 5, text_digest(f"m{i}"))
-        assert sim.market.get_service(service).review_fund == 0
+        assert sim.ledger.balance(service) == 0
         final = sim.buy_service(consumer, service)
         with pytest.raises(FundExhausted):
             sim.submit_review(consumer, final, 5, text_digest("over"))

@@ -637,6 +637,19 @@ class TestVerify:
         assert main(["verify", str(path)]) == EXIT_CHAIN
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seq", [0, 2])
+    def test_lone_surrogate_kind_exits_4(self, tmp_path, capsys, seq):
+        # JSON can escape a lone surrogate; the hash preimage cannot hold one as UTF-8.
+        sim = make_sim(seed=5)
+        provider_and_service(sim)
+        lines = exported_log(sim.ledger).split(b"\n")
+        kind = json.dumps(sim.ledger.log[seq].kind).encode()
+        lines[seq] = lines[seq].replace(b'"kind":' + kind, b'"kind":"\\ud800"', 1)
+        path = tmp_path / "one.events.ndjson"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["verify", str(path)]) == EXIT_CHAIN
+        assert f"verification failed: malformed event at seq {seq}: kind is not valid UTF-8" in capsys.readouterr().err
+
     def test_integer_past_the_digit_limit_exits_4(self, tmp_path, capsys):
         path = tmp_path / "one.events.ndjson"
         path.write_text(

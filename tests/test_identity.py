@@ -115,7 +115,7 @@ class TestExclusion:
         assert withdrawn.payload == {"service": service, "fund_refunded_wei": ether(1) if refund else 0}
         assert sim.ledger.log[-1].payload["services_withdrawn"] == [service]
         assert sim.ledger.balance(provider) == before + (ether(1) if refund else 0)
-        assert sim.market.get_service(service).review_fund == (0 if refund else ether(1))
+        assert sim.ledger.balance(service) == (0 if refund else ether(1))
 
     @pytest.mark.parametrize(
         "refund, final_hash",

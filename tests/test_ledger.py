@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ddrm import AttackScenario, GasSchedule, RandomBeacon, ether, format_ether, run_scenario
 from ddrm import ledger as ledger_mod
 from ddrm.adversary import ALL_KINDS, KIND_FALSE_REFUND
-from ddrm.errors import ChainBroken, InsufficientFunds, MalformedEvent, PoolTooSmall, ConfigError, ValidationError
+from ddrm.errors import (
+    ChainBroken, ConfigError, InsufficientFunds, MalformedEvent, PoolTooSmall, UnknownAccount, ValidationError,
+)
 from ddrm.ledger import (
     OP_ADD_SERVICE,
     OP_ENDORSE_REVIEW,
@@ -19,6 +21,7 @@ from ddrm.ledger import (
     MAX_WEI,
     WEI_PER_GWEI,
     ZERO_DIGEST,
+    GAS_SINK,
     EventRecord,
     Ledger,
     canonical_payload,
@@ -56,7 +59,7 @@ class TestGasCharges:
         charged = ledger.charge_gas("alice", op)
         assert charged == expected_wei
         assert ledger.balance("alice") == ether(10) - expected_wei
-        assert ledger.gas_sink == expected_wei
+        assert ledger.balance(GAS_SINK) == expected_wei
 
     def test_charge_appends_event(self):
         ledger = fresh_ledger()
@@ -68,10 +71,27 @@ class TestGasCharges:
 
     def test_empty_account_rejected_without_state_change(self):
         ledger = fresh_ledger()
-        before = (ledger.balance("bob"), ledger.gas_sink, len(ledger.log))
+        before = (ledger.balance("bob"), ledger.balance(GAS_SINK), len(ledger.log))
         with pytest.raises(InsufficientFunds):
             ledger.charge_gas("bob", OP_ADD_SERVICE)
-        assert (ledger.balance("bob"), ledger.gas_sink, len(ledger.log)) == before
+        assert (ledger.balance("bob"), ledger.balance(GAS_SINK), len(ledger.log)) == before
+
+    @pytest.mark.parametrize(
+        "src, dst, amount, error, message",
+        [
+            ("alice", "bob", -1, ValidationError, "negative transfer"),
+            ("alice", "carol", 1, UnknownAccount, "carol"),
+            ("carol", "bob", 0, UnknownAccount, "carol"),
+            ("bob", "alice", 1, InsufficientFunds, "bob holds 0 Wei, needs 1"),
+        ],
+        ids=["negative", "unknown-dst", "unknown-src", "short"],
+    )
+    def test_refused_transfer_moves_nothing(self, src, dst, amount, error, message):
+        ledger = fresh_ledger()
+        before = (dict(ledger.accounts), dict(ledger.spent))
+        with pytest.raises(error, match=message):
+            ledger.transfer(src, dst, amount)
+        assert (ledger.accounts, ledger.spent) == before
 
     def test_schedule_rejects_used_above_limit(self):
         from ddrm import GasRow
@@ -213,6 +233,19 @@ class TestEventChain:
         reader = iter_log_lines(source(b"".join(lines)))
         assert [next(reader).seq, next(reader).seq] == [0, 1]
         with pytest.raises(MalformedEvent, match="malformed event at seq 2"):
+            next(reader)
+
+    @LOG_SOURCES
+    @pytest.mark.parametrize("seq", [0, 2])
+    def test_lone_surrogate_kind_is_malformed(self, source, seq):
+        sim = make_sim(seed=5)
+        provider_and_service(sim)
+        lines = exported_log(sim.ledger).splitlines(keepends=True)
+        kind = json.dumps(sim.ledger.log[seq].kind).encode()
+        lines[seq] = lines[seq].replace(b'"kind":' + kind, b'"kind":"\\ud800"', 1)
+        reader = iter_log_lines(source(b"".join(lines)))
+        assert [next(reader).seq for _ in range(seq)] == list(range(seq))
+        with pytest.raises(MalformedEvent, match=f"malformed event at seq {seq}: kind is not valid UTF-8"):
             next(reader)
 
     @LOG_SOURCES

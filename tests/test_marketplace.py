@@ -27,24 +27,27 @@ class TestAddService:
         service = sim.add_service(provider, ether("0.5"))
         assert sim.ledger.balance(provider) == ether(10) - ether(1) - ADD_GAS
         assert sim.ledger.balance(provider) == 8_999_471_318_400_000_000
-        assert sim.market.get_service(service).review_fund == REVIEW_FUND_SEED
+        assert sim.ledger.balance(service) == REVIEW_FUND_SEED
 
-    def test_insufficient_balance_lists_nothing(self):
-        sim = make_sim(genesis_balance=ether("0.5"))
+    # Short of the seed itself, and holding the seed but short of gas + seed.
+    @pytest.mark.parametrize("genesis", [ether("0.5"), REVIEW_FUND_SEED + ADD_GAS - 1], ids=["no-seed", "no-gas"])
+    def test_insufficient_balance_lists_nothing(self, genesis):
+        sim = make_sim(genesis_balance=genesis)
         provider = sim.register("prov", {ROLE_PROVIDER})
         before = sim.fingerprint()
         with pytest.raises(InsufficientFunds):
             sim.add_service(provider, ether("0.5"))
         assert sim.fingerprint() == before
         assert sim.market.services == {}
+        assert not any(account.startswith("SVC-") for account in sim.ledger.accounts)
 
     def test_two_listings_have_independent_funds(self, sim):
         provider = sim.register("prov", {ROLE_PROVIDER})
         a = sim.add_service(provider, ether("0.5"))
         b = sim.add_service(provider, ether("0.7"))
         assert a != b
-        assert sim.market.get_service(a).review_fund == REVIEW_FUND_SEED
-        assert sim.market.get_service(b).review_fund == REVIEW_FUND_SEED
+        assert sim.ledger.balance(a) == REVIEW_FUND_SEED
+        assert sim.ledger.balance(b) == REVIEW_FUND_SEED
 
     def test_consumer_role_cannot_list(self, sim):
         consumer = sim.register("cons", {ROLE_CONSUMER})
@@ -110,7 +113,7 @@ class TestModifyWithdraw:
         sim, provider, service, consumer = market_sim
         before = sim.ledger.balance(provider)
         sim.withdraw_service(provider, service)
-        assert sim.market.get_service(service).review_fund == REVIEW_FUND_SEED
+        assert sim.ledger.balance(service) == REVIEW_FUND_SEED
         assert sim.ledger.balance(provider) == before
 
     def test_withdraw_refund_opt_in(self):
@@ -118,7 +121,7 @@ class TestModifyWithdraw:
         provider, service = provider_and_service(sim)
         before = sim.ledger.balance(provider)
         sim.withdraw_service(provider, service)
-        assert sim.market.get_service(service).review_fund == 0
+        assert sim.ledger.balance(service) == 0
         assert sim.ledger.balance(provider) == before + REVIEW_FUND_SEED
 
     def test_withdrawn_service_keeps_review_history(self, market_sim):
@@ -156,7 +159,7 @@ class TestReplenish:
         for i in range(100):
             purchase = sim.buy_service(consumer, service)
             sim.submit_review(consumer, purchase, 5, text_digest(f"r{i}"))
-        assert sim.market.get_service(service).review_fund == 0
+        assert sim.ledger.balance(service) == 0
         blocked = sim.buy_service(consumer, service)
         with pytest.raises(FundExhausted):
             sim.submit_review(consumer, blocked, 5, text_digest("blocked"))
