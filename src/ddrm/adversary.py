@@ -37,14 +37,13 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .config import (
+    NAME,
     REVIEW_FUND_SEED,
     REVIEW_SUBSIDY,
+    SCENARIO_FIELDS,
     ProtocolConfig,
-    _as_bool,
-    _as_int,
-    _as_wei,
-    _require_keys,
     parse_protocol_config,
+    read_fields,
 )
 from .endorsement import (
     BADGE_AUTHENTIC,
@@ -137,42 +136,16 @@ class AttackScenario:
             raise ConfigError("honest_vote_probability must lie in [0, 1]")
 
 
-_SCENARIO_INT_KEYS = ("seed", "rounds", "attacker_count", "fake_identities_per_attacker", "honest_count")
-
-
 def parse_scenario(doc, index: int = 0) -> AttackScenario:
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario #{index} must be an object")
-    allowed = {
-        "name", "kind", "service_cost_ether", "target_own", "honest_vote_probability", "protocol",
-        *_SCENARIO_INT_KEYS,
-    }
-    _require_keys(doc, allowed, f"scenario #{index}")
     if "kind" not in doc:
         raise ConfigError(f"scenario #{index} missing 'kind'")
-    kwargs: dict = {"kind": doc["kind"], "name": doc.get("name", f"{doc['kind']}-{index}")}
-    if not isinstance(kwargs["name"], str):
-        raise ConfigError(f"scenario #{index}: name must be a string")
-    if any(part in kwargs["name"] for part in ("/", "\\", "..", "\0")):  # it names files in output_dir
-        raise ConfigError(f"scenario #{index}: name {quoted(kwargs['name'])} must not contain '/', '\\', '..' or NUL")
-    where = f"scenario {kwargs['name']}"
-    for key in _SCENARIO_INT_KEYS:
-        if key in doc:
-            kwargs[key] = _as_int(doc[key], f"{where}: {key}")
-    if "service_cost_ether" in doc:
-        kwargs["service_cost_wei"] = _as_wei(doc["service_cost_ether"], f"{where}: service_cost_ether")
-    if "target_own" in doc:
-        kwargs["target_own"] = _as_bool(doc["target_own"], f"{where}: target_own")
-    if "honest_vote_probability" in doc:
-        hvp = doc["honest_vote_probability"]
-        if isinstance(hvp, bool) or not isinstance(hvp, (int, float)):
-            raise ConfigError(f"{where}: honest_vote_probability must be a number")
-        kwargs["honest_vote_probability"] = float(hvp)
-    overrides = doc.get("protocol", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{where}: protocol overrides must be an object")
-    kwargs["overrides"] = overrides
-    scenario = AttackScenario(**kwargs)
+    # The name labels every later message, so it is read first, defaulting to one made from the kind.
+    name = NAME.read(doc.get("name", f"{doc['kind']}-{index}"), f"scenario #{index}: name")
+    scenario = AttackScenario(
+        **read_fields({**doc, "name": name}, SCENARIO_FIELDS, f"scenario #{index}", f"scenario {name}: ")
+    )
     scenario.validate()
     return scenario
 

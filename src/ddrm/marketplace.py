@@ -69,6 +69,11 @@ class Marketplace:
             raise NotOwner(f"{provider} does not own {service_id}")
         return service
 
+    def _listed(self, service: ServiceListing) -> ServiceListing:
+        if service.status == STATUS_WITHDRAWN:
+            raise ServiceWithdrawn(service.service_id)
+        return service
+
     def add_service(self, provider: str, s_cost: int) -> str:
         self.identity.get_active(provider)
         if not self.identity.has_role(provider, ROLE_PROVIDER):
@@ -98,9 +103,7 @@ class Marketplace:
     def buy_service(self, consumer: str, service_id: str, srdt_token_id: str | None = None) -> str:
         """Purchase at list price, or at a discount by consuming an SRDT."""
         self.identity.get_active(consumer)
-        service = self.get_service(service_id)
-        if service.status == STATUS_WITHDRAWN:
-            raise ServiceWithdrawn(service_id)
+        service = self._listed(self.get_service(service_id))
         price = service.s_cost
         if srdt_token_id is not None:
             token = self.tokens.srdts.get(srdt_token_id)
@@ -161,10 +164,7 @@ class Marketplace:
 
     def withdraw_service(self, provider: str, service_id: str) -> None:
         self.identity.get_active(provider)
-        service = self._owned_service(provider, service_id)
-        if service.status == STATUS_WITHDRAWN:
-            raise ServiceWithdrawn(service_id)
-        self._withdraw(service)
+        self._withdraw(self._listed(self._owned_service(provider, service_id)))
 
     def _withdraw(self, service: ServiceListing) -> None:
         service.status = STATUS_WITHDRAWN
@@ -179,7 +179,7 @@ class Marketplace:
 
     def replenish_fund(self, provider: str, service_id: str, amount: int) -> int:
         self.identity.get_active(provider)
-        service = self._owned_service(provider, service_id)
+        self._listed(self._owned_service(provider, service_id))
         if amount < 0:
             raise ValidationError("replenish amount cannot be negative")
         if amount == 0:

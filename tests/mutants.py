@@ -99,9 +99,9 @@ MUTANTS = (
            'raise ConfigError(f"cannot write output_dir {out_dir}: {exc}") from exc', "raise", "tests/test_cli.py"),
     Mutant("replay-failure-unnamed", "src/ddrm/cli.py",
            'raise InvariantViolation(f"scenario {scenario.name}: {exc}") from exc', "raise", "tests/test_cli.py"),
-    Mutant("no-name-check", "src/ddrm/adversary.py",
-           'if any(part in kwargs["name"] for part in ("/", "\\\\", "..", "\\0")):', "if False:", "tests/test_cli.py"),
-    Mutant("no-backslash-check", "src/ddrm/adversary.py",
+    Mutant("no-name-check", "src/ddrm/config.py",
+           'if any(part in name for part in ("/", "\\\\", "..", "\\0")):', "if False:", "tests/test_cli.py"),
+    Mutant("no-backslash-check", "src/ddrm/config.py",
            '("/", "\\\\", "..", "\\0")', '("/", "..", "\\0")', "tests/test_cli.py"),
     Mutant("no-output-dir-nul-check", "src/ddrm/config.py",
            ' or "\\0" in out', "", "tests/test_cli.py"),
@@ -263,6 +263,19 @@ MUTANTS = (
     # The full parse refuses a kind the hash preimage cannot carry as UTF-8.
     Mutant("surrogate-kind-hashed", "src/ddrm/ledger.py",
            'record.kind.encode("utf-8")  #', "pass  #", "tests/test_cli.py"),
+    # One field table per config document drives its reader and its exact writer.
+    Mutant("ether-writer-floors", "src/ddrm/config.py",
+           'return _number_forms("-" * (wei < 0) + f"{whole}.{frac:0{places}d}".rstrip("0").rstrip("."))',
+           "return _number_forms(str(wei // WEI_PER_ETHER))", "tests/test_config.py"),
+    Mutant("rate-writer-writes-a-float", "src/ddrm/config.py",
+           "RATE = Codec(_as_rate, _rate_forms)", "RATE = Codec(_as_rate, lambda rate: (float(rate),))",
+           "tests/test_config.py"),
+    Mutant("reader-skips-last-row", "src/ddrm/config.py",
+           "for row in table if row.key in doc}", "for row in table[:-1] if row.key in doc}", "tests/test_config.py"),
+    # A withdrawn service takes no purchase, no second withdrawal and no replenishment.
+    Mutant("replenish-takes-withdrawn-service", "src/ddrm/marketplace.py",
+           "self._listed(self._owned_service(provider, service_id))\n        if amount < 0:",
+           "self._owned_service(provider, service_id)\n        if amount < 0:", "tests/test_marketplace.py"),
 )
 
 

@@ -151,6 +151,17 @@ class TestReplenish:
         with pytest.raises(NotOwner):
             sim.replenish_fund(consumer, service, ether(1))
 
+    @pytest.mark.parametrize("amount", [ether(2), 0], ids=["two-ether", "zero"])
+    def test_replenishing_a_withdrawn_service_is_refused(self, amount):
+        sim = make_sim(refund_fund_on_withdraw=True)
+        provider, service = provider_and_service(sim)
+        sim.withdraw_service(provider, service)
+        before = sim.fingerprint()
+        with pytest.raises(ServiceWithdrawn):
+            sim.replenish_fund(provider, service, amount)
+        assert sim.fingerprint() == before
+        assert sim.ledger.balance(service) == 0
+
     def test_replenished_ether_buys_hundred_more_reviews(self):
         # Drain the fund, then confirm 1 Ether reopens exactly 100 slots.
         sim = make_sim(genesis_balance=ether(100))
