@@ -141,8 +141,10 @@ def parse_scenario(doc, index: int = 0) -> AttackScenario:
         raise ConfigError(f"scenario #{index} must be an object")
     if "kind" not in doc:
         raise ConfigError(f"scenario #{index} missing 'kind'")
-    # The name labels every later message, so it is read first, defaulting to one made from the kind.
-    name = NAME.read(doc.get("name", f"{doc['kind']}-{index}"), f"scenario #{index}: name")
+    # The name labels every later message, so it is read first, defaulting to one made from a known kind
+    # (validate refuses any other kind, which would otherwise be refused as a name).
+    default = f"{doc['kind']}-{index}" if doc["kind"] in ALL_KINDS else f"#{index}"
+    name = NAME.read(doc.get("name", default), f"scenario #{index}: name")
     scenario = AttackScenario(
         **read_fields({**doc, "name": name}, SCENARIO_FIELDS, f"scenario #{index}", f"scenario {name}: ")
     )
@@ -603,53 +605,44 @@ def run_scenario(
 def replay_verify(log) -> ScenarioMetrics:
     """Recompute scenario metrics purely from an exported ndjson event log.
 
-    `log` is an exported log's bytes (log_text()) or a binary file. Folds
-    each record as iter_log_lines verifies it, into per-participant totals
-    that the first ScenarioSetup's attackers and targets select at the end.
-    Raises the first failure in log order: ChainBroken if the chain does not
-    verify or a line is not byte-equal to its export form, MalformedEvent on
-    an unparseable record or a missing or mistyped payload field, naming the
-    record's seq and kind, or the metrics step if it fails after the last
-    record. This is the independent oracle against run_scenario's live metrics.
+    `log` is an exported log's bytes (log_text()) or a binary file. Folds each record
+    as iter_log_lines verifies it against the chain and its EVENTS row, into totals per
+    participant that the first ScenarioSetup selects at the end. Raises the first failure
+    in log order, as iter_log_lines names it, or MalformedEvent on a badged service the
+    ground truth lacks. This is the independent oracle against run_scenario's live metrics.
     """
-    setup = rec = None
+    setup = None
     spent, accepted, refunds, dret = (defaultdict(int) for _ in range(4))
     badged: list[tuple] = []
     exclusions = 0
+    for rec in iter_log_lines(log):
+        p = rec.payload
+        kind = rec.kind
+        if kind == "GasCharged":
+            spent[p["payer"]] += p["amount_wei"]
+        elif kind == "ServicePurchased":
+            spent[p["consumer"]] += p["price_paid_wei"]
+        elif kind == "ServiceAdded":
+            spent[p["provider"]] += p["fund_wei"]
+        elif kind == "FundReplenished":
+            spent[p["provider"]] += p["amount_wei"]
+        elif kind == "ReviewSubmitted":
+            accepted[p["reviewer"]] += 1
+        elif kind == "SelectionRun":
+            badged.extend((p["service"], b["reviewer"], b["rating"], b["badge"]) for b in p["badged"])
+        elif kind == "Excluded":
+            exclusions += 1
+        elif kind == "RefundSettled":
+            spent[p["provider"]] += p["amount_wei"]
+            if p["outcome"] == OUTCOME_APPROVED:
+                refunds[p["consumer"]] += 1
+        elif kind == "DretAwarded":
+            dret[p["provider"]] += 1
+        elif kind == "ScenarioSetup" and setup is None:
+            # It follows the population's events (it needs the service
+            # ids), which is why the totals are kept per participant.
+            setup = set(p["attackers"]), p["ground_truth"], set(p["target_providers"])
     try:
-        for rec in iter_log_lines(log):
-            p = rec.payload
-            kind = rec.kind
-            if kind == "GasCharged":
-                spent[p["payer"]] += p["amount_wei"]
-            elif kind == "ServicePurchased":
-                spent[p["consumer"]] += p["price_paid_wei"]
-            elif kind == "ServiceAdded":
-                spent[p["provider"]] += p["fund_wei"]
-            elif kind == "FundReplenished":
-                spent[p["provider"]] += p["amount_wei"]
-            elif kind == "ReviewSubmitted":
-                accepted[p["reviewer"]] += 1
-            elif kind == "SelectionRun":
-                badged.extend((p["service"], b["reviewer"], b["rating"], b["badge"]) for b in p["badged"])
-            elif kind == "Excluded":
-                exclusions += 1
-            elif kind == "RefundSettled":
-                spent[p["provider"]] += p["amount_wei"]
-                if p["outcome"] == OUTCOME_APPROVED:
-                    refunds[p["consumer"]] += 1
-            elif kind == "DretAwarded":
-                dret[p["provider"]] += 1
-            elif kind == "ScenarioSetup" and setup is None:
-                # It follows the population's events (it needs the service
-                # ids), which is why the totals are kept per participant.
-                attackers, truth, targets = p["attackers"], p["ground_truth"], p["target_providers"]
-                if not (all(type(ids) is list and all(type(i) is str for i in ids) for ids in (attackers, targets))
-                        and type(truth) is dict and all(q in (GOOD, BAD) for q in truth.values())):
-                    raise TypeError("ScenarioSetup attackers, target_providers or ground_truth mistyped")
-                setup = set(attackers), truth, set(targets)
-        rec = None  # past the last record: a failure below comes from the metrics
         return _metrics(setup or (set(), {}, set()), badged, spent, accepted, refunds, dret, exclusions)
-    except (KeyError, TypeError, ValueError) as exc:
-        where = f"at seq {rec.seq}, kind {rec.kind}" if rec is not None else "computing the metrics after the log"
-        raise MalformedEvent(f"event payload missing or mistyped field: {exc} ({where})") from exc
+    except KeyError as exc:
+        raise MalformedEvent(f"badged service {exc} has no ground truth (computing the metrics after the log)") from exc

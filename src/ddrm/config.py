@@ -38,6 +38,9 @@ RATE_DIGITS = 36
 # exponent range they cannot be computed at all.
 USD_DIGITS = 36
 
+# A scenario name is refused past this many bytes of UTF-8: it names the scenario's files.
+NAME_BYTES = 60
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -228,10 +231,20 @@ PROTOCOL_FIELDS = (
 )
 
 
+def _utf8_size(text: str, where: str) -> int:
+    """The length of text's UTF-8 form, which a path needs; a lone surrogate has none."""
+    try:
+        return len(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        raise ConfigError(f"{where} {quoted(text)} has no UTF-8 form") from None
+
+
 def _as_file_name(value, where: str) -> str:
     name = TEXT.read(value, where)
     if any(part in name for part in ("/", "\\", "..", "\0")):  # it names files in output_dir
         raise ConfigError(f"{where} {quoted(name)} must not contain '/', '\\', '..' or NUL")
+    if _utf8_size(name, where) > NAME_BYTES:  # file names add 18 bytes, far below a file system's 255
+        raise ConfigError(f"{where} {quoted(name)} is longer than {NAME_BYTES} bytes of UTF-8")
     return name
 
 
@@ -275,6 +288,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     out = doc.get("output_dir", "out")
     if not isinstance(out, str) or not out or "\0" in out:
         raise ConfigError("output_dir must be a non-empty string without NUL")
+    _utf8_size(out, "output_dir")  # refuses a path with no UTF-8 form
     protocol = parse_protocol_config(OBJECT.read(doc.get("protocol", {}), "protocol"))
 
     # parse_scenario builds the adversary harness's AttackScenario; imported

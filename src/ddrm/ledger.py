@@ -10,16 +10,12 @@ where payload_json is the canonical JSON encoding (sorted keys, compact
 separators, UTF-8) and the genesis record's prev_hash is 64 zero hex digits.
 A record is its bytes: append_event keeps payload_json and drops the dict, and
 write_log, the one export, streams those bytes into one line per record of a
-binary file. An exported log is bytes, never text: iter_log_lines, the one
-reader, takes a binary file or bytes, accepts only those exact bytes, LF
-included, as strict UTF-8, and checks each line as it reads it, holding one
-line and one record at a time. A line is accepted by its exact export form:
-the envelope is matched around the payload, the payload alone is decoded
-once and re-encoded to compare, and the hash is recomputed. Any other line
-is parsed in full, to accept it if it is a valid record after all or else
-to name what broke. It is the only chain check: a live chain is checked by
-reading back the bytes write_log writes for it. The codec needs CPython's
-`_json` module.
+binary file. iter_log_lines, the one reader and the only chain check, takes
+those exact bytes, LF included, as strict UTF-8, holding one line and one
+record at a time. It accepts a line only in its exact export form, with a
+kind and payload that EVENTS, the table of the log's format, allows; any
+other line is parsed in full only to name what broke. A live chain is checked
+by reading back what write_log writes. The codec needs CPython's `_json`.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -182,7 +178,11 @@ class EventRecord:
 
     def to_json_line(self) -> str:
         """The record as one canonical JSON object (sorted keys, compact, ASCII)."""
-        return _splice(self)
+        return (
+            f'{{"hash":{_encode_str(self.hash)},"kind":{_encode_str(self.kind)},'
+            f'"payload":{self.payload_json},"prev_hash":{_encode_str(self.prev_hash)},'
+            f'"seq":{self.seq},"tick":{self.tick}}}'
+        )
 
     @staticmethod
     def from_json_line(line: str) -> "EventRecord":
@@ -207,22 +207,10 @@ class EventRecord:
             raise MalformedEvent(f"seq and tick must be integers, not {record.seq!r} and {record.tick!r}")
         if type(record.kind) is not str or type(record.hash) is not str or type(record.prev_hash) is not str:
             raise MalformedEvent("kind, hash and prev_hash must be strings")
-        try:
-            record.kind.encode("utf-8")  # as the hash preimage carries it; a lone surrogate has no UTF-8 form
-        except UnicodeEncodeError as exc:
-            raise MalformedEvent(f"kind is not valid UTF-8: {exc}") from exc
         if type(payload) is not dict:
             raise MalformedEvent(f"payload must be a JSON object, not {type(payload).__name__}")
         record.payload_json = canonical_payload(payload)
         return record
-
-
-def _splice(rec: EventRecord) -> str:
-    return (
-        f'{{"hash":{_encode_str(rec.hash)},"kind":{_encode_str(rec.kind)},'
-        f'"payload":{rec.payload_json},"prev_hash":{_encode_str(rec.prev_hash)},'
-        f'"seq":{rec.seq},"tick":{rec.tick}}}'
-    )
 
 
 class RandomBeacon:
@@ -341,13 +329,89 @@ class Ledger:
         return self.tick
 
 
+# The event-log format, after JSON Schema's `required` and `additionalProperties: false`: each kind's
+# payload holds exactly its row's fields, of its types. int is a non-negative integer (never a bool), str
+# a string, [t] a list of t, a dict a nested row, and a function the values it is true of. Each kind is
+# ASCII letters, so it is its own JSON string form.
+def STR_OR_NULL(value) -> bool:
+    return value is None or type(value) is str
+
+
+def QUALITIES(value) -> bool:
+    return type(value) is dict and all(q == "Good" or q == "Bad" for q in value.values())
+
+
+_MINTED = {"token": str, "holder": str}
+EVENTS = {
+    "Registered": {"participant": str, "address": str, "roles": [str], "card_fingerprint": str, "genesis_wei": int},
+    "AddressBound": {"participant": str, "address": str},
+    "GasCharged": {"payer": str, "op": str, "amount_wei": int},
+    "ServiceAdded": {"service": str, "provider": str, "s_cost_wei": int, "fund_wei": int},
+    "ServicePurchased": {
+        "purchase": str, "service": str, "consumer": str, "provider": str, "list_price_wei": int,
+        "price_paid_wei": int, "srat_token": str, "srdt_token": STR_OR_NULL,
+    },
+    "ServiceModified": {"service": str, "old_cost_wei": int, "new_cost_wei": int},
+    "ServiceWithdrawn": {"service": str, "fund_refunded_wei": int},
+    "FundReplenished": {"service": str, "provider": str, "amount_wei": int, "fund_wei": int},
+    "ReviewSubmitted": {
+        "review": str, "purchase": str, "service": str, "reviewer": str, "rating": int, "text_digest": str,
+        "srat_token": str, "subsidy_wei": int,
+    },
+    "EndorsementCast": {"review": str, "service": str, "endorser": str, "vote": str, "srdt_token": str},
+    "SelectionRun": {
+        "service": str,
+        "badged": [{"review": str, "badge": str, "upvotes": int, "downvotes": int, "reviewer": str, "rating": int}],
+        "roster": [str], "srdt_minted": [_MINTED], "penalized": [{"participant": str, "count": int}],
+        "excluded": [str],
+    },
+    "EndorsersBootstrapped": {"service": str, "roster": [str], "srdt_minted": [_MINTED]},
+    "Excluded": {"participant": str, "voided_tokens": [str], "rosters_removed": [str], "services_withdrawn": [str]},
+    "DretAwarded": {"provider": str, "service": str, "new_count": int},
+    "TokensExpired": {"tokens": [str]},
+    "RefundClaimFiled": {"claim": str, "purchase": str, "claimant": str, "panel": [str]},
+    "RefundVoteCast": {"claim": str, "endorser": str, "vote": str},
+    "RefundSettled": {
+        "claim": str, "purchase": str, "outcome": str, "amount_wei": int, "provider": str, "consumer": str,
+        "approvals": int, "panel_size": int,
+    },
+    "ScenarioSetup": {
+        "scenario": str, "kind": str, "attackers": [str], "ground_truth": QUALITIES, "target_providers": [str],
+    },
+}
+
+
+def _fits(spec, value) -> bool:
+    """Whether `value` is of the payload type `spec` (see EVENTS)."""
+    if spec is str or spec is int:
+        return type(value) is spec and (spec is str or value >= 0)
+    if type(spec) is list:
+        return type(value) is list and all(_fits(spec[0], item) for item in value)
+    if type(spec) is dict:
+        return type(value) is dict and len(value) == len(spec) and _misfit(spec, value) is None
+    return spec(value)
+
+
+def _misfit(row: dict, payload: dict) -> str | None:
+    """The first field of `row` that `payload` lacks or holds another type in; None if, with as many keys, it fits."""
+    try:
+        for name, spec in row.items():
+            value = payload[name]
+            # _fits's first test inline, for the many strings and non-negative ints, before the call.
+            if not (type(value) is spec and (spec is str or value >= 0)) and not _fits(spec, value):
+                return name
+    except KeyError:
+        return name
+    return None
+
+
 def iter_log_lines(log):
     """Parse and verify an exported log line by line, yielding each record once it passes.
 
-    `log` is an exported log's bytes or a binary file at its start. Raises MalformedEvent on
-    a line that is not UTF-8 or does not parse or type-check, and ChainBroken(seq,
-    reason) on a broken link or hash or any byte export would not write ("not
-    canonical", a missing final LF included), after yielding every record before that line.
+    `log` is an exported log's bytes or a binary file at its start. Raises MalformedEvent on a
+    line that is not UTF-8 or does not parse or fit EVENTS, and ChainBroken(seq, reason) on a
+    broken link or hash or any byte export would not write ("not canonical", a missing final LF
+    included), after yielding every record before that line.
     """
     prev, last_tick = ZERO_DIGEST, 0
     for seq, raw in enumerate(io.BytesIO(log) if isinstance(log, bytes) else log):
@@ -359,9 +423,7 @@ def iter_log_lines(log):
             raise MalformedEvent(f"malformed event at seq {seq}: log is not UTF-8: {exc}") from exc
         if not line:
             raise ChainBroken(seq, "not canonical: blank line")
-        rec = _exact_record(line, seq, prev, last_tick)
-        if rec is None:
-            rec = _parsed_record(line, seq, prev, last_tick)
+        rec = _exact_record(line, seq, prev, last_tick) or _refuse(line, seq, prev, last_tick)
         yield rec
         prev, last_tick = rec.hash, rec.tick
 
@@ -369,18 +431,16 @@ def iter_log_lines(log):
 def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord | None:
     """The record `line` is if it is exactly the export of a valid record `seq` after `prev`, else None.
 
-    The envelope is matched in place around the payload. Only the payload is decoded; it must
-    re-encode to its own bytes, and the hash is recomputed. A line this accepts is one that
-    _parsed_record accepts as the same record; _parsed_record judges every other line.
+    The only path that accepts a line. The envelope is matched in place around the payload, whose
+    kind must have an EVENTS row. Only the payload is decoded; it must re-encode to its own bytes
+    and fit the row, and the hash is recomputed. _refuse names why any other line fails.
     """
     if not (line.startswith('{"hash":"') and line.startswith('","kind":"', 73)):
         return None
     kind_end = line.find('"', 83)
     kind = line[83:kind_end]
-    # Printable ASCII with no backslash is its own JSON string form (a '"' would end it).
-    if not (kind.isascii() and kind.isprintable()) or "\\" in kind:
-        return None
-    if not line.startswith('","payload":', kind_end):
+    row = EVENTS.get(kind)
+    if row is None or not line.startswith('","payload":', kind_end):
         return None
     start = kind_end + 12
     try:
@@ -389,6 +449,8 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
     except (ValueError, RecursionError):
         return None
     if type(payload) is not dict or end - start != len(payload_json) or not line.startswith(payload_json, start):
+        return None
+    if len(payload) != len(row) or _misfit(row, payload) is not None:
         return None
     tail = f',"prev_hash":"{prev}","seq":{seq},"tick":'
     if not line.startswith(tail, end):
@@ -410,12 +472,16 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
     return rec
 
 
-def _parsed_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord:
-    """Parse `line` in full and check it as record `seq` after `prev`: the record, or the error naming what broke."""
+def _refuse(line: str, seq: int, prev: str, last_tick: int):
+    """Raise the error naming the first check `line` fails as record `seq` after `prev`, in this order:
+    parse, envelope types, kind (before any hashing), seq, prev-hash, tick, hash, payload row, export form."""
     try:
         rec = EventRecord.from_json_line(line)
     except MalformedEvent as exc:
         raise MalformedEvent(f"malformed event at seq {seq}: {exc}") from exc
+    row = EVENTS.get(rec.kind)
+    if row is None:
+        raise MalformedEvent(f"malformed event at seq {seq}: unknown kind {quoted(rec.kind)}")
     if rec.seq != seq:
         raise ChainBroken(rec.seq, f"seq gap: expected {seq}")
     if rec.prev_hash != prev:
@@ -424,6 +490,9 @@ def _parsed_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecor
         raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
     if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
         raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
-    if _splice(rec) != line:
-        raise ChainBroken(seq, "not canonical: the line differs from its export form")
-    return rec
+    unknown = sorted(rec.payload.keys() - row.keys())
+    name = unknown[0] if unknown else _misfit(row, rec.payload)
+    if name is not None:
+        fault = "unknown" if unknown else "mistyped" if name in rec.payload else "missing"
+        raise MalformedEvent(f"malformed event at seq {seq}, kind {rec.kind}: {fault} field {quoted(name)}")
+    raise ChainBroken(seq, "not canonical: the line differs from its export form")

@@ -1,13 +1,15 @@
 """Shared fixtures and builders for the protocol test suite."""
 
+import importlib.util
 import io
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from ddrm import ProtocolConfig, Simulation, ether, text_digest
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
-from ddrm.ledger import ZERO_DIGEST, canonical_payload, iter_log_lines, record_hash
+from ddrm.ledger import EVENTS, ZERO_DIGEST, _misfit, canonical_payload, iter_log_lines, record_hash
 
 
 def make_sim(seed: int = 42, **overrides) -> Simulation:
@@ -55,6 +57,29 @@ def forged_log(log: bytes, edit, encode=canonical_payload) -> bytes:
         rec.hash = prev = record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, prev)
         lines.append(rec.to_json_line().encode() + b"\n")
     return b"".join(lines)
+
+
+def canonical_scenarios() -> list:
+    """The eight canonical AttackScenarios, the ones demos/attack_analysis.py runs."""
+    spec = importlib.util.spec_from_file_location(
+        "attack_analysis", Path(__file__).resolve().parents[1] / "demos" / "attack_analysis.py"
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo.SCENARIOS
+
+
+def assert_payloads_fit_events(ledger) -> set:
+    """Check every payload the writers appended to a live log against its ledger.EVENTS row; the kinds seen.
+
+    The writers check nothing as they append, so this is what ties EVENTS to them.
+    """
+    for rec in ledger.log:
+        row, payload = EVENTS.get(rec.kind), rec.payload
+        assert row is not None, f"seq {rec.seq}: kind {rec.kind!r} has no EVENTS row"
+        assert payload.keys() == row.keys(), f"seq {rec.seq}, kind {rec.kind}: fields {sorted(payload)}"
+        assert _misfit(row, payload) is None, f"seq {rec.seq}, kind {rec.kind}: field {_misfit(row, payload)!r}"
+    return {rec.kind for rec in ledger.log}
 
 
 @pytest.fixture

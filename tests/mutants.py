@@ -40,15 +40,16 @@ MUTANTS = (
            'if raw[-1:] != b"\\n":', "if False:", "tests/test_cli.py"),
     Mutant("lenient-utf8-decode", "src/ddrm/ledger.py",
            'raw[:-1].decode("utf-8")', 'raw[:-1].decode("utf-8", errors="replace")', "tests/test_cli.py"),
-    Mutant("no-splice-comparison", "src/ddrm/ledger.py",
-           "if _splice(rec) != line:", "if False:", "tests/test_ledger.py"),
+    Mutant("refusal-accepts-what-passes-its-checks", "src/ddrm/ledger.py",
+           'raise ChainBroken(seq, "not canonical: the line differs from its export form")', "return rec",
+           "tests/test_ledger.py"),
     Mutant("no-blank-line-check", "src/ddrm/ledger.py",
            "if not line:", "if False:", "tests/test_cli.py"),
     Mutant("no-end-of-object-check", "src/ddrm/ledger.py",
            "if end != len(line):", "if False:", "tests/test_ledger.py"),
     Mutant("no-seq-check", "src/ddrm/ledger.py",
            "if rec.seq != seq:", "if False:", "tests/test_ledger.py"),
-    # The exact-form test: each condition under which it accepts a line without the full parse.
+    # The exact-form test, the one path that accepts a line: each condition it checks.
     Mutant("exact-form-skips-reencode", "src/ddrm/ledger.py",
            " or end - start != len(payload_json) or not line.startswith(payload_json, start)", "",
            "tests/test_ledger.py"),
@@ -60,27 +61,42 @@ MUTANTS = (
            'if digits[0] == "0" and digits != "0":', "if False:", "tests/test_ledger.py"),
     Mutant("exact-form-skips-prev-hash-and-seq", "src/ddrm/ledger.py",
            "if not line.startswith(tail, end):", "if False:", "tests/test_ledger.py"),
-    Mutant("exact-form-takes-unescaped-kind", "src/ddrm/ledger.py",
-           "if not (kind.isascii() and kind.isprintable()) or", "if False or", "tests/test_ledger.py"),
-    Mutant("exact-form-takes-backslash-kind", "src/ddrm/ledger.py",
-           ' or "\\\\" in kind', "", "tests/test_ledger.py"),
+    # The table of event kinds and payload fields, which the exact-form test and the refusal both read.
+    Mutant("exact-form-skips-kind-lookup", "src/ddrm/ledger.py",
+           "row = EVENTS.get(kind)\n", "row = EVENTS.get(kind, {})\n", "tests/test_ledger.py"),
+    Mutant("exact-form-drops-key-set-check", "src/ddrm/ledger.py",
+           "if len(payload) != len(row) or _misfit(row, payload)", "if _misfit(row, payload)",
+           "tests/test_ledger.py"),
+    Mutant("negative-int-fits", "src/ddrm/ledger.py",
+           "(type(value) is spec and (spec is str or value >= 0))", "(type(value) is spec)", "tests/test_ledger.py"),
+    Mutant("nested-row-takes-extra-keys", "src/ddrm/ledger.py",
+           "type(value) is dict and len(value) == len(spec) and", "type(value) is dict and", "tests/test_ledger.py"),
+    Mutant("quality-takes-any-value", "src/ddrm/ledger.py",
+           'all(q == "Good" or q == "Bad" for q in value.values())', "all(True for q in value.values())",
+           "tests/test_cli.py"),
+    Mutant("refusal-skips-kind-lookup", "src/ddrm/ledger.py",
+           'if row is None:\n        raise MalformedEvent(f"malformed event at seq {seq}: unknown kind',
+           'if False:\n        raise MalformedEvent(f"malformed event at seq {seq}: unknown kind',
+           "tests/test_ledger.py"),
+    Mutant("refusal-hashes-before-kind-lookup", "src/ddrm/ledger.py",
+           "    row = EVENTS.get(rec.kind)\n",
+           "    record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash)\n"
+           "    row = EVENTS.get(rec.kind)\n", "tests/test_cli.py"),
+    Mutant("payload-failure-unplaced", "src/ddrm/ledger.py",
+           'f"malformed event at seq {seq}, kind {rec.kind}: {fault} field',
+           'f"malformed event, kind {rec.kind}: {fault} field', "tests/test_cli.py"),
     Mutant("unsorted-encoder", "src/ddrm/ledger.py",
            '":", ",", True, False, True)', '":", ",", False, False, True)', "tests/test_ledger.py"),
     Mutant("shared-markers-dict", "src/ddrm/ledger.py",
            "c_make_encoder(None,", "c_make_encoder({},", "tests/test_ledger.py"),
     # Replay and its failure messages.
-    Mutant("no-setup-shape-check", "src/ddrm/adversary.py",
-           'raise TypeError("ScenarioSetup attackers, target_providers or ground_truth mistyped")', "pass",
-           "tests/test_cli.py"),
-    Mutant("payload-failure-unplaced", "src/ddrm/adversary.py",
-           "field: {exc} ({where})", "field: {exc}", "tests/test_cli.py"),
-    Mutant("metrics-failure-blamed-on-last-record", "src/ddrm/adversary.py",
-           "rec = None  # past the last record", "pass  # past the last record", "tests/test_adversary.py"),
+    Mutant("metrics-failure-uncaught", "src/ddrm/adversary.py",
+           "except KeyError as exc:", "except ZeroDivisionError as exc:", "tests/test_adversary.py"),
     Mutant("replay-collects-records", "src/ddrm/adversary.py",
            "for rec in iter_log_lines(log):", "for rec in list(iter_log_lines(log)):", "tests/test_adversary.py"),
     Mutant("no-refund-term-in-replayed-spend", "src/ddrm/adversary.py",
-           'elif kind == "RefundSettled":\n                spent[p["provider"]] += p["amount_wei"]',
-           'elif kind == "RefundSettled":\n                pass', "tests/test_adversary.py"),
+           'elif kind == "RefundSettled":\n            spent[p["provider"]] += p["amount_wei"]',
+           'elif kind == "RefundSettled":\n            pass', "tests/test_adversary.py"),
     Mutant("accepted-counts-badged-only", "src/ddrm/adversary.py",
            "Counter(r.reviewer for r in reviews),",
            "Counter(r.reviewer for r in reviews if r.badge != BADGE_PENDING),",
@@ -105,6 +121,10 @@ MUTANTS = (
            '("/", "\\\\", "..", "\\0")', '("/", "..", "\\0")', "tests/test_cli.py"),
     Mutant("no-output-dir-nul-check", "src/ddrm/config.py",
            ' or "\\0" in out', "", "tests/test_cli.py"),
+    Mutant("no-name-bound", "src/ddrm/config.py",
+           "_utf8_size(name, where) > NAME_BYTES", "_utf8_size(name, where) > 10**9", "tests/test_cli.py"),
+    Mutant("output-dir-utf8-unchecked", "src/ddrm/config.py",
+           '_utf8_size(out, "output_dir")  #', '#', "tests/test_cli.py"),
     Mutant("no-override-check", "src/ddrm/config.py",
            "parse_protocol_config(scenario.overrides, base=protocol)", "None", "tests/test_cli.py"),
     Mutant("register-unwrapped", "src/ddrm/adversary.py",
@@ -260,9 +280,6 @@ MUTANTS = (
            "return sum(self.ledger.accounts.values())",
            'return sum(wei for account, wei in self.ledger.accounts.items() if account != "GAS-SINK")',
            "tests/test_properties.py"),
-    # The full parse refuses a kind the hash preimage cannot carry as UTF-8.
-    Mutant("surrogate-kind-hashed", "src/ddrm/ledger.py",
-           'record.kind.encode("utf-8")  #', "pass  #", "tests/test_cli.py"),
     # One field table per config document drives its reader and its exact writer.
     Mutant("ether-writer-floors", "src/ddrm/config.py",
            'return _number_forms("-" * (wei < 0) + f"{whole}.{frac:0{places}d}".rstrip("0").rstrip("."))',

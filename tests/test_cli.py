@@ -233,6 +233,39 @@ class TestRun:
         path.write_text(json.dumps({"scenarios": [scenario], "output_dir": str(tmp_path / "a\0b")}))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: output_dir must be a non-empty string without NUL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("a" * 100_000, "(100002 characters) is longer than 60 bytes of UTF-8"),
+            ("a" * 300, "(302 characters) is longer than 60 bytes of UTF-8"),
+            ("\u00e9" * 31, "is longer than 60 bytes of UTF-8"),
+            ("a\ud800", "name 'a\\ud800' has no UTF-8 form"),
+        ],
+        ids=["100000-characters", "300-characters", "62-bytes", "lone-surrogate"],
+    )
+    def test_scenario_name_that_cannot_name_a_file_exits_2_before_running(self, tmp_path, capsys, name, message):
+        # The name is refused as the config is read, before the bad attacker_count and before any file is written.
+        scenario = {"name": name, "kind": "sybil", "rounds": 1, "honest_count": 1, "attacker_count": "many"}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": [scenario], "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario #0: name ") and message in err and len(err) < 200
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_60_byte_scenario_name_runs(self, tmp_path):
+        name = "\u00e9" * 30
+        assert (run_config(tmp_path, [{"name": name, "kind": "sybil", "rounds": 1, "honest_count": 1}])
+                / f"{name}.events.ndjson").is_file()
+
+    def test_output_dir_without_utf8_form_exits_2(self, tmp_path, capsys):
+        scenario = {"name": "s", "kind": "sybil", "rounds": 1, "honest_count": 1}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenarios": [scenario], "output_dir": str(tmp_path / "o\ud800")}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: output_dir '" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["names-a-file", "below-a-file"])
@@ -639,7 +672,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("seq", [0, 2])
     def test_lone_surrogate_kind_exits_4(self, tmp_path, capsys, seq):
-        # JSON can escape a lone surrogate; the hash preimage cannot hold one as UTF-8.
+        # JSON can escape a lone surrogate; the hash preimage cannot hold one as UTF-8, and no kind in EVENTS has one.
         sim = make_sim(seed=5)
         provider_and_service(sim)
         lines = exported_log(sim.ledger).split(b"\n")
@@ -648,7 +681,7 @@ class TestVerify:
         path = tmp_path / "one.events.ndjson"
         path.write_bytes(b"\n".join(lines))
         assert main(["verify", str(path)]) == EXIT_CHAIN
-        assert f"verification failed: malformed event at seq {seq}: kind is not valid UTF-8" in capsys.readouterr().err
+        assert f"verification failed: malformed event at seq {seq}: unknown kind '\\ud800'" in capsys.readouterr().err
 
     def test_integer_past_the_digit_limit_exits_4(self, tmp_path, capsys):
         path = tmp_path / "one.events.ndjson"
@@ -666,7 +699,7 @@ class TestVerify:
         assert "verification failed: malformed event at seq 0: log is not UTF-8" in capsys.readouterr().err
 
     def test_forged_setup_with_a_non_pair_ground_truth_exits_4(self, tmp_path, config_path, capsys):
-        # Re-hashed after the edit, so the chain holds and only the replay fold can refuse it.
+        # Re-hashed after the edit, so the chain holds and only the ScenarioSetup row can refuse it.
         def edit(rec):
             if rec.kind == "ScenarioSetup":
                 rec.payload["ground_truth"] = ["abc"]
@@ -674,10 +707,10 @@ class TestVerify:
         log, _ = self._run(tmp_path, config_path)
         log.write_bytes(forged_log(log.read_bytes(), edit))
         assert main(["verify", str(log)]) == EXIT_CHAIN
-        assert "event payload missing or mistyped field" in capsys.readouterr().err
+        assert "kind ScenarioSetup: mistyped field 'ground_truth'" in capsys.readouterr().err
 
     def test_mistyped_payload_failure_names_its_record(self, tmp_path, config_path, capsys):
-        # Re-hashed, so the chain holds and the fold fails on the first purchase.
+        # Re-hashed, so the chain holds and the reader refuses the first purchase.
         edited = []
 
         def edit(rec):
@@ -689,8 +722,7 @@ class TestVerify:
         log.write_bytes(forged_log(log.read_bytes(), edit))
         assert main(["verify", str(log)]) == EXIT_CHAIN
         err = capsys.readouterr().err
-        assert "event payload missing or mistyped field: unsupported operand" in err
-        assert f"(at seq {edited[0]}, kind ServicePurchased)" in err
+        assert f"malformed event at seq {edited[0]}, kind ServicePurchased: mistyped field 'price_paid_wei'" in err
 
     @pytest.mark.parametrize(
         "field, forge",
@@ -711,7 +743,32 @@ class TestVerify:
         log = tmp_path / "forged.events.ndjson"
         log.write_bytes(forged_log(run_scenario(parse_scenario(doc, 0)).log_text(), edit))
         assert main(["verify", str(log)]) == EXIT_CHAIN
-        assert "event payload missing or mistyped field" in capsys.readouterr().err
+        assert f"kind ScenarioSetup: mistyped field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, change, message",
+        [
+            ("Registered", lambda rec: setattr(rec, "kind", "Ping"), "unknown kind 'Ping'"),
+            ("Registered", lambda rec: rec.payload.update(note="x"), "kind Registered: unknown field 'note'"),
+            ("GasCharged", lambda rec: rec.payload.update(amount_wei=-5),
+             "kind GasCharged: mistyped field 'amount_wei'"),
+        ],
+        ids=["unknown-kind", "extra-key", "negative-wei"],
+    )
+    def test_record_off_the_events_table_exits_4(self, tmp_path, config_path, capsys, kind, change, message):
+        # Re-hashed after editing the first record of `kind`, so only the EVENTS table can refuse it.
+        edited = []
+
+        def edit(rec):
+            if rec.kind == kind and not edited:
+                edited.append(rec.seq)
+                change(rec)
+
+        log, _ = self._run(tmp_path, config_path)
+        log.write_bytes(forged_log(log.read_bytes(), edit))
+        assert main(["verify", str(log)]) == EXIT_CHAIN
+        err = capsys.readouterr().err
+        assert f"verification failed: malformed event at seq {edited[0]}" in err and message in err
 
     @pytest.mark.parametrize(
         "cut, code, message",

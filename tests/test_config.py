@@ -171,8 +171,9 @@ def test_protocol_doc_round_trips_every_accepted_document(doc):
          "honest_vote_probability must lie in [0, 1]"),
         ({"scenarios": [{"kind": "sybil", "protocol": 5}]}, "scenario sybil-0: protocol must be an object"),
         ({"scenarios": [{"kind": ["sybil"]}]}, "kind must be a string"),
+        ({"scenarios": [{"kind": "k" * 100}]}, "unknown scenario kind 'kkk"),
     ],
-    ids=["protocol-int", "protocol-list", "probability-past-a-float", "overrides-int", "kind-list"],
+    ids=["protocol-int", "protocol-list", "probability-past-a-float", "overrides-int", "kind-list", "long-kind"],
 )
 def test_mistyped_value_is_a_config_error(doc, message):
     with pytest.raises(ConfigError) as refused:

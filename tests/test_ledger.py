@@ -2,7 +2,10 @@
 
 import io
 import json
+import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,13 @@ from ddrm.errors import (
     ChainBroken, ConfigError, InsufficientFunds, MalformedEvent, PoolTooSmall, UnknownAccount, ValidationError,
 )
 from ddrm.ledger import (
+    EVENTS,
     OP_ADD_SERVICE,
     OP_ENDORSE_REVIEW,
     OP_REQUEST_SERVICE,
     MAX_WEI,
+    QUALITIES,
+    STR_OR_NULL,
     WEI_PER_GWEI,
     ZERO_DIGEST,
     GAS_SINK,
@@ -29,7 +35,10 @@ from ddrm.ledger import (
     record_hash,
 )
 
-from conftest import consumer_with_purchase, exported_log, forged_log, make_sim, provider_and_service
+from conftest import (
+    assert_payloads_fit_events, canonical_scenarios, consumer_with_purchase, exported_log, forged_log, make_sim,
+    provider_and_service,
+)
 
 # The two forms iter_log_lines takes: an exported log's bytes, whole, and a binary file.
 LOG_SOURCES = pytest.mark.parametrize(
@@ -42,6 +51,15 @@ def fresh_ledger(seed=1) -> Ledger:
     ledger.open_account("alice", ether(10))
     ledger.open_account("bob")
     return ledger
+
+
+def award_payload(count: int) -> dict:
+    return {"provider": "alice", "service": "SVC-0001", "new_count": count}
+
+
+def award(ledger: Ledger, count: int) -> EventRecord:
+    """Append a record of a real kind, told apart from others by `count`."""
+    return ledger.append_event("DretAwarded", award_payload(count))
 
 
 class TestGasCharges:
@@ -146,7 +164,7 @@ class TestEtherAndWei:
 class TestEventChain:
     def test_genesis_prev_hash_is_zero(self):
         ledger = fresh_ledger()
-        rec = ledger.append_event("Ping", {"a": 1})
+        rec = award(ledger, 1)
         assert rec.seq == 0
         assert rec.prev_hash == ZERO_DIGEST
 
@@ -161,19 +179,19 @@ class TestEventChain:
     def test_untouched_log_verifies(self):
         ledger = fresh_ledger()
         for i in range(10):
-            ledger.append_event("Ping", {"i": i})
+            award(ledger, i)
         assert [rec.hash for rec in iter_log_lines(exported_log(ledger))] == [rec.hash for rec in ledger.log]
 
     def test_tampered_payload_detected_at_seq(self):
         ledger = fresh_ledger()
         for i in range(10):
-            ledger.append_event("Ping", {"i": i})
+            award(ledger, i)
         pristine = ledger.log[7]
         ledger.log[7] = EventRecord(
             seq=7,
             tick=pristine.tick,
             kind=pristine.kind,
-            payload_json=canonical_payload({"i": 999}),
+            payload_json=canonical_payload(award_payload(999)),
             prev_hash=pristine.prev_hash,
             hash=pristine.hash,
         )
@@ -245,7 +263,8 @@ class TestEventChain:
         lines[seq] = lines[seq].replace(b'"kind":' + kind, b'"kind":"\\ud800"', 1)
         reader = iter_log_lines(source(b"".join(lines)))
         assert [next(reader).seq for _ in range(seq)] == list(range(seq))
-        with pytest.raises(MalformedEvent, match=f"malformed event at seq {seq}: kind is not valid UTF-8"):
+        # No kind in EVENTS has one, so it is refused before any hashing, which could not encode it.
+        with pytest.raises(MalformedEvent, match=rf"malformed event at seq {seq}: unknown kind '\\ud800'"):
             next(reader)
 
     @LOG_SOURCES
@@ -286,18 +305,37 @@ JSON_VALUES = st.recursive(
 )
 
 
+def values_of(spec):
+    """A Hypothesis strategy for the values of one ledger.EVENTS payload type."""
+    if spec is str:
+        return st.text()
+    if spec is int:
+        return st.integers(min_value=0, max_value=2**200)
+    if type(spec) is list:
+        return st.lists(values_of(spec[0]), max_size=4)
+    if type(spec) is dict:
+        return st.fixed_dictionaries({name: values_of(field_spec) for name, field_spec in spec.items()})
+    qualities = st.dictionaries(st.text(), st.sampled_from(["Good", "Bad"]))
+    return {STR_OR_NULL: st.none() | st.text(), QUALITIES: qualities}[spec]
+
+
+# (kind, payload): a kind of the log's format and a payload that fits its row.
+RECORDS = st.sampled_from(sorted(EVENTS)).flatmap(lambda kind: st.tuples(st.just(kind), values_of(EVENTS[kind])))
+
+
 def reference_line(rec: EventRecord, payload: dict) -> str:
     fields = {name: getattr(rec, name) for name in ("seq", "tick", "kind", "prev_hash", "hash")}
     return json.dumps({**fields, "payload": payload}, sort_keys=True, separators=(",", ":"))
 
 
 class TestLogCodec:
-    @given(kind=st.text(), payload=st.dictionaries(st.text(), JSON_VALUES, max_size=6), tick=st.integers(0, 10**6))
+    @given(record=RECORDS, tick=st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
-    def test_line_equals_json_dumps_and_round_trips(self, kind, payload, tick):
+    def test_line_equals_json_dumps_and_round_trips(self, record, tick):
+        kind, payload = record
         ledger = fresh_ledger()
         ledger.tick = tick
-        ledger.append_event("Ping", {})
+        award(ledger, 0)
         appended = ledger.append_event(kind, payload)
         assert appended.payload_json == canonical_payload(payload) and appended.payload == payload
         line = appended.to_json_line()
@@ -329,7 +367,7 @@ class TestLogCodec:
              "trailing-fs", "trailing-object", "trailing-digit"],
     )
     def test_from_json_line_refuses_data_around_the_object(self, prefix, suffix):
-        line = fresh_ledger().append_event("Ping", {"i": 1}).to_json_line()
+        line = award(fresh_ledger(), 1).to_json_line()
         EventRecord.from_json_line(line)
         with pytest.raises(MalformedEvent):
             EventRecord.from_json_line(prefix + line + suffix)
@@ -337,13 +375,13 @@ class TestLogCodec:
     def test_replace_drops_the_committed_bytes(self):
         # A record's payload is its bytes: a copy with other bytes reads and writes
         # those, not the dict the original was read into.
-        read = EventRecord.from_json_line(fresh_ledger().append_event("Ping", {"i": 1}).to_json_line())
-        assert read.payload == {"i": 1}
-        edited = replace(read, payload_json=canonical_payload({"i": 2}))
-        assert edited.payload == {"i": 2} and '"payload":{"i":2}' in edited.to_json_line()
+        read = EventRecord.from_json_line(award(fresh_ledger(), 1).to_json_line())
+        assert read.payload == award_payload(1)
+        edited = replace(read, payload_json=canonical_payload(award_payload(2)))
+        assert edited.payload == award_payload(2) and '"new_count":2,' in edited.to_json_line()
         with pytest.raises(AttributeError):
-            read.payload = {"i": 2}
-        assert "_decoded" not in repr(read) and "{'i': 1}" not in repr(read)
+            read.payload = award_payload(2)
+        assert "_decoded" not in repr(read) and "'new_count': 1" not in repr(read)
 
 
 def single_byte_edits(data: bytes):
@@ -375,9 +413,12 @@ class TestByteExactness:
         assert edits > 5 * len(data)
 
 
+def small_run(kind: str, seed: int = 7):
+    return run_scenario(AttackScenario(name=kind, kind=kind, seed=seed, rounds=3, honest_count=6, attacker_count=2))
+
+
 def small_log(kind: str, seed: int = 7) -> bytes:
-    scenario = AttackScenario(name=kind, kind=kind, seed=seed, rounds=3, honest_count=6, attacker_count=2)
-    return run_scenario(scenario).log_text()
+    return small_run(kind, seed).log_text()
 
 
 def verdict(log: bytes):
@@ -389,13 +430,6 @@ def verdict(log: bytes):
     except (ChainBroken, MalformedEvent) as exc:
         return records, (type(exc), getattr(exc, "seq", None), str(exc))
     return records, None
-
-
-def full_parse_verdict(log: bytes, monkeypatch):
-    """verdict(log) with every line parsed in full, as when the exact-form test accepts none."""
-    with monkeypatch.context() as patched:
-        patched.setattr(ledger_mod, "_exact_record", lambda line, seq, prev, last_tick: None)
-        return verdict(log)
 
 
 # The record the forgeries below edit: its payload has several keys and it follows a record at tick >= 1.
@@ -422,6 +456,19 @@ def forge_fields(log: bytes, **fields) -> bytes:
     return forge_at(log, change)
 
 
+def forge_first(log: bytes, kind: str, change) -> bytes:
+    """forged_log with change(record) applied to the first record of `kind` for which it returns no False."""
+    done = []
+
+    def edit(rec):
+        if rec.kind == kind and not done and change(rec) is not False:
+            done.append(rec.seq)
+
+    forged = forged_log(log, edit)
+    assert done, f"no {kind} record to forge"
+    return forged
+
+
 def forge_all(log: bytes, encode) -> bytes:
     """forged_log with every payload written, and hashed, as encode writes it."""
     return forged_log(log, lambda rec: None, encode)
@@ -440,7 +487,22 @@ def envelope_tail(rec):
     rec.payload.update(prev_hash=rec.prev_hash, seq=rec.seq, tick=rec.tick, zz=f',"prev_hash":"{rec.prev_hash}"')
 
 
-# name -> (build(log) -> edited log, what the full parse makes of it: None to accept, else part of its error)
+def unknown_kind_without_fields(rec):
+    rec.kind = "Ping"
+    rec.payload.clear()
+
+
+def set_field(name, value):
+    return lambda rec: rec.payload.update({name: value})
+
+
+def first_badged(rec):
+    if not rec.payload["badged"]:
+        return False
+    rec.payload["badged"][0]["rating"] = "5"
+
+
+# name -> (build(log) -> edited log, what the reader makes of it: None to accept, else part of its error)
 FORGERIES = {
     "envelope-whitespace": (lambda log: edit_at(log, lambda b: b.replace(b'","kind":', b'", "kind":')),
                             "not canonical"),
@@ -451,26 +513,69 @@ FORGERIES = {
     "unsorted-keys-hashed": (lambda log: forge_all(log, reversed_keys), "hash mismatch"),
     "list-payload": (lambda log: forge_all(log, lambda p: canonical_payload([p])),
                      "payload must be a JSON object, not list"),
-    "escaped-kind": (lambda log: forge_fields(log, kind="Caf\u00e9"), None),
-    "control-character-kind": (lambda log: forge_fields(log, kind="Tab\tKind"), None),
-    "unescaped-kind": (lambda log: forge_fields(log, kind="Caf\u00e9").replace(b"Caf\\u00e9", "Caf\u00e9".encode()),
-                       "not canonical"),
+    "escaped-kind": (lambda log: forge_fields(log, kind="Café"), f"seq {T}: unknown kind 'Café'"),
+    "control-character-kind": (lambda log: forge_fields(log, kind="Tab\tKind"), f"seq {T}: unknown kind 'Tab\\tKind'"),
+    "unescaped-kind": (lambda log: forge_fields(log, kind="Café").replace(b"Caf\\u00e9", "Café".encode()),
+                       f"seq {T}: unknown kind 'Café'"),
     "kind-hashed-over-its-escape": (
-        lambda log: forge_fields(log, kind="Caf\\u00e9").replace(b"Caf\\\\u00e9", b"Caf\\u00e9"), "hash mismatch"),
+        lambda log: forge_fields(log, kind="Caf\\u00e9").replace(b"Caf\\\\u00e9", b"Caf\\u00e9"),
+        f"seq {T}: unknown kind 'Café'"),
+    "unknown-kind-without-fields": (lambda log: forge_at(log, unknown_kind_without_fields),
+                                    f"seq {T}: unknown kind 'Ping'"),
     "leading-zero-tick": (lambda log: edit_at(log, lambda b: b.replace(b',"tick":', b',"tick":0')), "not valid JSON"),
     "negative-tick": (lambda log: forge_fields(log, tick=-1), "tick regression"),
     "tick-regression": (lambda log: forge_at(log, lambda rec: setattr(rec, "tick", rec.tick - 1)), "tick regression"),
     "5000-digit-tick": (lambda log: edit_at(log, lambda b: b[:b.rindex(b":") + 1] + b"1" * 5000 + b"}"),
                         "not valid JSON"),
     "4300-digit-tick": (lambda log: forged_log(log, lambda rec: rec.seq >= T and setattr(rec, "tick", 10**4299)), None),
-    "tick-in-payload": (lambda log: forge_at(log, lambda rec: rec.payload.update(tick=1, zz=',"tick":2}')), None),
-    "envelope-tail-in-payload": (lambda log: forge_at(log, envelope_tail), None),
+    "tick-in-payload": (lambda log: forge_at(log, lambda rec: rec.payload.update(tick=1, zz=',"tick":2}')),
+                        f"seq {T}, kind ReviewSubmitted: unknown field 'tick'"),
+    "envelope-tail-in-payload": (lambda log: forge_at(log, envelope_tail),
+                                 "kind ReviewSubmitted: unknown field 'prev_hash'"),
+    "tick-in-text-digest": (lambda log: forge_first(log, "ReviewSubmitted", set_field("text_digest", ',"tick":2}')),
+                            None),
+    "envelope-tail-in-text-digest": (
+        lambda log: forge_first(log, "ReviewSubmitted", lambda rec: rec.payload.update(
+            text_digest=f',"prev_hash":"{rec.prev_hash}","seq":{rec.seq},"tick":{rec.tick}}}')), None),
+    "extra-key-on-registered": (lambda log: forge_first(log, "Registered", set_field("note", "x")),
+                                "kind Registered: unknown field 'note'"),
+    "missing-key": (lambda log: forge_first(log, "ServicePurchased", lambda rec: rec.payload.pop("srat_token")),
+                    "kind ServicePurchased: missing field 'srat_token'"),
+    "negative-amount": (lambda log: forge_first(log, "GasCharged", set_field("amount_wei", -5)),
+                        "kind GasCharged: mistyped field 'amount_wei'"),
+    "bool-amount": (lambda log: forge_first(log, "GasCharged", set_field("amount_wei", True)),
+                    "kind GasCharged: mistyped field 'amount_wei'"),
+    "float-amount": (lambda log: forge_first(log, "GasCharged", set_field("amount_wei", 5.0)),
+                     "kind GasCharged: mistyped field 'amount_wei'"),
+    "null-payer": (lambda log: forge_first(log, "GasCharged", set_field("payer", None)),
+                   "kind GasCharged: mistyped field 'payer'"),
+    "srdt-token-as-string": (lambda log: forge_first(log, "ServicePurchased", set_field("srdt_token", "SRDT-00001")),
+                             None),
+    "srdt-token-as-number": (lambda log: forge_first(log, "ServicePurchased", set_field("srdt_token", 1)),
+                             "kind ServicePurchased: mistyped field 'srdt_token'"),
+    "role-not-a-string": (lambda log: forge_first(log, "Registered", set_field("roles", ["consumer", 1])),
+                          "kind Registered: mistyped field 'roles'"),
+    "nested-field-mistyped": (lambda log: forge_first(log, "SelectionRun", first_badged),
+                              "kind SelectionRun: mistyped field 'badged'"),
+    "nested-row-extra-key": (
+        lambda log: forge_first(log, "EndorsersBootstrapped", lambda rec: rec.payload["srdt_minted"][0].update(x=1)),
+        "kind EndorsersBootstrapped: mistyped field 'srdt_minted'"),
+    "unknown-quality": (
+        lambda log: forge_first(log, "ScenarioSetup", lambda rec: rec.payload["ground_truth"].update(x="Mediocre")),
+        "kind ScenarioSetup: mistyped field 'ground_truth'"),
     "prev-hash-text-replaced": (
         lambda log: edit_at(log, lambda b: b.replace(json.loads(b)["prev_hash"].encode(), b"f" * 64)),
         "prev-hash mismatch"),
     "seq-text-replaced": (lambda log: edit_at(log, lambda b: b.replace(b'"seq":%d,' % T, b'"seq":%d,' % (T + 1))),
                           "seq gap"),
 }
+
+# What a refusal names: the line's own seq on a malformed event, else the chain check that failed.
+NAMED_REASON = re.compile(
+    r"malformed event at seq (\d+)[:,] .+|chain broken at seq -?\d+: "
+    r"(seq gap|prev-hash mismatch|tick regression|hash mismatch|not canonical): .+",
+    re.DOTALL,
+)
 
 
 @pytest.fixture(scope="module")
@@ -479,44 +584,42 @@ def refund_log() -> bytes:
 
 
 class TestExactForm:
-    """The exact-form test accepts a line exactly when the full parse accepts it as the same record."""
+    """The exact-form test is the reader's only accepting path; a line it refuses has the first failing check named."""
 
     @pytest.mark.parametrize("seed", [7, 2407])
     def test_every_exported_line_takes_the_exact_form(self, seed):
         for kind in ALL_KINDS:
+            result = small_run(kind, seed)
             prev, last_tick = ZERO_DIGEST, 0
-            for seq, raw in enumerate(small_log(kind, seed).splitlines()):
-                line = raw.decode("utf-8")
-                exact = ledger_mod._exact_record(line, seq, prev, last_tick)
-                parsed = ledger_mod._parsed_record(line, seq, prev, last_tick)
-                assert exact is not None, (kind, seq)
-                assert exact == parsed and exact.payload == parsed.payload
+            for live, raw in zip(result.sim.ledger.log, result.log_text().splitlines(), strict=True):
+                exact = ledger_mod._exact_record(raw.decode("utf-8"), live.seq, prev, last_tick)
+                assert exact == live and exact.payload == live.payload, (kind, live.seq)
                 prev, last_tick = exact.hash, exact.tick
 
     @pytest.mark.parametrize("name", FORGERIES)
-    def test_forgery_gets_the_full_parse_verdict(self, name, refund_log, monkeypatch):
+    def test_forgery_verdict(self, name, refund_log):
         records = list(iter_log_lines(refund_log))
         assert records[T - 1].tick >= 1 and len(records[T].payload) >= 2
         build, expected = FORGERIES[name]
         log = build(refund_log)
         assert log != refund_log
-        got = verdict(log)
-        assert got == full_parse_verdict(log, monkeypatch)
+        got, error = verdict(log)
         if expected is None:
-            assert got[1] is None and len(got[0]) == len(records)
+            assert error is None and len(got) == len(records)
         else:
-            assert got[1] is not None and expected in got[1][2], got[1]
+            assert error is not None and expected in error[2], error
 
     def test_lines_that_hold_an_envelope_tail_take_the_exact_form(self, refund_log, monkeypatch):
-        full_parses = []
-        parse = ledger_mod._parsed_record
-        monkeypatch.setattr(ledger_mod, "_parsed_record", lambda *args: full_parses.append(args) or parse(*args))
-        for name in ("tick-in-payload", "envelope-tail-in-payload", "4300-digit-tick"):
+        # The tail sits in a string field, escaped, or a tick runs to 4300 digits: the envelope match still holds.
+        refusals = []
+        refuse = ledger_mod._refuse
+        monkeypatch.setattr(ledger_mod, "_refuse", lambda *args: refusals.append(args) or refuse(*args))
+        for name in ("tick-in-text-digest", "envelope-tail-in-text-digest", "4300-digit-tick"):
             log = FORGERIES[name][0](refund_log)
             assert len(list(iter_log_lines(log))) == log.count(b"\n")
-        assert full_parses == []
+        assert refusals == []
 
-    def test_single_byte_edits_get_the_full_parse_verdict(self, monkeypatch):
+    def test_single_byte_edits_are_refused_with_a_named_reason(self):
         logs = {kind: small_log(kind) for kind in ALL_KINDS}
         first = {}  # event kind -> (its log, the seq of its first record)
         for log in logs.values():
@@ -530,10 +633,60 @@ class TestExactForm:
             for pos in range(0, len(line) - 1, 11):
                 for new in (b'"', b"\\", b"0", b" "):
                     if line[pos:pos + 1] != new:
-                        edited = b"".join(lines[:-1]) + line[:pos] + new + line[pos + 1:]
-                        assert verdict(edited) == full_parse_verdict(edited, monkeypatch), (seq, pos, new)
+                        records, error = verdict(b"".join(lines[:-1]) + line[:pos] + new + line[pos + 1:])
+                        assert len(records) == seq and error is not None, (seq, pos, new)
+                        named = NAMED_REASON.fullmatch(error[2])
+                        assert named and named.group(1) in (None, str(seq)), error
                         edits += 1
         assert edits > 1000
+
+
+class TestEventsTable:
+    """ledger.EVENTS, the table of the log's format, holds what the writers write: a test ties them together."""
+
+    @pytest.mark.parametrize("seed", [7, 2407])
+    def test_every_canonical_payload_fits_its_row(self, seed):
+        for scenario in canonical_scenarios():
+            assert_payloads_fit_events(run_scenario(replace(scenario, seed=seed)).sim.ledger)
+
+    def test_every_row_is_written(self):
+        # The random walks of test_properties check their own payloads; here they, the canonical
+        # scenarios and the facade calls no harness makes write every kind in the table.
+        from test_properties import random_protocol_walk
+
+        kinds = set()
+        for scenario in canonical_scenarios():
+            kinds |= assert_payloads_fit_events(run_scenario(scenario).sim.ledger)
+        for seed in range(4):
+            # A quorum and an interval of 1 award DRETs; a short SRAT lifetime lets tokens expire.
+            sim = make_sim(seed=seed, endorsement_quorum=1, dret_interval=1, srat_lifetime=3)
+            random_protocol_walk(sim, random.Random(seed), steps=120)
+            kinds |= assert_payloads_fit_events(sim.ledger)
+        sim = make_sim()
+        provider, service = provider_and_service(sim)
+        sim.bind_address(provider)
+        sim.withdraw_service(provider, service)
+        kinds |= assert_payloads_fit_events(sim.ledger)
+        assert kinds == set(EVENTS)
+
+    def test_every_kind_is_its_own_json_string_form(self):
+        # The exact-form test compares a line's raw kind text with these keys.
+        assert all(kind.isascii() and kind.isalpha() and json.dumps(kind) == f'"{kind}"' for kind in EVENTS)
+
+    def test_readme_lists_every_row(self):
+        def written(spec) -> str:
+            if type(spec) is list:
+                return f"[{written(spec[0])}]"
+            if type(spec) is dict:
+                return "{" + fields(spec) + "}"
+            return {str: "str", int: "int", STR_OR_NULL: "str\\|null", QUALITIES: "Good\\|Bad"}[spec]
+
+        def fields(row: dict) -> str:
+            return ", ".join(f"`{name}` {written(spec)}" for name, spec in row.items())
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        rows = [line for line in readme if line.startswith("| `") and line.split("`")[1] in EVENTS]
+        assert rows == [f"| `{kind}` | {fields(row)} |" for kind, row in EVENTS.items()]
 
 
 class TestCommittedBytes:
@@ -546,8 +699,8 @@ class TestCommittedBytes:
     def test_payload_edited_after_append_breaks_live_chain(self):
         ledger = fresh_ledger()
         for i in range(10):
-            ledger.append_event("Ping", {"i": i, "tags": ["a"]})
-        ledger.log[4].payload_json = canonical_payload({"i": 4, "tags": ["a", "b"]})
+            ledger.append_event("TokensExpired", {"tokens": [f"SRAT-{i:05d}"]})
+        ledger.log[4].payload_json = canonical_payload({"tokens": ["SRAT-00004", "SRAT-00005"]})
         with pytest.raises(ChainBroken) as broken:
             list(iter_log_lines(exported_log(ledger)))
         assert broken.value.seq == 4
@@ -555,13 +708,13 @@ class TestCommittedBytes:
 
     def test_payload_dicts_do_not_reach_the_record(self):
         ledger = fresh_ledger()
-        payload = {"i": 1, "tags": ["a"]}
-        rec = ledger.append_event("Ping", payload)
-        ledger.append_event("Ping", {"i": 2})
+        payload = {"tokens": ["a"]}
+        rec = ledger.append_event("TokensExpired", payload)
+        award(ledger, 2)
         head, export = ledger.final_hash(), exported_log(ledger)
-        payload["tags"].append("b")
-        rec.payload["tags"].append("c")
-        assert rec.payload == {"i": 1, "tags": ["a"]}
+        payload["tokens"].append("b")
+        rec.payload["tokens"].append("c")
+        assert rec.payload == {"tokens": ["a"]}
         assert ledger.final_hash() == head and exported_log(ledger) == export
         assert len(list(iter_log_lines(export))) == 2
 

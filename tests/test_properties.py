@@ -18,7 +18,7 @@ from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
 from ddrm.ledger import GAS_SINK, iter_log_lines
 from ddrm.tokens import ACTIVE, BURNED, EXPIRED, VOIDED
 
-from conftest import exported_log, make_sim
+from conftest import assert_payloads_fit_events, exported_log, make_sim
 
 
 def _group(records, key, value=attrgetter("token_id")):
@@ -183,7 +183,8 @@ def random_protocol_walk(sim, rng, steps):
     """Drive a random mix of protocol operations, tolerating denials.
 
     After every step the lookup indexes are checked against full scans,
-    and each review's votes against the log.
+    and each review's votes against the log; at the end, every payload
+    appended against its ledger.EVENTS row.
     """
     providers = [sim.register(f"prov-{i}", {ROLE_PROVIDER}) for i in range(2)]
     consumers = [sim.register(f"cons-{i}", {ROLE_CONSUMER}) for i in range(3)]
@@ -237,6 +238,7 @@ def random_protocol_walk(sim, rng, steps):
         except DdrmError:
             pass
         check_indexes(sim)
+    assert_payloads_fit_events(sim.ledger)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
