@@ -141,8 +141,7 @@ def parse_scenario(doc, index: int = 0) -> AttackScenario:
         raise ConfigError(f"scenario #{index} must be an object")
     if "kind" not in doc:
         raise ConfigError(f"scenario #{index} missing 'kind'")
-    # The name labels every later message, so it is read first, defaulting to one made from a known kind
-    # (validate refuses any other kind, which would otherwise be refused as a name).
+    # The name labels every later message, so it is read first; only a known kind makes a default name.
     default = f"{doc['kind']}-{index}" if doc["kind"] in ALL_KINDS else f"#{index}"
     name = NAME.read(doc.get("name", default), f"scenario #{index}: name")
     scenario = AttackScenario(

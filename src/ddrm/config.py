@@ -13,6 +13,7 @@ exact writer.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -231,10 +232,10 @@ PROTOCOL_FIELDS = (
 )
 
 
-def _utf8_size(text: str, where: str) -> int:
-    """The length of text's UTF-8 form, which a path needs; a lone surrogate has none."""
+def _utf8_size(text: str, where: str, encode=str.encode) -> int:
+    """The length of text's UTF-8 form, strict or as `encode` makes it; a lone surrogate has none."""
     try:
-        return len(text.encode("utf-8"))
+        return len(encode(text))
     except UnicodeEncodeError:
         raise ConfigError(f"{where} {quoted(text)} has no UTF-8 form") from None
 
@@ -288,7 +289,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     out = doc.get("output_dir", "out")
     if not isinstance(out, str) or not out or "\0" in out:
         raise ConfigError("output_dir must be a non-empty string without NUL")
-    _utf8_size(out, "output_dir")  # refuses a path with no UTF-8 form
+    _utf8_size(out, "output_dir", os.fsencode)  # as open() encodes it, so argv's surrogate-escaped bytes pass
     protocol = parse_protocol_config(OBJECT.read(doc.get("protocol", {}), "protocol"))
 
     # parse_scenario builds the adversary harness's AttackScenario; imported

@@ -381,28 +381,22 @@ EVENTS = {
 }
 
 
-def _fits(spec, value) -> bool:
-    """Whether `value` is of the payload type `spec` (see EVENTS)."""
-    if spec is str or spec is int:
-        return type(value) is spec and (spec is str or value >= 0)
-    if type(spec) is list:
-        return type(value) is list and all(_fits(spec[0], item) for item in value)
-    if type(spec) is dict:
-        return type(value) is dict and len(value) == len(spec) and _misfit(spec, value) is None
-    return spec(value)
-
-
-def _misfit(row: dict, payload: dict) -> str | None:
-    """The first field of `row` that `payload` lacks or holds another type in; None if, with as many keys, it fits."""
+def _misfit(spec, value):
+    """Where `value` departs from the type `spec` (see EVENTS): a row's key, a list's index, "" (itself) or None."""
+    if type(value) is not type(spec):  # a row is a dict and a list a list; any other spec is a function
+        return None if callable(spec) and spec(value) else ""
+    fields = spec.items() if type(spec) is dict else enumerate(spec * len(value))
     try:
-        for name, spec in row.items():
-            value = payload[name]
-            # _fits's first test inline, for the many strings and non-negative ints, before the call.
-            if not (type(value) is spec and (spec is str or value >= 0)) and not _fits(spec, value):
-                return name
+        for key, field in fields:
+            item = value[key]
+            if type(item) is field:  # a string or an int, as most fields are, is settled without a call
+                if field is int and item < 0:
+                    return key
+            elif field is str or field is int or _misfit(field, item) is not None:
+                return key
     except KeyError:
-        return name
-    return None
+        return key
+    return min(value.keys() - spec.keys()) if type(value) is dict and len(value) != len(spec) else None
 
 
 def iter_log_lines(log):
@@ -431,9 +425,8 @@ def iter_log_lines(log):
 def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord | None:
     """The record `line` is if it is exactly the export of a valid record `seq` after `prev`, else None.
 
-    The only path that accepts a line. The envelope is matched in place around the payload, whose
-    kind must have an EVENTS row. Only the payload is decoded; it must re-encode to its own bytes
-    and fit the row, and the hash is recomputed. _refuse names why any other line fails.
+    The only path that accepts a line. The envelope is matched in place around the payload, which alone
+    is decoded, must fit its kind's EVENTS row and re-encode to its own bytes; the hash is recomputed.
     """
     if not (line.startswith('{"hash":"') and line.startswith('","kind":"', 73)):
         return None
@@ -448,9 +441,7 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
         payload_json = canonical_payload(payload)
     except (ValueError, RecursionError):
         return None
-    if type(payload) is not dict or end - start != len(payload_json) or not line.startswith(payload_json, start):
-        return None
-    if len(payload) != len(row) or _misfit(row, payload) is not None:
+    if _misfit(row, payload) is not None or not line.startswith(payload_json, start):
         return None
     tail = f',"prev_hash":"{prev}","seq":{seq},"tick":'
     if not line.startswith(tail, end):
@@ -473,8 +464,7 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
 
 
 def _refuse(line: str, seq: int, prev: str, last_tick: int):
-    """Raise the error naming the first check `line` fails as record `seq` after `prev`, in this order:
-    parse, envelope types, kind (before any hashing), seq, prev-hash, tick, hash, payload row, export form."""
+    """Raise the error naming the first check, in the order below, that `line` fails as record `seq` after `prev`."""
     try:
         rec = EventRecord.from_json_line(line)
     except MalformedEvent as exc:
@@ -490,9 +480,8 @@ def _refuse(line: str, seq: int, prev: str, last_tick: int):
         raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
     if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
         raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
-    unknown = sorted(rec.payload.keys() - row.keys())
-    name = unknown[0] if unknown else _misfit(row, rec.payload)
+    name = _misfit(row, rec.payload)
     if name is not None:
-        fault = "unknown" if unknown else "mistyped" if name in rec.payload else "missing"
+        fault = "unknown" if name not in row else "missing" if name not in rec.payload else "mistyped"
         raise MalformedEvent(f"malformed event at seq {seq}, kind {rec.kind}: {fault} field {quoted(name)}")
     raise ChainBroken(seq, "not canonical: the line differs from its export form")

@@ -233,6 +233,7 @@ class TestRun:
         path.write_text(json.dumps({"scenarios": [scenario], "output_dir": str(tmp_path / "a\0b")}))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: output_dir must be a non-empty string without NUL" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize(
         "name, message",
@@ -266,7 +267,13 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: output_dir '" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
-        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_out_whose_bytes_are_not_utf8_runs(self, tmp_path, config_path):
+        # argv carries such bytes as surrogate escapes, which the file system takes back as the same bytes.
+        out = os.fsdecode(os.fsencode(tmp_path) + b"/o\xff")
+        assert main(["run", "--config", str(config_path), "--out", out]) == EXIT_OK
+        assert (tmp_path / "o\udcff" / "demo.events.ndjson").is_file()
+        assert b"o\xff" in os.listdir(os.fsencode(tmp_path))
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["names-a-file", "below-a-file"])
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys, below):
