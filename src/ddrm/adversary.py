@@ -606,40 +606,48 @@ def replay_verify(log) -> ScenarioMetrics:
 
     `log` is an exported log's bytes (log_text()) or a binary file. Folds each record
     as iter_log_lines verifies it against the chain and its EVENTS row, into totals per
-    participant that the first ScenarioSetup selects at the end. Raises the first failure
-    in log order, as iter_log_lines names it, or MalformedEvent on a badged service the
-    ground truth lacks. This is the independent oracle against run_scenario's live metrics.
+    participant that the first ScenarioSetup selects at the end. A line is accepted on its
+    text alone; only the kinds whose fields the metrics read decode their payload, in their
+    branch below (Excluded is only counted). Raises the first failure in log order, as
+    iter_log_lines names it, or MalformedEvent on a badged service the ground truth lacks.
+    This is the independent oracle against run_scenario's live metrics.
     """
     setup = None
     spent, accepted, refunds, dret = (defaultdict(int) for _ in range(4))
     badged: list[tuple] = []
     exclusions = 0
     for rec in iter_log_lines(log):
-        p = rec.payload
         kind = rec.kind
         if kind == "GasCharged":
+            p = rec.payload
             spent[p["payer"]] += p["amount_wei"]
         elif kind == "ServicePurchased":
+            p = rec.payload
             spent[p["consumer"]] += p["price_paid_wei"]
         elif kind == "ServiceAdded":
+            p = rec.payload
             spent[p["provider"]] += p["fund_wei"]
         elif kind == "FundReplenished":
+            p = rec.payload
             spent[p["provider"]] += p["amount_wei"]
         elif kind == "ReviewSubmitted":
-            accepted[p["reviewer"]] += 1
+            accepted[rec.payload["reviewer"]] += 1
         elif kind == "SelectionRun":
+            p = rec.payload
             badged.extend((p["service"], b["reviewer"], b["rating"], b["badge"]) for b in p["badged"])
         elif kind == "Excluded":
             exclusions += 1
         elif kind == "RefundSettled":
+            p = rec.payload
             spent[p["provider"]] += p["amount_wei"]
             if p["outcome"] == OUTCOME_APPROVED:
                 refunds[p["consumer"]] += 1
         elif kind == "DretAwarded":
-            dret[p["provider"]] += 1
+            dret[rec.payload["provider"]] += 1
         elif kind == "ScenarioSetup" and setup is None:
             # It follows the population's events (it needs the service
             # ids), which is why the totals are kept per participant.
+            p = rec.payload
             setup = set(p["attackers"]), p["ground_truth"], set(p["target_providers"])
     try:
         return _metrics(setup or (set(), {}, set()), badged, spent, accepted, refunds, dret, exclusions)

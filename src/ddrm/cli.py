@@ -68,17 +68,29 @@ def _replay(f) -> dict:
 
 
 def _claims(metrics_doc: dict) -> dict:
-    """What a metrics document claims a replay of its log finds, keyed as _replay keys it."""
-    return {"final_log_hash": metrics_doc["final_log_hash"], **ScenarioMetrics(**metrics_doc["metrics"]).to_dict()}
+    """What a metrics document claims a replay of its log finds, keyed as _replay keys it.
+
+    The document makes each ScenarioMetrics claim and no other: no default stands in for a missing
+    claim. ValueError names the first claim missing, else the least unknown key.
+    """
+    claimed = metrics_doc["metrics"]
+    if type(claimed) is not dict:
+        raise TypeError(f"metrics must be an object, not {type(claimed).__name__}")
+    names = ScenarioMetrics().to_dict().keys()
+    odd = [name for name in names if name not in claimed] + sorted(claimed.keys() - names)
+    if odd:
+        raise ValueError(f"{'missing' if odd[0] in names else 'unknown'} claim {quoted(odd[0])}")
+    return {"final_log_hash": metrics_doc["final_log_hash"], **{name: claimed[name] for name in names}}
 
 
 def _differing(claims: dict, found: dict) -> list[str]:
     """One line per claim the replay did not find (the last hash covers its record's seq, so the count too).
 
-    A claim is untrusted input, so it is quoted cut, at a length that keeps a whole hash.
+    A claim matches only a value of its own type: no bool or float stands for an int, nor an int for a
+    float. A claim is untrusted input, so it is quoted cut, at a length that keeps a whole hash.
     """
     return [f"{key}: recorded {quoted(claims[key], 80)}, replayed {found[key]!r}"
-            for key in claims if claims[key] != found[key]]
+            for key in claims if type(claims[key]) is not type(found[key]) or claims[key] != found[key]]
 
 
 def _run_one(scenario, config: RunConfig, out_dir: Path) -> ScenarioMetrics:

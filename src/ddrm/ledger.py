@@ -12,10 +12,14 @@ A record is its bytes: append_event keeps payload_json and drops the dict, and
 write_log, the one export, streams those bytes into one line per record of a
 binary file. iter_log_lines, the one reader and the only chain check, takes
 those exact bytes, LF included, as strict UTF-8, holding one line and one
-record at a time. It accepts a line only in its exact export form, with a
-kind and payload that EVENTS, the table of the log's format, allows; any
-other line is parsed in full only to name what broke. A live chain is checked
-by reading back what write_log writes. The codec needs CPython's `_json`.
+record at a time. It accepts a line only in its exact export form: the
+envelope is matched in place, and the payload text against a regular
+expression compiled from its kind's row of EVENTS, the table of the log's
+format, that matches exactly the canonical texts of the payloads that fit
+the row. No payload is decoded to accept it; a read record decodes its
+payload when something reads it. Any other line is parsed in full only to
+name what broke. A live chain is checked by reading back what write_log
+writes. The codec needs CPython's `_json`.
 Digests are SHA-256, hex-encoded lowercase. The randomness beacon is a
 seeded Mersenne Twister behind a partial Fisher-Yates draw, so identical
 (seed, call sequence) always reproduces identical output and therefore an
@@ -145,6 +149,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 # circular-marker dict, so no state outlives a call; payloads are trees.
 _encode = json.encoder.c_make_encoder(None, json.JSONEncoder().default, _encode_str, None, ":", ",", True, False, True)
 _raw_decode = json.JSONDecoder().raw_decode
+_scan = json.scanner.c_make_scanner(json.JSONDecoder())  # (value, end) of the JSON text at an index
 
 
 def canonical_payload(payload: dict) -> str:
@@ -167,14 +172,25 @@ class EventRecord:
     payload_json: str  # the canonical payload bytes the hash covers and export writes
     prev_hash: str
     hash: str
-    # The dict the reader decoded the payload into, so the replay fold decodes each
-    # line once; None on a record built any other way (dataclasses.replace included).
+    # The payload dict of a read record, decoded on its first access and then kept; None on a
+    # live record and on a record built any other way (dataclasses.replace included).
     _decoded: dict | None = field(default=None, init=False, compare=False, repr=False)
+    _read: bool = field(default=False, init=False, compare=False, repr=False)  # the reader accepted it
 
     @property
     def payload(self) -> dict:
-        """The payload as a dict: the reader's decode, or a fresh one of payload_json."""
-        return json.loads(self.payload_json) if self._decoded is None else self._decoded
+        """payload_json as a dict, decoded when read, by the C scanner (json.loads wraps it in more checks).
+
+        A read record (from iter_log_lines or from_json_line) keeps the dict, so the replay fold, and an
+        edit made through it, use one decode; any other record decodes afresh on every access, so no
+        edit of the dict it returns reaches the bytes its hash covers.
+        """
+        decoded = self._decoded
+        if decoded is None:
+            decoded = _scan(self.payload_json, 0)[0]
+            if self._read:
+                self._decoded = decoded
+        return decoded
 
     def to_json_line(self) -> str:
         """The record as one canonical JSON object (sorted keys, compact, ASCII)."""
@@ -399,6 +415,61 @@ def _misfit(spec, value):
     return min(value.keys() - spec.keys()) if type(value) is dict and len(value) != len(spec) else None
 
 
+# The canonical text of each leaf type of EVENTS: what the encoder writes for its values. An int has at
+# most 4300 digits, as many as int() reads. A string is printable ASCII but `"` and `\`, and escapes:
+# here a backslash and the character after it, so that the string ends where it should; _ESCAPES then
+# holds each to what the encoder writes. Quantifiers are possessive: each token ends where the next
+# begins, so giving text back never helps.
+_STR = r'"(?:[ !#-\[\]-~]++|\\.)*+"'
+# The escapes the encoder writes, the one statement of them: \" \\ \b \f \n \r \t, and \u with lowercase
+# hex for every other code point below 0x20 and for 0x7f to 0xffff (a code point above, as a surrogate
+# pair; a lone surrogate, alone). Matched in full over a payload text that holds a backslash.
+_ESCAPES = re.compile(
+    r'[^\\]*+(?:\\(?:["\\bfnrt]|u(?:00(?:0[0-7bef]|1[0-9a-f]|7f|[89a-f][0-9a-f])'
+    r'|0[1-9a-f][0-9a-f]{2}|[1-9a-f][0-9a-f]{3}))[^\\]*+)*+'
+)
+
+
+def _items(item: str) -> str:
+    """A pattern for zero or more comma-separated `item`s."""
+    return f"(?:{item}(?:,{item})*+)?+"
+
+
+_LEAF_TEXT = {
+    str: _STR,
+    int: "(?:0|[1-9][0-9]{0,4299}+)",
+    STR_OR_NULL: f"(?:null|{_STR})",
+    # A free-key object: the pattern checks its keys' form but cannot hold them to sorted and unique.
+    QUALITIES: r"\{" + _items(f'{_STR}:"(?:Good|Bad)"') + r"\}",
+}
+
+
+def _text_pattern(spec) -> str:
+    """A regular expression for the canonical texts of the values that fit `spec` (see EVENTS)."""
+    if type(spec) is list:
+        return r"\[" + _items(_text_pattern(spec[0])) + r"\]"
+    if type(spec) is dict:  # a row: its keys in sorted order, as the encoder writes them
+        fields = (f"{re.escape(_encode_str(key))}:{_text_pattern(spec[key])}" for key in sorted(spec))
+        return r"\{" + ",".join(fields) + r"\}"
+    return _LEAF_TEXT[spec]
+
+
+_ROW_PATTERNS: dict = {}  # kind -> _row_pattern(kind), for each kind read so far
+
+
+def _row_pattern(kind: str):
+    """(compiled pattern of kind's row, whether a text it matches must also re-encode to itself), or None.
+
+    Compiled on first use: compiling all 19 rows at import would slow every start by several ms.
+    """
+    row = EVENTS.get(kind)
+    if row is None:
+        return None
+    # The one free-key object, QUALITIES, sits at its row's top level.
+    compiled = _ROW_PATTERNS[kind] = (re.compile(_text_pattern(row)), QUALITIES in row.values())
+    return compiled
+
+
 def iter_log_lines(log):
     """Parse and verify an exported log line by line, yielding each record once it passes.
 
@@ -425,23 +496,29 @@ def iter_log_lines(log):
 def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord | None:
     """The record `line` is if it is exactly the export of a valid record `seq` after `prev`, else None.
 
-    The only path that accepts a line. The envelope is matched in place around the payload, which alone
-    is decoded, must fit its kind's EVENTS row and re-encode to its own bytes; the hash is recomputed.
+    The only path that accepts a line. The envelope is matched in place around the payload, whose text
+    must match its kind's row pattern (_row_pattern) at its offset; the hash is recomputed over that
+    text. Nothing is decoded, except on the one row with a free-key object, ScenarioSetup (ground_truth,
+    one line per log): its pattern cannot hold keys to sorted and unique, so its text is also decoded
+    and must re-encode to itself.
     """
     if not (line.startswith('{"hash":"') and line.startswith('","kind":"', 73)):
         return None
     kind_end = line.find('"', 83)
     kind = line[83:kind_end]
-    row = EVENTS.get(kind)
-    if row is None or not line.startswith('","payload":', kind_end):
+    compiled = _ROW_PATTERNS.get(kind) or _row_pattern(kind)
+    if compiled is None or not line.startswith('","payload":', kind_end):
         return None
+    pattern, free_keys = compiled
     start = kind_end + 12
-    try:
-        payload, end = _raw_decode(line, start)
-        payload_json = canonical_payload(payload)
-    except (ValueError, RecursionError):
+    match = pattern.match(line, start)
+    if match is None:
         return None
-    if _misfit(row, payload) is not None or not line.startswith(payload_json, start):
+    end = match.end()
+    payload_json = line[start:end]
+    if "\\" in payload_json and not _ESCAPES.fullmatch(payload_json):
+        return None
+    if free_keys and canonical_payload(_raw_decode(payload_json)[0]) != payload_json:
         return None
     tail = f',"prev_hash":"{prev}","seq":{seq},"tick":'
     if not line.startswith(tail, end):
@@ -459,7 +536,7 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
     if record_hash(seq, tick, kind, payload_json, prev) != digest:
         return None
     rec = EventRecord(seq, tick, kind, payload_json, prev, digest)
-    rec._decoded = payload
+    rec._read = True
     return rec
 
 

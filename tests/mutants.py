@@ -50,9 +50,8 @@ MUTANTS = (
     Mutant("no-seq-check", "src/ddrm/ledger.py",
            "if rec.seq != seq:", "if False:", "tests/test_ledger.py"),
     # The exact-form test, the one path that accepts a line: each condition it checks.
-    Mutant("exact-form-skips-reencode", "src/ddrm/ledger.py",
-           " or not line.startswith(payload_json, start)", "",
-           "tests/test_ledger.py"),
+    Mutant("free-key-row-skips-reencode", "src/ddrm/ledger.py",
+           "if free_keys and canonical_payload(", "if False and canonical_payload(", "tests/test_ledger.py"),
     Mutant("exact-form-skips-hash", "src/ddrm/ledger.py",
            "if record_hash(seq, tick, kind, payload_json, prev) != digest:", "if False:", "tests/test_ledger.py"),
     Mutant("exact-form-skips-tick-order", "src/ddrm/ledger.py",
@@ -64,7 +63,20 @@ MUTANTS = (
     # The table of event kinds and payload fields, which the exact-form test and the refusal both read.
     Mutant("exact-form-skips-kind-lookup", "src/ddrm/ledger.py",
            "row = EVENTS.get(kind)\n", "row = EVENTS.get(kind, {})\n", "tests/test_ledger.py"),
-    Mutant("exact-form-drops-key-set-check", "src/ddrm/ledger.py",
+    # The row patterns: each matches exactly the canonical texts of the payloads that fit its row.
+    Mutant("escapes-unchecked", "src/ddrm/ledger.py",
+           'if "\\\\" in payload_json and not _ESCAPES.fullmatch(payload_json):', "if False:", "tests/test_ledger.py"),
+    Mutant("unicode-escape-takes-any-hex", "src/ddrm/ledger.py",
+           "u(?:00(?:0[0-7bef]", "u(?:[0-9a-fA-F]{4}|00(?:0[0-7bef]", "tests/test_ledger.py"),
+    Mutant("int-pattern-unbounded", "src/ddrm/ledger.py",
+           "[1-9][0-9]{0,4299}+", "[1-9][0-9]*+", "tests/test_ledger.py"),
+    Mutant("row-keys-in-table-order", "src/ddrm/ledger.py",
+           "for key in sorted(spec)", "for key in spec", "tests/test_ledger.py"),
+    Mutant("str-or-null-takes-no-null", "src/ddrm/ledger.py",
+           'STR_OR_NULL: f"(?:null|{_STR})"', "STR_OR_NULL: _STR", "tests/test_ledger.py"),
+    Mutant("quality-pattern-takes-any-string", "src/ddrm/ledger.py",
+           """_items(f'{_STR}:"(?:Good|Bad)"')""", "_items(f'{_STR}:{_STR}')", "tests/test_ledger.py"),
+    Mutant("refusal-drops-key-set-check", "src/ddrm/ledger.py",
            "if type(value) is dict and len(value) != len(spec) else None", "if False else None",
            "tests/test_ledger.py"),
     Mutant("negative-int-fits", "src/ddrm/ledger.py",
@@ -95,8 +107,9 @@ MUTANTS = (
     Mutant("replay-collects-records", "src/ddrm/adversary.py",
            "for rec in iter_log_lines(log):", "for rec in list(iter_log_lines(log)):", "tests/test_adversary.py"),
     Mutant("no-refund-term-in-replayed-spend", "src/ddrm/adversary.py",
-           'elif kind == "RefundSettled":\n            spent[p["provider"]] += p["amount_wei"]',
-           'elif kind == "RefundSettled":\n            pass', "tests/test_adversary.py"),
+           'elif kind == "RefundSettled":\n            p = rec.payload\n'
+           '            spent[p["provider"]] += p["amount_wei"]',
+           'elif kind == "RefundSettled":\n            p = rec.payload', "tests/test_adversary.py"),
     Mutant("accepted-counts-badged-only", "src/ddrm/adversary.py",
            "Counter(r.reviewer for r in reviews),",
            "Counter(r.reviewer for r in reviews if r.badge != BADGE_PENDING),",
@@ -206,13 +219,16 @@ MUTANTS = (
            '_differing(_claims(metrics_doc), {**found, "final_log_hash": metrics_doc["final_log_hash"]})',
            "tests/test_cli.py"),
     Mutant("live-payload-cached", "src/ddrm/ledger.py",
-           "return json.loads(self.payload_json) if self._decoded is None else self._decoded",
-           "self._decoded = json.loads(self.payload_json) if self._decoded is None else self._decoded\n"
-           "        return self._decoded",
+           "if self._read:\n                self._decoded = decoded", "self._decoded = decoded",
            "tests/test_ledger.py"),
+    Mutant("read-payload-not-kept", "src/ddrm/ledger.py",
+           "    rec._read = True\n", "", "tests/test_ledger.py"),
     Mutant("final-hash-not-compared", "src/ddrm/cli.py",
            "_differing(claims, found)", '_differing(claims, {**found, "final_log_hash": claims["final_log_hash"]})',
            "tests/test_cli.py"),
+    Mutant("claims-unchecked", "src/ddrm/cli.py", "    if odd:\n", "    if False:\n", "tests/test_cli.py"),
+    Mutant("claim-type-ignored", "src/ddrm/cli.py",
+           "type(claims[key]) is not type(found[key]) or ", "", "tests/test_cli.py"),
     Mutant("mismatch-names-no-metric", "src/ddrm/cli.py",
            'print("mismatch between log replay and recorded metrics:", *differing, sep="\\n  ", file=sys.stderr)',
            'print("mismatch between log replay and recorded metrics", file=sys.stderr)', "tests/test_cli.py"),

@@ -15,7 +15,7 @@ import pytest
 
 import ddrm
 from ddrm import parse_scenario, replay_verify, run_scenario
-from ddrm.adversary import ALL_KINDS, KIND_COLLUSION, KIND_FALSE_REFUND, ScenarioResult
+from ddrm.adversary import ALL_KINDS, KIND_COLLUSION, KIND_FALSE_REFUND, ScenarioMetrics, ScenarioResult
 from ddrm.cli import EXIT_CHAIN, EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISMATCH, EXIT_OK, main
 from ddrm.config import RATE_DIGITS, USD_DIGITS, parse_run_config
 from ddrm.ledger import ZERO_DIGEST, Ledger, canonical_payload, record_hash
@@ -625,6 +625,56 @@ class TestVerify:
         metrics.write_text(json.dumps(doc))
         assert main(["verify", str(log)]) == EXIT_CONFIG
         assert "cannot read metrics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(ScenarioMetrics().to_dict()))
+    def test_metrics_file_without_a_claim_exits_2(self, tmp_path, config_path, capsys, name):
+        # No default stands in for the claim, not even where it equals the run's value (the last two).
+        log, metrics = self._run(tmp_path, config_path)
+        doc = json.loads(metrics.read_text())
+        del doc["metrics"][name]
+        metrics.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(log)]) == EXIT_CONFIG
+        assert f"cannot read metrics {metrics}: missing claim {name!r}" in capsys.readouterr().err
+
+    def test_metrics_file_without_two_claims_exits_2(self, tmp_path, config_path, capsys):
+        log, metrics = self._run(tmp_path, config_path)
+        doc = json.loads(metrics.read_text())
+        del doc["metrics"]["provider_dret_delta"], doc["metrics"]["refund_fraud_approved"]
+        metrics.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(log)]) == EXIT_CONFIG
+        assert "missing claim 'refund_fraud_approved'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metrics_value, message", [
+        ({"note": 1}, "unknown claim 'note'"),
+        ([], "metrics must be an object, not list"),
+    ], ids=["unknown-claim", "list"])
+    def test_metrics_file_with_other_claims_exits_2(self, tmp_path, config_path, capsys, metrics_value, message):
+        log, metrics = self._run(tmp_path, config_path)
+        doc = json.loads(metrics.read_text())
+        doc["metrics"] = {**doc["metrics"], **metrics_value} if type(metrics_value) is dict else metrics_value
+        metrics.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(log)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "unexpected keyword" not in err
+
+    @pytest.mark.parametrize("name, retype", [
+        ("refund_fraud_approved", bool), ("provider_dret_delta", float), ("exclusions", float),
+        ("badge_accuracy", int),
+    ])
+    def test_claim_of_another_type_exits_5(self, tmp_path, config_path, capsys, name, retype):
+        log, metrics = self._run(tmp_path, config_path)
+        doc = json.loads(metrics.read_text())
+        value = doc["metrics"][name]
+        assert retype(value) == value and type(retype(value)) is not type(value)
+        doc["metrics"][name] = retype(value)
+        metrics.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(log)]) == EXIT_MISMATCH
+        claims = capsys.readouterr().err.splitlines()[1:]
+        assert claims == [f"  {name}: recorded {retype(value)!r}, replayed {value!r}"]
 
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.ndjson")]) == EXIT_CONFIG

@@ -1,9 +1,12 @@
 """Ledger: gas charges, hash chain, log codec, beacon, ticks."""
 
+import contextlib
+import hashlib
 import io
 import json
 import random
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -305,18 +308,18 @@ JSON_VALUES = st.recursive(
 )
 
 
-def values_of(spec):
-    """A Hypothesis strategy for the values of one ledger.EVENTS payload type."""
+def values_of(spec, text=st.text(), ints=st.integers(min_value=0, max_value=2**200)):
+    """A Hypothesis strategy for the values of one ledger.EVENTS payload type, its strings and ints drawn as given."""
     if spec is str:
-        return st.text()
+        return text
     if spec is int:
-        return st.integers(min_value=0, max_value=2**200)
+        return ints
     if type(spec) is list:
-        return st.lists(values_of(spec[0]), max_size=4)
+        return st.lists(values_of(spec[0], text, ints), max_size=4)
     if type(spec) is dict:
-        return st.fixed_dictionaries({name: values_of(field_spec) for name, field_spec in spec.items()})
-    qualities = st.dictionaries(st.text(), st.sampled_from(["Good", "Bad"]))
-    return {STR_OR_NULL: st.none() | st.text(), QUALITIES: qualities}[spec]
+        return st.fixed_dictionaries({name: values_of(field_spec, text, ints) for name, field_spec in spec.items()})
+    qualities = st.dictionaries(text, st.sampled_from(["Good", "Bad"]))
+    return {STR_OR_NULL: st.none() | text, QUALITIES: qualities}[spec]
 
 
 # (kind, payload): a kind of the log's format and a payload that fits its row.
@@ -639,6 +642,142 @@ class TestExactForm:
                         assert named and named.group(1) in (None, str(seq)), error
                         edits += 1
         assert edits > 1000
+
+
+def old_exact_rule(kind: str, text: str) -> bool:
+    """The rule the row patterns replace, kept as their oracle: the text decodes, fits the row, re-encodes to itself."""
+    try:
+        payload, end = json.JSONDecoder().raw_decode(text)
+    except (ValueError, RecursionError):
+        return False
+    return end == len(text) and ledger_mod._misfit(EVENTS[kind], payload) is None and canonical_payload(payload) == text
+
+
+def takes_exact_form(kind: str, text: str) -> bool:
+    """Whether _exact_record accepts `text` as the payload of record 0, of `kind`, at tick 0."""
+    preimage = f"0|0|{kind}|{text}|{ZERO_DIGEST}"  # surrogatepass: any text gets a hash; the reader refuses it
+    digest = hashlib.sha256(preimage.encode("utf-8", "surrogatepass")).hexdigest()
+    line = f'{{"hash":"{digest}","kind":"{kind}","payload":{text},"prev_hash":"{ZERO_DIGEST}","seq":0,"tick":0}}'
+    return ledger_mod._exact_record(line, 0, ZERO_DIGEST, 0) is not None
+
+
+@contextlib.contextmanager
+def int_digits_unlimited():
+    """Let json.dumps write an int of more than 4300 digits, as no reader reads it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Strings with control characters, DEL, "/", "A", non-BMP characters and lone surrogates;
+# ints up to 4301 digits, one past what int() reads.
+ODD_CHARACTERS = "\x00\b\n\x0b\x1f\x7f\"\\/A\xe9\U0001f600\ud800"
+ODD_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(ODD_CHARACTERS))
+ODD_INTS = st.integers(min_value=0, max_value=2**64) | st.integers(10**4299 - 2, 10**4300 + 1)
+ODD_RECORDS = st.sampled_from(sorted(EVENTS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), values_of(EVENTS[kind], ODD_TEXT, ODD_INTS))
+)
+
+# A value in an object or a list, as the first match in a text: an int, then any string (a key is followed by ":").
+FIRST_INT = re.compile(r"(?<=[:\[,])(0|[1-9][0-9]*)(?=[,\]}])")
+FIRST_STRING = re.compile(r'(?<=[:\[,])"(?:[^"\\]|\\.)*"(?=[,\]}])')
+
+
+def noncanonical_texts(payload: dict) -> dict:
+    """Texts of `payload`, or of a payload near it, that the encoder would not write, by what makes them so."""
+    with int_digits_unlimited():
+        text = canonical_payload(payload)
+        first = min(payload)
+        return {
+            "blanks": json.dumps(payload, sort_keys=True),
+            "table-order": json.dumps(payload, separators=(",", ":")),
+            "reversed-keys": reversed_keys(payload),
+            "duplicate-key": "{" + canonical_payload({first: payload[first]})[1:-1] + "," + text[1:],
+            "ensure-ascii-false": json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False),
+            "escaped-slash": text.replace("/", "\\/"),
+            "escaped-letter": text.replace("A", "\\u0041"),
+            "uppercase-hex": re.sub(r"\\u([0-9a-f]{4})", lambda m: "\\u" + m[1].upper(), text),
+            "long-lf-escape": text.replace("\\n", "\\u000a"),
+            "minus-zero": FIRST_INT.sub("-0", text, count=1),
+            "float": FIRST_INT.sub(r"\g<1>.0", text, count=1),
+            "true-for-int": FIRST_INT.sub("true", text, count=1),
+            "null-for-string": FIRST_STRING.sub("null", text, count=1),
+        }
+
+
+GAS = '{"amount_wei":%s,"op":"add_service","payer":%s}'
+SETUP = '{"attackers":[],"ground_truth":%s,"kind":"collusion","scenario":"s","target_providers":[]}'
+PURCHASE = ('{"consumer":"c","list_price_wei":1,"price_paid_wei":1,"provider":"p","purchase":"u","service":"v",'
+            '"srat_token":"t","srdt_token":%s}')
+# (kind, payload text, whether it is the canonical text of a payload that fits the kind's row)
+NAMED_TEXTS = {
+    "plain": ("GasCharged", GAS % (5, '"P0001"'), True),
+    "table-order": ("GasCharged", '{"payer":"P0001","op":"add_service","amount_wei":5}', False),
+    "blank": ("GasCharged", GAS % (5, ' "P0001"'), False),
+    "escaped-letter": ("GasCharged", GAS % (5, '"\\u0041"'), False),
+    "escaped-e-acute": ("GasCharged", GAS % (5, '"\\u00e9"'), True),
+    "uppercase-hex": ("GasCharged", GAS % (5, '"\\u00E9"'), False),
+    "raw-e-acute": ("GasCharged", GAS % (5, '"\xe9"'), False),
+    "escaped-del": ("GasCharged", GAS % (5, '"\\u007f"'), True),
+    "raw-del": ("GasCharged", GAS % (5, '"\x7f"'), False),
+    "short-lf-escape": ("GasCharged", GAS % (5, '"\\n"'), True),
+    "long-lf-escape": ("GasCharged", GAS % (5, '"\\u000a"'), False),
+    "vertical-tab": ("GasCharged", GAS % (5, '"\\u000b"'), True),
+    "raw-slash": ("GasCharged", GAS % (5, '"a/b"'), True),
+    "escaped-slash": ("GasCharged", GAS % (5, '"a\\/b"'), False),
+    "escaped-backslash-then-u": ("GasCharged", GAS % (5, '"\\\\u0041"'), True),
+    "lone-surrogate": ("GasCharged", GAS % (5, '"\\ud800"'), True),
+    "surrogate-pair": ("GasCharged", GAS % (5, '"\\ud83d\\ude00"'), True),
+    "4300-digit-int": ("GasCharged", GAS % ("9" * 4300, '"P0001"'), True),
+    "4301-digit-int": ("GasCharged", GAS % ("1" + "0" * 4300, '"P0001"'), False),
+    "leading-zero-int": ("GasCharged", GAS % ("05", '"P0001"'), False),
+    "minus-zero": ("GasCharged", GAS % ("-0", '"P0001"'), False),
+    "float": ("GasCharged", GAS % ("5.0", '"P0001"'), False),
+    "true-for-int": ("GasCharged", GAS % ("true", '"P0001"'), False),
+    "null-for-string": ("GasCharged", GAS % (5, "null"), False),
+    "null-for-str-or-null": ("ServicePurchased", PURCHASE % "null", True),
+    "string-for-str-or-null": ("ServicePurchased", PURCHASE % '"SRDT-00001"', True),
+    "empty-list": ("TokensExpired", '{"tokens":[]}', True),
+    "blank-list": ("TokensExpired", '{"tokens":[ ]}', False),
+    "ground-truth-sorted": ("ScenarioSetup", SETUP % '{"SVC-1":"Good","SVC-2":"Bad"}', True),
+    "ground-truth-unsorted": ("ScenarioSetup", SETUP % '{"SVC-2":"Bad","SVC-1":"Good"}', False),
+    "ground-truth-duplicate": ("ScenarioSetup", SETUP % '{"SVC-1":"Good","SVC-1":"Good"}', False),
+    "ground-truth-other-quality": ("ScenarioSetup", SETUP % '{"SVC-1":"Fair"}', False),
+}
+
+
+class TestRowPatterns:
+    """_exact_record accepts a payload text exactly when the rule it replaced, decode, fit and re-encode, does."""
+
+    @pytest.mark.parametrize("name", NAMED_TEXTS)
+    def test_named_text(self, name):
+        kind, text, canonical = NAMED_TEXTS[name]
+        assert old_exact_rule(kind, text) is canonical
+        assert takes_exact_form(kind, text) is canonical
+
+    @given(record=ODD_RECORDS)
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_payloads_get_the_old_verdict(self, record):
+        kind, payload = record
+        with int_digits_unlimited():
+            text = canonical_payload(payload)
+        assert takes_exact_form(kind, text) is old_exact_rule(kind, text)
+
+    @given(record=ODD_RECORDS)
+    @settings(max_examples=100, deadline=None)
+    def test_noncanonical_texts_get_the_old_verdict(self, record):
+        kind, payload = record
+        for name, text in noncanonical_texts(payload).items():
+            assert takes_exact_form(kind, text) is old_exact_rule(kind, text), name
+
+    def test_a_read_record_is_accepted_undecoded_and_keeps_its_first_decode(self, refund_log):
+        read = next(iter_log_lines(refund_log))
+        assert read._decoded is None
+        read.payload["x"] = 1
+        assert read.payload["x"] == 1 and "x" not in json.loads(read.payload_json)
 
 
 class TestEventsTable:
