@@ -69,7 +69,9 @@ MUTANTS = (
     Mutant("unicode-escape-takes-any-hex", "src/ddrm/ledger.py",
            "u(?:00(?:0[0-7bef]", "u(?:[0-9a-fA-F]{4}|00(?:0[0-7bef]", "tests/test_ledger.py"),
     Mutant("int-pattern-unbounded", "src/ddrm/ledger.py",
-           "[1-9][0-9]{0,4299}+", "[1-9][0-9]*+", "tests/test_ledger.py"),
+           "[1-9][0-9]{0,4299})", "[1-9][0-9]*)", "tests/test_ledger.py"),
+    Mutant("list-takes-trailing-comma", "src/ddrm/ledger.py",
+           "(?:,(?![\\\\]}}])|", "(?:,|", "tests/test_ledger.py"),
     Mutant("row-keys-in-table-order", "src/ddrm/ledger.py",
            "for key in sorted(spec)", "for key in spec", "tests/test_ledger.py"),
     Mutant("str-or-null-takes-no-null", "src/ddrm/ledger.py",

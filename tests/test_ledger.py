@@ -723,6 +723,8 @@ NAMED_TEXTS = {
     "raw-e-acute": ("GasCharged", GAS % (5, '"\xe9"'), False),
     "escaped-del": ("GasCharged", GAS % (5, '"\\u007f"'), True),
     "raw-del": ("GasCharged", GAS % (5, '"\x7f"'), False),
+    # A pattern that can split a run of characters more than one way would take ~2^64 steps to refuse this.
+    "long-run-then-raw-e-acute": ("GasCharged", GAS % (5, '"' + "a" * 64 + '\xe9"'), False),
     "short-lf-escape": ("GasCharged", GAS % (5, '"\\n"'), True),
     "long-lf-escape": ("GasCharged", GAS % (5, '"\\u000a"'), False),
     "vertical-tab": ("GasCharged", GAS % (5, '"\\u000b"'), True),
@@ -742,6 +744,9 @@ NAMED_TEXTS = {
     "string-for-str-or-null": ("ServicePurchased", PURCHASE % '"SRDT-00001"', True),
     "empty-list": ("TokensExpired", '{"tokens":[]}', True),
     "blank-list": ("TokensExpired", '{"tokens":[ ]}', False),
+    "list-with-trailing-comma": ("TokensExpired", '{"tokens":["a",]}', False),
+    "list-without-comma": ("TokensExpired", '{"tokens":["a""b"]}', False),
+    "list-of-two": ("TokensExpired", '{"tokens":["a","b"]}', True),
     "ground-truth-sorted": ("ScenarioSetup", SETUP % '{"SVC-1":"Good","SVC-2":"Bad"}', True),
     "ground-truth-unsorted": ("ScenarioSetup", SETUP % '{"SVC-2":"Bad","SVC-1":"Good"}', False),
     "ground-truth-duplicate": ("ScenarioSetup", SETUP % '{"SVC-1":"Good","SVC-1":"Good"}', False),
@@ -772,6 +777,22 @@ class TestRowPatterns:
         kind, payload = record
         for name, text in noncanonical_texts(payload).items():
             assert takes_exact_form(kind, text) is old_exact_rule(kind, text), name
+
+    def test_patterns_need_nothing_newer_than_python_3_10(self):
+        parser = pytest.importorskip("re._parser")  # 3.11 and on, which parse possessive and atomic forms
+        newer = {parser.POSSESSIVE_REPEAT, parser.ATOMIC_GROUP}
+
+        def opcodes(node):
+            if isinstance(node, parser.SubPattern):
+                for op, arg in node:
+                    yield op
+                    yield from opcodes(arg)
+            elif isinstance(node, (list, tuple)):
+                for item in node:
+                    yield from opcodes(item)
+
+        for pattern in [ledger_mod._ESCAPES.pattern, *map(ledger_mod._text_pattern, EVENTS.values())]:
+            assert newer.isdisjoint(opcodes(parser.parse(pattern))), pattern
 
     def test_a_read_record_is_accepted_undecoded_and_keeps_its_first_decode(self, refund_log):
         read = next(iter_log_lines(refund_log))
