@@ -34,14 +34,24 @@ EXIT_CHAIN = 4
 EXIT_MISMATCH = 5
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An untrusted document's JSON object as a dict; ValueError names its first repeated key (json keeps the last)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {quoted(key)}")
+        doc[key] = value
+    return doc
+
+
 def _load_config(path: str | None, seed: int | None, out: str | None) -> RunConfig:
     doc = {}
     if path is not None:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
+        except ValueError as exc:  # JSONDecodeError, an int literal past Python's digit limit, or a repeated key
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError(f"config {path} is nested too deeply") from exc
@@ -179,7 +189,7 @@ def cmd_verify(args) -> int:
     metrics_path = Path(args.metrics) if args.metrics else _sibling_metrics(log_path)
     if metrics_path is not None:
         try:
-            claims = _claims(json.loads(metrics_path.read_text(encoding="utf-8")))
+            claims = _claims(json.loads(metrics_path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys))
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"error: cannot read metrics {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import (
     ChainBroken,
@@ -345,77 +346,7 @@ class Ledger:
         return self.tick
 
 
-# The event-log format, after JSON Schema's `required` and `additionalProperties: false`: each kind's
-# payload holds exactly its row's fields, of its types. int is a non-negative integer (never a bool), str
-# a string, [t] a list of t, a dict a nested row, and a function the values it is true of. Each kind is
-# ASCII letters, so it is its own JSON string form.
-def STR_OR_NULL(value) -> bool:
-    return value is None or type(value) is str
-
-
-def QUALITIES(value) -> bool:
-    return type(value) is dict and all(q == "Good" or q == "Bad" for q in value.values())
-
-
-_MINTED = {"token": str, "holder": str}
-EVENTS = {
-    "Registered": {"participant": str, "address": str, "roles": [str], "card_fingerprint": str, "genesis_wei": int},
-    "AddressBound": {"participant": str, "address": str},
-    "GasCharged": {"payer": str, "op": str, "amount_wei": int},
-    "ServiceAdded": {"service": str, "provider": str, "s_cost_wei": int, "fund_wei": int},
-    "ServicePurchased": {
-        "purchase": str, "service": str, "consumer": str, "provider": str, "list_price_wei": int,
-        "price_paid_wei": int, "srat_token": str, "srdt_token": STR_OR_NULL,
-    },
-    "ServiceModified": {"service": str, "old_cost_wei": int, "new_cost_wei": int},
-    "ServiceWithdrawn": {"service": str, "fund_refunded_wei": int},
-    "FundReplenished": {"service": str, "provider": str, "amount_wei": int, "fund_wei": int},
-    "ReviewSubmitted": {
-        "review": str, "purchase": str, "service": str, "reviewer": str, "rating": int, "text_digest": str,
-        "srat_token": str, "subsidy_wei": int,
-    },
-    "EndorsementCast": {"review": str, "service": str, "endorser": str, "vote": str, "srdt_token": str},
-    "SelectionRun": {
-        "service": str,
-        "badged": [{"review": str, "badge": str, "upvotes": int, "downvotes": int, "reviewer": str, "rating": int}],
-        "roster": [str], "srdt_minted": [_MINTED], "penalized": [{"participant": str, "count": int}],
-        "excluded": [str],
-    },
-    "EndorsersBootstrapped": {"service": str, "roster": [str], "srdt_minted": [_MINTED]},
-    "Excluded": {"participant": str, "voided_tokens": [str], "rosters_removed": [str], "services_withdrawn": [str]},
-    "DretAwarded": {"provider": str, "service": str, "new_count": int},
-    "TokensExpired": {"tokens": [str]},
-    "RefundClaimFiled": {"claim": str, "purchase": str, "claimant": str, "panel": [str]},
-    "RefundVoteCast": {"claim": str, "endorser": str, "vote": str},
-    "RefundSettled": {
-        "claim": str, "purchase": str, "outcome": str, "amount_wei": int, "provider": str, "consumer": str,
-        "approvals": int, "panel_size": int,
-    },
-    "ScenarioSetup": {
-        "scenario": str, "kind": str, "attackers": [str], "ground_truth": QUALITIES, "target_providers": [str],
-    },
-}
-
-
-def _misfit(spec, value):
-    """Where `value` departs from the type `spec` (see EVENTS): a row's key, a list's index, "" (itself) or None."""
-    if type(value) is not type(spec):  # a row is a dict and a list a list; any other spec is a function
-        return None if callable(spec) and spec(value) else ""
-    fields = spec.items() if type(spec) is dict else enumerate(spec * len(value))
-    try:
-        for key, field in fields:
-            item = value[key]
-            if type(item) is field:  # a string or an int, as most fields are, is settled without a call
-                if field is int and item < 0:
-                    return key
-            elif field is str or field is int or _misfit(field, item) is not None:
-                return key
-    except KeyError:
-        return key
-    return min(value.keys() - spec.keys()) if type(value) is dict and len(value) != len(spec) else None
-
-
-# The canonical text of each leaf type of EVENTS: what the encoder writes for its values. An int has at
+# The canonical text of the leaf types of EVENTS: what the encoder writes for their values. An int has at
 # most 4300 digits, as many as int() reads. A string is printable ASCII but `"` and `\`, and escapes:
 # here a backslash and the character after it, so that the string ends where it should; _ESCAPES then
 # holds each to what the encoder writes. Each pattern is an unrolled loop, so every token matches in
@@ -437,13 +368,70 @@ def _items(item: str) -> str:
     return f"(?:{item}(?:,(?![\\]}}])|(?=[\\]}}])))*"
 
 
-_LEAF_TEXT = {
-    str: _STR,
-    int: "(?:0|[1-9][0-9]{0,4299})",
-    STR_OR_NULL: f"(?:null|{_STR})",
-    # A free-key object: the pattern checks its keys' form but cannot hold them to sorted and unique.
-    QUALITIES: r"\{" + _items(f'{_STR}:"(?:Good|Bad)"') + r"\}",
+# The event-log format, after JSON Schema's `required` and `additionalProperties: false`: each kind's
+# payload holds exactly its row's fields, each a Leaf, [t] a list of t, or a dict, a nested row. Each kind
+# is ASCII letters, so it is its own JSON string form. A Leaf states a leaf type once: a test of the decoded
+# values it takes, a pattern of their canonical texts, and whether a text the pattern matches must also
+# decode and re-encode to itself, where the pattern cannot decide it (an object's keys sorted and unique).
+# A Leaf is not a function, so no wrapper of the module's functions replaces it.
+Leaf = NamedTuple("Leaf", [("test", Callable[[object], bool]), ("text", str), ("reencode", bool)])
+INT = Leaf(lambda value: type(value) is int and value >= 0, "(?:0|[1-9][0-9]{0,4299})", False)  # never a bool
+STR = Leaf(lambda value: type(value) is str, _STR, False)
+STR_OR_NULL = Leaf(lambda value: value is None or type(value) is str, f"(?:null|{_STR})", False)
+QUALITIES = Leaf(lambda value: type(value) is dict and all(q == "Good" or q == "Bad" for q in value.values()),
+                 r"\{" + _items(f'{_STR}:"(?:Good|Bad)"') + r"\}", True)  # an object of "Good" and "Bad"
+_MINTED = {"token": STR, "holder": STR}
+EVENTS = {
+    "Registered": {"participant": STR, "address": STR, "roles": [STR], "card_fingerprint": STR, "genesis_wei": INT},
+    "AddressBound": {"participant": STR, "address": STR},
+    "GasCharged": {"payer": STR, "op": STR, "amount_wei": INT},
+    "ServiceAdded": {"service": STR, "provider": STR, "s_cost_wei": INT, "fund_wei": INT},
+    "ServicePurchased": {
+        "purchase": STR, "service": STR, "consumer": STR, "provider": STR, "list_price_wei": INT,
+        "price_paid_wei": INT, "srat_token": STR, "srdt_token": STR_OR_NULL,
+    },
+    "ServiceModified": {"service": STR, "old_cost_wei": INT, "new_cost_wei": INT},
+    "ServiceWithdrawn": {"service": STR, "fund_refunded_wei": INT},
+    "FundReplenished": {"service": STR, "provider": STR, "amount_wei": INT, "fund_wei": INT},
+    "ReviewSubmitted": {
+        "review": STR, "purchase": STR, "service": STR, "reviewer": STR, "rating": INT, "text_digest": STR,
+        "srat_token": STR, "subsidy_wei": INT,
+    },
+    "EndorsementCast": {"review": STR, "service": STR, "endorser": STR, "vote": STR, "srdt_token": STR},
+    "SelectionRun": {
+        "service": STR,
+        "badged": [{"review": STR, "badge": STR, "upvotes": INT, "downvotes": INT, "reviewer": STR, "rating": INT}],
+        "roster": [STR], "srdt_minted": [_MINTED], "penalized": [{"participant": STR, "count": INT}],
+        "excluded": [STR],
+    },
+    "EndorsersBootstrapped": {"service": STR, "roster": [STR], "srdt_minted": [_MINTED]},
+    "Excluded": {"participant": STR, "voided_tokens": [STR], "rosters_removed": [STR], "services_withdrawn": [STR]},
+    "DretAwarded": {"provider": STR, "service": STR, "new_count": INT},
+    "TokensExpired": {"tokens": [STR]},
+    "RefundClaimFiled": {"claim": STR, "purchase": STR, "claimant": STR, "panel": [STR]},
+    "RefundVoteCast": {"claim": STR, "endorser": STR, "vote": STR},
+    "RefundSettled": {
+        "claim": STR, "purchase": STR, "outcome": STR, "amount_wei": INT, "provider": STR, "consumer": STR,
+        "approvals": INT, "panel_size": INT,
+    },
+    "ScenarioSetup": {
+        "scenario": STR, "kind": STR, "attackers": [STR], "ground_truth": QUALITIES, "target_providers": [STR],
+    },
 }
+
+
+def _misfit(spec, value):
+    """Where `value` departs from the type `spec` (see EVENTS): a row's key, a list's index, "" (itself) or None."""
+    if type(value) is not type(spec):  # a row is a dict and a list a list; any other spec is a Leaf
+        return None if type(spec) is Leaf and spec.test(value) else ""
+    fields = spec.items() if type(spec) is dict else enumerate(spec * len(value))
+    try:
+        for key, field in fields:
+            if _misfit(field, value[key]) is not None:
+                return key
+    except KeyError:
+        return key
+    return min(value.keys() - spec.keys()) if type(value) is dict and len(value) != len(spec) else None
 
 
 def _text_pattern(spec) -> str:
@@ -453,7 +441,14 @@ def _text_pattern(spec) -> str:
     if type(spec) is dict:  # a row: its keys in sorted order, as the encoder writes them
         fields = (f"{re.escape(_encode_str(key))}:{_text_pattern(spec[key])}" for key in sorted(spec))
         return r"\{" + ",".join(fields) + r"\}"
-    return _LEAF_TEXT[spec]
+    return spec.text
+
+
+def _reencodes(spec) -> bool:
+    """Whether a text that matches spec's pattern must also re-encode to itself: a leaf at any depth asks it."""
+    if type(spec) is Leaf:
+        return spec.reencode
+    return any(_reencodes(item) for item in (spec.values() if type(spec) is dict else spec))
 
 
 _ROW_PATTERNS: dict = {}  # kind -> _row_pattern(kind), for each kind read so far
@@ -465,11 +460,9 @@ def _row_pattern(kind: str):
     Compiled on first use: compiling all 19 rows at import would slow every start by several ms.
     """
     row = EVENTS.get(kind)
-    if row is None:
-        return None
-    # The one free-key object, QUALITIES, sits at its row's top level.
-    compiled = _ROW_PATTERNS[kind] = (re.compile(_text_pattern(row)), QUALITIES in row.values())
-    return compiled
+    if row is not None:
+        _ROW_PATTERNS[kind] = (re.compile(_text_pattern(row)), _reencodes(row))
+    return _ROW_PATTERNS.get(kind)
 
 
 def iter_log_lines(log):
@@ -500,9 +493,9 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
 
     The only path that accepts a line. The envelope is matched in place around the payload, whose text
     must match its kind's row pattern (_row_pattern) at its offset; the hash is recomputed over that
-    text. Nothing is decoded, except on the one row with a free-key object, ScenarioSetup (ground_truth,
-    one line per log): its pattern cannot hold keys to sorted and unique, so its text is also decoded
-    and must re-encode to itself.
+    text. Nothing is decoded, except on a row with a leaf that sets Leaf.reencode (QUALITIES, whose keys
+    its pattern cannot hold to sorted and unique, in ScenarioSetup, one line per log): that text is also
+    decoded and must re-encode to itself.
     """
     if not (line.startswith('{"hash":"') and line.startswith('","kind":"', 73)):
         return None
@@ -511,7 +504,7 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
     compiled = _ROW_PATTERNS.get(kind) or _row_pattern(kind)
     if compiled is None or not line.startswith('","payload":', kind_end):
         return None
-    pattern, free_keys = compiled
+    pattern, reencode = compiled
     start = kind_end + 12
     match = pattern.match(line, start)
     if match is None:
@@ -520,7 +513,7 @@ def _exact_record(line: str, seq: int, prev: str, last_tick: int) -> EventRecord
     payload_json = line[start:end]
     if "\\" in payload_json and not _ESCAPES.fullmatch(payload_json):
         return None
-    if free_keys and canonical_payload(_raw_decode(payload_json)[0]) != payload_json:
+    if reencode and canonical_payload(_raw_decode(payload_json)[0]) != payload_json:
         return None
     tail = f',"prev_hash":"{prev}","seq":{seq},"tick":'
     if not line.startswith(tail, end):
@@ -557,7 +550,12 @@ def _refuse(line: str, seq: int, prev: str, last_tick: int):
         raise ChainBroken(rec.seq, "prev-hash mismatch: does not link to the previous record")
     if rec.tick < last_tick:
         raise ChainBroken(rec.seq, f"tick regression: {rec.tick} after {last_tick}")
-    if record_hash(rec.seq, rec.tick, rec.kind, rec.payload_json, rec.prev_hash) != rec.hash:
+    # The hash may cover the payload's canonical text or, where the head is in export form, the line's own
+    # payload text: a line re-hashed over a text that export would not write is then found not canonical.
+    head = f'{{"hash":{_encode_str(rec.hash)},"kind":"{rec.kind}","payload":{{'
+    own = line[len(head) - 1:_scan(line, len(head) - 1)[1]] if line.startswith(head) else rec.payload_json
+    hashes = {record_hash(rec.seq, rec.tick, rec.kind, text, rec.prev_hash) for text in {rec.payload_json, own}}
+    if rec.hash not in hashes:
         raise ChainBroken(rec.seq, "hash mismatch: record contents were altered")
     name = _misfit(row, rec.payload)
     if name is not None:

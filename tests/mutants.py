@@ -51,7 +51,7 @@ MUTANTS = (
            "if rec.seq != seq:", "if False:", "tests/test_ledger.py"),
     # The exact-form test, the one path that accepts a line: each condition it checks.
     Mutant("free-key-row-skips-reencode", "src/ddrm/ledger.py",
-           "if free_keys and canonical_payload(", "if False and canonical_payload(", "tests/test_ledger.py"),
+           "if reencode and canonical_payload(", "if False and canonical_payload(", "tests/test_ledger.py"),
     Mutant("exact-form-skips-hash", "src/ddrm/ledger.py",
            "if record_hash(seq, tick, kind, payload_json, prev) != digest:", "if False:", "tests/test_ledger.py"),
     Mutant("exact-form-skips-tick-order", "src/ddrm/ledger.py",
@@ -75,14 +75,19 @@ MUTANTS = (
     Mutant("row-keys-in-table-order", "src/ddrm/ledger.py",
            "for key in sorted(spec)", "for key in spec", "tests/test_ledger.py"),
     Mutant("str-or-null-takes-no-null", "src/ddrm/ledger.py",
-           'STR_OR_NULL: f"(?:null|{_STR})"', "STR_OR_NULL: _STR", "tests/test_ledger.py"),
+           'f"(?:null|{_STR})"', "_STR", "tests/test_ledger.py"),
     Mutant("quality-pattern-takes-any-string", "src/ddrm/ledger.py",
            """_items(f'{_STR}:"(?:Good|Bad)"')""", "_items(f'{_STR}:{_STR}')", "tests/test_ledger.py"),
     Mutant("refusal-drops-key-set-check", "src/ddrm/ledger.py",
            "if type(value) is dict and len(value) != len(spec) else None", "if False else None",
            "tests/test_ledger.py"),
     Mutant("negative-int-fits", "src/ddrm/ledger.py",
-           "if field is int and item < 0:", "if False:", "tests/test_ledger.py"),
+           "type(value) is int and value >= 0", "type(value) is int", "tests/test_ledger.py"),
+    Mutant("reencode-flag-top-level-only", "src/ddrm/ledger.py",
+           "any(_reencodes(item) for item in", "any(type(item) is Leaf and item.reencode for item in",
+           "tests/test_ledger.py"),
+    Mutant("qualities-leaf-without-reencode", "src/ddrm/ledger.py",
+           'r"\\}", True)', 'r"\\}", False)', "tests/test_ledger.py"),
     Mutant("list-items-unchecked", "src/ddrm/ledger.py",
            "enumerate(spec * len(value))", "enumerate(spec * 0)", "tests/test_ledger.py"),
     Mutant("quality-takes-any-value", "src/ddrm/ledger.py",

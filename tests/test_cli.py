@@ -74,6 +74,18 @@ class TestRun:
         bad.write_text(json.dumps({"seeed": 1}))
         assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "seed": 2}', "seed"),
+        ('{"protocol": {"srat_lifetime": 3, "srat_lifetime": 4}}', "srat_lifetime"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key):
+        # json.loads would keep the last value; no value of a repeated key is taken.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+        assert f"repeated key {key!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     def test_conservation_switch_is_an_unknown_key(self, tmp_path, capsys):
         # The conservation check always runs; there is no key to turn it off.
         bad = tmp_path / "bad.json"
@@ -636,6 +648,15 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(log)]) == EXIT_CONFIG
         assert f"cannot read metrics {metrics}: missing claim {name!r}" in capsys.readouterr().err
+
+    def test_metrics_file_with_a_repeated_claim_exits_2(self, tmp_path, config_path, capsys):
+        # The replayed value comes last, where json.loads would take it from; the first is false.
+        log, metrics = self._run(tmp_path, config_path)
+        text = metrics.read_text()
+        metrics.write_text(text.replace('"metrics": {', '"metrics": {"exclusions": 999,', 1))
+        capsys.readouterr()
+        assert main(["verify", str(log)]) == EXIT_CONFIG
+        assert f"cannot read metrics {metrics}: repeated key 'exclusions'" in capsys.readouterr().err
 
     def test_metrics_file_without_two_claims_exits_2(self, tmp_path, config_path, capsys):
         log, metrics = self._run(tmp_path, config_path)

@@ -1,12 +1,14 @@
 """Ledger: gas charges, hash chain, log codec, beacon, ticks."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import random
 import re
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,11 +24,13 @@ from ddrm.errors import (
 )
 from ddrm.ledger import (
     EVENTS,
+    INT,
     OP_ADD_SERVICE,
     OP_ENDORSE_REVIEW,
     OP_REQUEST_SERVICE,
     MAX_WEI,
     QUALITIES,
+    STR,
     STR_OR_NULL,
     WEI_PER_GWEI,
     ZERO_DIGEST,
@@ -310,16 +314,12 @@ JSON_VALUES = st.recursive(
 
 def values_of(spec, text=st.text(), ints=st.integers(min_value=0, max_value=2**200)):
     """A Hypothesis strategy for the values of one ledger.EVENTS payload type, its strings and ints drawn as given."""
-    if spec is str:
-        return text
-    if spec is int:
-        return ints
     if type(spec) is list:
         return st.lists(values_of(spec[0], text, ints), max_size=4)
     if type(spec) is dict:
         return st.fixed_dictionaries({name: values_of(field_spec, text, ints) for name, field_spec in spec.items()})
     qualities = st.dictionaries(text, st.sampled_from(["Good", "Bad"]))
-    return {STR_OR_NULL: st.none() | text, QUALITIES: qualities}[spec]
+    return {STR: text, INT: ints, STR_OR_NULL: st.none() | text, QUALITIES: qualities}[spec]
 
 
 # (kind, payload): a kind of the log's format and a payload that fits its row.
@@ -505,15 +505,25 @@ def first_badged(rec):
     rec.payload["badged"][0]["rating"] = "5"
 
 
+def duplicate_quality(payload: dict) -> str:
+    """The canonical text of `payload`, but with the first key of a non-empty ground_truth written twice."""
+    text, truth = canonical_payload(payload), payload.get("ground_truth")
+    if not truth:
+        return text
+    first = canonical_payload({min(truth): truth[min(truth)]})[1:-1]
+    return text.replace('"ground_truth":{', f'"ground_truth":{{{first},', 1)
+
+
 # name -> (build(log) -> edited log, what the reader makes of it: None to accept, else part of its error)
 FORGERIES = {
     "envelope-whitespace": (lambda log: edit_at(log, lambda b: b.replace(b'","kind":', b'", "kind":')),
                             "not canonical"),
     "payload-whitespace": (lambda log: edit_at(log, lambda b: b.replace(b'"payload":{', b'"payload":{ ')),
                            "not canonical"),
-    "payload-whitespace-hashed": (lambda log: forge_all(log, lambda p: json.dumps(p, sort_keys=True)), "hash mismatch"),
+    "payload-whitespace-hashed": (lambda log: forge_all(log, lambda p: json.dumps(p, sort_keys=True)), "not canonical"),
     "unsorted-keys": (lambda log: edit_at(log, unsorted_payload), "not canonical"),
-    "unsorted-keys-hashed": (lambda log: forge_all(log, reversed_keys), "hash mismatch"),
+    "unsorted-keys-hashed": (lambda log: forge_all(log, reversed_keys), "not canonical"),
+    "duplicate-quality-hashed": (lambda log: forge_all(log, duplicate_quality), "not canonical"),
     "list-payload": (lambda log: forge_all(log, lambda p: canonical_payload([p])),
                      "payload must be a JSON object, not list"),
     "escaped-kind": (lambda log: forge_fields(log, kind="Café"), f"seq {T}: unknown kind 'Café'"),
@@ -611,6 +621,24 @@ class TestExactForm:
             assert error is None and len(got) == len(records)
         else:
             assert error is not None and expected in error[2], error
+
+    def test_forgery_is_refused_with_every_public_function_wrapped(self, refund_log, monkeypatch):
+        # A profiler replaces each public function of the module with a pass-through wrapper before the first
+        # read; no verdict may depend on which object a module-level name is bound to.
+        log = FORGERIES["duplicate-quality-hashed"][0](refund_log)
+        untraced = verdict(log)[1]
+        assert untraced[:2] == (ChainBroken, 11)
+        monkeypatch.setattr(ledger_mod, "_ROW_PATTERNS", {})
+        wrapped = []
+        for name, value in list(vars(ledger_mod).items()):
+            if isinstance(value, types.FunctionType) and not name.startswith("_") \
+                    and value.__module__ == ledger_mod.__name__:
+                monkeypatch.setattr(ledger_mod, name, functools.wraps(value)(lambda *a, _fn=value, **k: _fn(*a, **k)))
+                wrapped.append(name)
+        assert {"canonical_payload", "iter_log_lines", "record_hash"} <= set(wrapped)
+        with pytest.raises(ChainBroken) as broken:
+            list(ledger_mod.iter_log_lines(log))
+        assert (ChainBroken, broken.value.seq, str(broken.value)) == untraced
 
     def test_lines_that_hold_an_envelope_tail_take_the_exact_form(self, refund_log, monkeypatch):
         # The tail sits in a string field, escaped, or a tick runs to 4300 digits: the envelope match still holds.
@@ -712,6 +740,29 @@ GAS = '{"amount_wei":%s,"op":"add_service","payer":%s}'
 SETUP = '{"attackers":[],"ground_truth":%s,"kind":"collusion","scenario":"s","target_providers":[]}'
 PURCHASE = ('{"consumer":"c","list_price_wei":1,"price_paid_wei":1,"provider":"p","purchase":"u","service":"v",'
             '"srat_token":"t","srdt_token":%s}')
+# SHA-256 of each row's pattern text (_text_pattern), as the patterns were first compiled from EVENTS.
+PATTERN_DIGESTS = {
+    "Registered": "76952387ee51529f154b13f9eb896062f02410fbd1b86b508d533b28d61651ea",
+    "AddressBound": "007cfcd84347d7c322a147cf33cb6f3e11563293eb474fcef60b30132cbb514b",
+    "GasCharged": "54d8e7fb112ce2dcfb24f2063351695220ab91c28b0e912abe74b81081c0ab62",
+    "ServiceAdded": "930ab549bf04fb80e392b63067eb5acdcead7d557ded8aa65624bd818cb7785a",
+    "ServicePurchased": "5bf369b67e5051bacb4263f28cedf54c1d821a3b50b4a3eb7fd9b2a04cca9517",
+    "ServiceModified": "21add034040362360c1dc3c6e3f777c9d4dd29b8266af5113f1ba91c3f44310d",
+    "ServiceWithdrawn": "869dca42398c83c6b564fe0dcd17c5c7ff87bf7c0f9f9a005fb1bd635b48e008",
+    "FundReplenished": "91f2390eb82ef412bf2e63de65037a79d47f1d4fcd9613e8d89ddfbabb7979f9",
+    "ReviewSubmitted": "6f0a023fe9cf67fa498afe01c512eed420a11792f483c8b68139c140be8516bf",
+    "EndorsementCast": "1b53bdbcea679e071d3579e0f494294736420a490364d96361dc411c94a2df07",
+    "SelectionRun": "b3c40e4d0e32f959187d1bbaa483bfce01d4545de2af84487a5613c3c3a44a89",
+    "EndorsersBootstrapped": "41716aefc2e595b817337b4db8b753bec6f31dbd48748484dbc6f0a1a82d6c90",
+    "Excluded": "019cf653112dfed6b458b5b55f51f20d8478f2ce354022daffac566552d3100d",
+    "DretAwarded": "fd8537648bff90bdcf1cf59985a05f2af59f3b7040a8a0a034d4407938ac0ae8",
+    "TokensExpired": "e35dc7bef5a6bb930e77debd5e03cc52f3b70d08c6c5bba3a8d539b1b9ac0e9e",
+    "RefundClaimFiled": "9c619bec1f6ee50974df4b1c1b70fa2bfe06732cd53edef20872ed4937fa4937",
+    "RefundVoteCast": "d01e6f8cad9a44242e97c0b2b241cf153f30d18775d6d26a763a2c3adbdfcbe8",
+    "RefundSettled": "01675a7d6d17f2dc88c9b3db7e92bd46627c964f57fcd83fc69ba1868e121829",
+    "ScenarioSetup": "dc8c873e9156188dc01335b473cd12e45c027509e533fa1e549ed938dd3cd99a",
+}
+
 # (kind, payload text, whether it is the canonical text of a payload that fits the kind's row)
 NAMED_TEXTS = {
     "plain": ("GasCharged", GAS % (5, '"P0001"'), True),
@@ -794,6 +845,22 @@ class TestRowPatterns:
         for pattern in [ledger_mod._ESCAPES.pattern, *map(ledger_mod._text_pattern, EVENTS.values())]:
             assert newer.isdisjoint(opcodes(parser.parse(pattern))), pattern
 
+    def test_row_patterns_are_pinned(self):
+        # SHA-256 of each row's pattern text: a change to a leaf or to how rows are written shows here.
+        assert {kind: hashlib.sha256(ledger_mod._text_pattern(row).encode()).hexdigest()
+                for kind, row in EVENTS.items()} == PATTERN_DIGESTS
+
+    def test_reencode_flag_is_found_at_depth(self, monkeypatch):
+        assert [kind for kind, row in EVENTS.items() if ledger_mod._reencodes(row)] == ["ScenarioSetup"]
+        # A leaf that asks for a re-encode, in an object in a list: its row's texts must re-encode to themselves.
+        monkeypatch.setitem(EVENTS, "Nested", {"x": [{"q": QUALITIES}]})
+        monkeypatch.setattr(ledger_mod, "_ROW_PATTERNS", {})
+        nested = '{"x":[{"q":{%s}}]}'
+        assert takes_exact_form("Nested", nested % '"a":"Good","b":"Bad"')
+        assert not takes_exact_form("Nested", nested % '"b":"Bad","a":"Good"')
+        assert not takes_exact_form("Nested", nested % '"a":"Good","a":"Good"')
+        assert ledger_mod._ROW_PATTERNS["Nested"][1] is True
+
     def test_a_read_record_is_accepted_undecoded_and_keeps_its_first_decode(self, refund_log):
         read = next(iter_log_lines(refund_log))
         assert read._decoded is None
@@ -839,7 +906,7 @@ class TestEventsTable:
                 return f"[{written(spec[0])}]"
             if type(spec) is dict:
                 return "{" + fields(spec) + "}"
-            return {str: "str", int: "int", STR_OR_NULL: "str\\|null", QUALITIES: "Good\\|Bad"}[spec]
+            return {STR: "str", INT: "int", STR_OR_NULL: "str\\|null", QUALITIES: "Good\\|Bad"}[spec]
 
         def fields(row: dict) -> str:
             return ", ".join(f"`{name}` {written(spec)}" for name, spec in row.items())
