@@ -38,10 +38,12 @@ from dataclasses import asdict, dataclass, field
 
 from .config import (
     NAME,
+    OBJECT,
     REVIEW_FUND_SEED,
     REVIEW_SUBSIDY,
     SCENARIO_FIELDS,
     ProtocolConfig,
+    check_bounds,
     parse_protocol_config,
     read_fields,
 )
@@ -120,25 +122,13 @@ class AttackScenario:
     overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if not self.name:
-            raise ConfigError("scenario name required")
         if self.kind not in ALL_KINDS:
             raise ConfigError(f"unknown scenario kind {quoted(self.kind)}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
-        if self.attacker_count < 0 or self.honest_count < 0:
-            raise ConfigError("participant counts cannot be negative")
-        if self.fake_identities_per_attacker < 1:
-            raise ConfigError("fake_identities_per_attacker must be at least 1")
-        if self.service_cost_wei <= 0:
-            raise ConfigError("service cost must be strictly positive")
-        if not 0.0 <= self.honest_vote_probability <= 1.0:
-            raise ConfigError("honest_vote_probability must lie in [0, 1]")
+        check_bounds(self, SCENARIO_FIELDS, f"scenario {self.name}: ")
 
 
 def parse_scenario(doc, index: int = 0) -> AttackScenario:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"scenario #{index} must be an object")
+    doc = OBJECT.read(doc, f"scenario #{index}")
     if "kind" not in doc:
         raise ConfigError(f"scenario #{index} missing 'kind'")
     # The name labels every later message, so it is read first; only a known kind makes a default name.

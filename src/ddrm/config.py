@@ -6,13 +6,15 @@ windows). The run config is a single JSON document; unknown keys are
 rejected so typos fail loudly instead of silently using defaults.
 
 Each config document has one field table, a row per key naming the
-record field and its Codec; it drives the parser, the allowed keys and an
-exact writer.
+record field, its Codec and its inclusive bounds; it drives the parser, the
+allowed keys, the range checks and an exact writer.
 """
 
 from __future__ import annotations
 
+import collections
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
@@ -20,15 +22,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, ValidationError
-from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasRow, GasSchedule, ether, json_number, quoted
+from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasSchedule, ether, json_number, quoted
 
 # Fixed by the protocol's funding equations: every listing seeds its review
 # fund with 1 Ether, which underwrites one hundred review submissions.
 REVIEW_FUND_SEED = WEI_PER_ETHER
 REVIEWS_PER_ETHER = 100
 REVIEW_SUBSIDY = WEI_PER_ETHER // REVIEWS_PER_ETHER
-
-DEFAULT_USD_PER_ETHER = Decimal("1586.0")
 
 # srdt_discount_rate is refused past this many fractional digits (or this
 # decimal exponent), before it becomes a Fraction.
@@ -41,6 +41,10 @@ USD_DIGITS = 36
 
 # A scenario name is refused past this many bytes of UTF-8: it names the scenario's files.
 NAME_BYTES = 60
+
+# Each scenario count is refused past this, alone (not their product): the harness loops once per
+# round, participant and Sybil attempt, and 10,000 sybil attackers already take about 30 s.
+MAX_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,7 @@ class ProtocolConfig:
 
     def validate(self) -> None:
         self.gas.validate()
-        for row in PROTOCOL_FIELDS:
-            if row.codec in (INT, ETHER) and getattr(self, row.attr) <= 0:
-                raise ConfigError(f"{row.attr} must be strictly positive")
-        if not 0 <= self.srdt_discount <= 1:
-            raise ConfigError("srdt_discount must lie in [0, 1]")
+        check_bounds(self, PROTOCOL_FIELDS, "protocol.")
         if self.faucet_balance < self.genesis_balance:
             raise ConfigError("faucet cannot cover a single registration")
 
@@ -79,7 +79,7 @@ class RunConfig:
     """Top-level CLI configuration: one protocol config plus scenarios."""
 
     seed: int = 42
-    usd_per_ether: Decimal = DEFAULT_USD_PER_ETHER
+    usd_per_ether: Decimal = Decimal("1586.0")
     output_dir: str = "out"
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     scenarios: tuple = ()
@@ -102,7 +102,8 @@ class Codec(NamedTuple):
         raise ConfigError(f"{quoted(value)} has no exact document form")
 
 
-Field = NamedTuple("Field", [("key", str), ("attr", str), ("codec", Codec)])  # document key, record field
+# Document key, record field, codec, and the inclusive bounds on the record value (None: no limit).
+Field = collections.namedtuple("Field", "key attr codec minimum maximum", defaults=(None, None))
 
 
 def _require_keys(doc: dict, allowed: set[str], where: str) -> None:
@@ -116,6 +117,18 @@ def read_fields(doc: dict, table: tuple[Field, ...], where: str, prefix: str) ->
     (an unknown key) or a value as prefix + key."""
     _require_keys(doc, {row.key for row in table}, where)
     return {row.attr: row.codec.read(doc[row.key], prefix + row.key) for row in table if row.key in doc}
+
+
+def check_bounds(record, table: tuple[Field, ...], prefix: str) -> None:
+    """Refuse the first value of `record` outside its row's bounds, naming prefix + key and the bounds."""
+    for row in (row for row in table if (row.minimum, row.maximum) != (None, None)):
+        low = -math.inf if row.minimum is None else row.minimum
+        high = math.inf if row.maximum is None else row.maximum
+        value = getattr(record, row.attr)
+        if not low <= value <= high:  # not `value < low or value > high`: NaN compares False with both
+            bounds = (("at least", row.minimum), ("at most", row.maximum))
+            words = " and ".join(f"{word} {row.codec.write(bound)}" for word, bound in bounds if bound is not None)
+            raise ConfigError(f"{prefix}{row.key} must be {words}")
 
 
 def _itself(value) -> tuple:
@@ -140,23 +153,16 @@ OBJECT = _typed(dict, "an object")  # also a scenario's protocol overrides, chec
 NUMBER = _typed((int, float), "a number")  # kept as given: float() overflows on a long integer
 
 
-def _as_decimal(value, where: str) -> Decimal:
+def _as_number(read: Callable, value, where: str, *args):
+    """read(value, *args) of a number from outside the program; a ValidationError becomes a ConfigError at `where`."""
     try:
-        return json_number(value)
-    except ValidationError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _as_wei(value, where: str, unit: int = WEI_PER_ETHER) -> int:
-    """An amount from outside the program, in Ether unless `unit` says otherwise, as whole Wei."""
-    try:
-        return ether(value, unit)
+        return read(value, *args)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _as_rate(value, where: str) -> Fraction:
-    rate = _as_decimal(value, where)
+    rate = _as_number(json_number, value, where)
     # Fraction(rate) takes time and memory that grow with the exponent.
     if abs(rate.as_tuple().exponent) > RATE_DIGITS:
         raise ConfigError(
@@ -180,7 +186,7 @@ def _units(unit: int) -> Codec:
         whole, frac = divmod(abs(wei), unit)
         return _number_forms("-" * (wei < 0) + f"{whole}.{frac:0{places}d}".rstrip("0").rstrip("."))
 
-    return Codec(lambda value, where: _as_wei(value, where, unit), forms)
+    return Codec(lambda value, where: _as_number(ether, value, where, unit), forms)
 
 
 def _rate_forms(rate: Fraction) -> tuple:
@@ -196,20 +202,15 @@ def parse_gas_schedule(doc: dict) -> GasSchedule:
         price_wei = GWEI.read(doc["gas_price_gwei"], "gas.gas_price_gwei")
     rows = dict(defaults.rows)
     for op in GAS_OPS:
-        if op in doc:
-            row = OBJECT.read(doc[op], f"gas.{op}")
-            _require_keys(row, {"gas_limit", "gas_used"}, f"gas.{op}")
-            rows[op] = GasRow(
-                gas_limit=INT.read(row.get("gas_limit", rows[op].gas_limit), f"gas.{op}.gas_limit"),
-                gas_used=INT.read(row.get("gas_used", rows[op].gas_used), f"gas.{op}.gas_used"),
-            )
+        row = OBJECT.read(doc.get(op, {}), f"gas.{op}")
+        rows[op] = replace(rows[op], **read_fields(row, GAS_ROW_FIELDS, f"gas.{op}", f"gas.{op}."))
     schedule = GasSchedule(price_wei=price_wei, rows=rows)
     schedule.validate()
     return schedule
 
 
 def _gas_forms(gas: GasSchedule) -> tuple:
-    rows = {op: {"gas_limit": row.gas_limit, "gas_used": row.gas_used} for op, row in gas.rows.items()}
+    rows = {op: {f.key: f.codec.write(getattr(row, f.attr)) for f in GAS_ROW_FIELDS} for op, row in gas.rows.items()}
     return ({"gas_price_gwei": GWEI.write(gas.price_wei), **rows},)
 
 
@@ -218,13 +219,16 @@ GWEI = _units(WEI_PER_GWEI)
 RATE = Codec(_as_rate, _rate_forms)
 GAS = Codec(lambda value, where: parse_gas_schedule(OBJECT.read(value, where)), _gas_forms)
 
-# One row per ProtocolConfig field; validate checks the positive ones in this order.
+# One row per ledger.GasRow field.
+GAS_ROW_FIELDS = (Field("gas_limit", "gas_limit", INT), Field("gas_used", "gas_used", INT))
+
+# One row per ProtocolConfig field; validate checks the bounds in this order.
 PROTOCOL_FIELDS = (
     Field("gas", "gas", GAS),
-    Field("genesis_balance_ether", "genesis_balance", ETHER),
-    Field("faucet_balance_ether", "faucet_balance", ETHER),
-    Field("srdt_discount_rate", "srdt_discount", RATE),
-    *(Field(key, key, INT) for key in (
+    Field("genesis_balance_ether", "genesis_balance", ETHER, 1),
+    Field("faucet_balance_ether", "faucet_balance", ETHER, 1),
+    Field("srdt_discount_rate", "srdt_discount", RATE, 0, 1),
+    *(Field(key, key, INT, 1) for key in (
         "srat_lifetime", "srdt_lifetime", "endorsement_quorum", "penalty_threshold", "bootstrap_count",
         "panel_size", "claim_window", "voting_window", "dret_interval",
     )),
@@ -242,6 +246,8 @@ def _utf8_size(text: str, where: str, encode=str.encode) -> int:
 
 def _as_file_name(value, where: str) -> str:
     name = TEXT.read(value, where)
+    if not name:
+        raise ConfigError(f"{where} must not be empty")
     if any(part in name for part in ("/", "\\", "..", "\0")):  # it names files in output_dir
         raise ConfigError(f"{where} {quoted(name)} must not contain '/', '\\', '..' or NUL")
     if _utf8_size(name, where) > NAME_BYTES:  # file names add 18 bytes, far below a file system's 255
@@ -255,12 +261,13 @@ NAME = Codec(_as_file_name, _itself)
 SCENARIO_FIELDS = (
     Field("name", "name", NAME),
     Field("kind", "kind", TEXT),
-    *(Field(key, key, INT) for key in (
-        "seed", "rounds", "attacker_count", "fake_identities_per_attacker", "honest_count",
+    Field("seed", "seed", INT),
+    *(Field(key, key, INT, low, MAX_COUNT) for key, low in (
+        ("rounds", 1), ("attacker_count", 0), ("fake_identities_per_attacker", 1), ("honest_count", 0),
     )),
-    Field("service_cost_ether", "service_cost_wei", ETHER),
+    Field("service_cost_ether", "service_cost_wei", ETHER, 1),
     Field("target_own", "target_own", BOOL),
-    Field("honest_vote_probability", "honest_vote_probability", NUMBER),
+    Field("honest_vote_probability", "honest_vote_probability", NUMBER, 0, 1),
     Field("protocol", "overrides", OBJECT),
 )
 
@@ -280,13 +287,13 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
     _require_keys(doc, {"seed", "usd_per_ether", "output_dir", "protocol", "scenarios"}, "run config")
-    seed = INT.read(doc.get("seed", 42), "seed")
-    usd = _as_decimal(doc.get("usd_per_ether", DEFAULT_USD_PER_ETHER), "usd_per_ether")
+    seed = INT.read(doc.get("seed", RunConfig.seed), "seed")
+    usd = _as_number(json_number, doc.get("usd_per_ether", RunConfig.usd_per_ether), "usd_per_ether")
     if usd <= 0:
         raise ConfigError("usd_per_ether must be strictly positive")
     if usd.adjusted() >= USD_DIGITS:
         raise ConfigError(f"usd_per_ether allows at most {USD_DIGITS} integer digits: {quoted(doc['usd_per_ether'])}")
-    out = doc.get("output_dir", "out")
+    out = doc.get("output_dir", RunConfig.output_dir)
     if not isinstance(out, str) or not out or "\0" in out:
         raise ConfigError("output_dir must be a non-empty string without NUL")
     _utf8_size(out, "output_dir", os.fsencode)  # as open() encodes it, so argv's surrogate-escaped bytes pass
@@ -314,10 +321,11 @@ def parse_run_config(doc: dict) -> RunConfig:
 
 def default_config_doc() -> dict:
     """The full default run config as a JSON-serializable document."""
+    defaults = RunConfig()
     return {
-        "seed": 42,
-        "usd_per_ether": float(DEFAULT_USD_PER_ETHER),
-        "output_dir": "out",
-        "protocol": protocol_doc(ProtocolConfig()),
+        "seed": defaults.seed,
+        "usd_per_ether": float(defaults.usd_per_ether),
+        "output_dir": defaults.output_dir,
+        "protocol": protocol_doc(defaults.protocol),
         "scenarios": [],
     }

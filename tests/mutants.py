@@ -261,7 +261,7 @@ MUTANTS = (
            "(2 * abs(wei) * scale + WEI_PER_ETHER) // (2 * WEI_PER_ETHER)", "abs(wei) * scale // WEI_PER_ETHER",
            "tests/test_ledger.py"),
     Mutant("ether-at-decimal-precision", "src/ddrm/config.py",
-           "return ether(value, unit)", "return int(Decimal(str(value)) * unit)", "tests/test_cli.py"),
+           "_as_number(ether, value, where, unit)", "int(Decimal(str(value)) * unit)", "tests/test_cli.py"),
     Mutant("lenient-number-syntax", "src/ddrm/ledger.py",
            "not _JSON_NUMBER.fullmatch(text)", "not _JSON_NUMBER.fullmatch(text.strip().replace('_', ''))",
            "tests/test_cli.py"),
@@ -312,6 +312,17 @@ MUTANTS = (
            "tests/test_config.py"),
     Mutant("reader-skips-last-row", "src/ddrm/config.py",
            "for row in table if row.key in doc}", "for row in table[:-1] if row.key in doc}", "tests/test_config.py"),
+    # Each row's bounds, checked by one function that refuses NaN too.
+    Mutant("bound-lets-nan-through", "src/ddrm/config.py",
+           "if not low <= value <= high:", "if value < low or value > high:", "tests/test_cli.py"),
+    Mutant("scenario-counts-unbounded", "src/ddrm/config.py",
+           "Field(key, key, INT, low, MAX_COUNT)", "Field(key, key, INT, low)", "tests/test_config.py"),
+    Mutant("scenario-bounds-unchecked", "src/ddrm/adversary.py",
+           'check_bounds(self, SCENARIO_FIELDS, f"scenario {self.name}: ")', "None", "tests/test_config.py"),
+    Mutant("protocol-bounds-unchecked", "src/ddrm/config.py",
+           'check_bounds(self, PROTOCOL_FIELDS, "protocol.")', "None", "tests/test_config.py"),
+    Mutant("name-may-be-empty", "src/ddrm/config.py",
+           "    if not name:\n", "    if False:\n", "tests/test_config.py"),
     # A withdrawn service takes no purchase, no second withdrawal and no replenishment.
     Mutant("replenish-takes-withdrawn-service", "src/ddrm/marketplace.py",
            "self._listed(self._owned_service(provider, service_id))\n        if amount < 0:",

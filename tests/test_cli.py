@@ -330,6 +330,15 @@ class TestUntrustedNumbers:
             {"usd_per_ether": " 1_586 "},
             {"protocol": {"srdt_discount_rate": " 0.2_5 "}},
             {"protocol": {"gas": {"gas_price_gwei": " 2_9 "}}},
+            # NaN fails every comparison, so only a check written `not low <= value <= high` refuses it.
+            {"scenarios": [{**SCENARIO, "honest_vote_probability": float("nan")}]},
+            {"scenarios": [{**SCENARIO, "honest_vote_probability": float("inf")}]},
+            {"scenarios": [{**SCENARIO, "honest_vote_probability": float("-inf")}]},
+            # The harness loops or allocates once per unit of each count, so none of these would end.
+            {"scenarios": [{**SCENARIO, "rounds": 10**21}]},
+            {"scenarios": [{**SCENARIO, "attacker_count": 10**21}]},
+            {"scenarios": [{**SCENARIO, "fake_identities_per_attacker": 10**21}]},
+            {"scenarios": [{**SCENARIO, "honest_count": 10**21}]},
         ],
         ids=[
             "usd-nan", "usd-inf", "discount-nan", "genesis-sub-wei", "genesis-overflow", "genesis-tiny",
@@ -337,6 +346,8 @@ class TestUntrustedNumbers:
             "cost-sub-wei", "cost-past-uint256", "cost-nan", "cost-string", "cost-list",
             "genesis-blank-underscore", "genesis-underscore", "genesis-tab-newline", "usd-blank-underscore",
             "discount-blank-underscore", "gas-price-blank-underscore",
+            "probability-nan", "probability-inf", "probability-minus-inf",
+            "rounds-huge", "attackers-huge", "fakes-huge", "honest-huge",
         ],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, doc):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import re
+import types
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -18,9 +20,13 @@ from ddrm.config import (
     ETHER,
     GAS,
     INT,
+    MAX_COUNT,
+    NUMBER,
     PROTOCOL_FIELDS,
     RATE,
+    RATE_DIGITS,
     SCENARIO_FIELDS,
+    check_bounds,
     parse_protocol_config,
     protocol_doc,
 )
@@ -29,6 +35,14 @@ from ddrm.ledger import GAS_OPS, GasRow
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = {"protocol": (ProtocolConfig, PROTOCOL_FIELDS), "scenario": (AttackScenario, SCENARIO_FIELDS)}
+PREFIXES = {"protocol": "protocol.", "scenario": "scenario s: "}
+BOUNDS = [
+    (table, row, side)
+    for table, (_, rows) in TABLES.items()
+    for row in rows
+    for side in ("minimum", "maximum")
+    if getattr(row, side) is not None
+]
 
 
 def parse(document, table):
@@ -168,12 +182,32 @@ def test_protocol_doc_round_trips_every_accepted_document(doc):
         ({"protocol": 5}, "protocol must be an object"),
         ({"protocol": ["gas"]}, "protocol must be an object"),
         ({"scenarios": [{"kind": "sybil", "honest_vote_probability": 10**400}]},
-         "honest_vote_probability must lie in [0, 1]"),
+         "scenario sybil-0: honest_vote_probability must be at least 0 and at most 1"),
+        ({"scenarios": [{"kind": "sybil", "name": "first"}, {"kind": "sybil", "name": "second", "rounds": 0}]},
+         "scenario second: rounds must be at least 1 and at most 10000"),
+        ({"scenarios": [{"kind": "sybil", "name": ""}]}, "scenario #0: name must not be empty"),
+        ({"scenarios": [{"kind": "sybil", "honest_count": MAX_COUNT + 1}]},
+         "scenario sybil-0: honest_count must be at least 0 and at most 10000"),
+        ({"scenarios": [{"kind": "sybil", "service_cost_ether": "0"}]},
+         "scenario sybil-0: service_cost_ether must be at least 1e-18"),
+        ({"scenarios": [{"kind": "sybil", "honest_vote_probability": math.nextafter(1, 2)}]},
+         "scenario sybil-0: honest_vote_probability must be at least 0 and at most 1"),
+        ({"protocol": {"genesis_balance_ether": "0"}}, "protocol.genesis_balance_ether must be at least 1e-18"),
+        ({"protocol": {"srdt_discount_rate": "1.000000000000000000000000000000000001"}},
+         "protocol.srdt_discount_rate must be at least 0 and at most 1"),
+        ({"scenarios": [{"kind": "sybil", "protocol": {"srat_lifetime": 0}}]},
+         "scenario sybil-0: protocol.srat_lifetime must be at least 1"),
         ({"scenarios": [{"kind": "sybil", "protocol": 5}]}, "scenario sybil-0: protocol must be an object"),
+        ({"protocol": {"gas": {"add_service": 5}}}, "gas.add_service must be an object"),
+        ({"protocol": {"gas": {"add_service": {"x": 1}}}}, "unknown key(s) in gas.add_service: x"),
+        ({"protocol": {"gas": {"add_service": {"gas_limit": "1"}}}}, "gas.add_service.gas_limit must be an integer"),
         ({"scenarios": [{"kind": ["sybil"]}]}, "kind must be a string"),
         ({"scenarios": [{"kind": "k" * 100}]}, "unknown scenario kind 'kkk"),
     ],
-    ids=["protocol-int", "protocol-list", "probability-past-a-float", "overrides-int", "kind-list", "long-kind"],
+    ids=["protocol-int", "protocol-list", "probability-past-a-float", "second-scenario-rounds", "empty-name",
+         "count-past-max", "ether-zero", "probability-next-float", "genesis-zero", "rate-past-one",
+         "override-lifetime-zero", "overrides-int", "gas-row-int", "gas-row-unknown-key", "gas-limit-string",
+         "kind-list", "long-kind"],
 )
 def test_mistyped_value_is_a_config_error(doc, message):
     with pytest.raises(ConfigError) as refused:
@@ -181,8 +215,48 @@ def test_mistyped_value_is_a_config_error(doc, message):
     assert message in str(refused.value)
 
 
+def _stepped(row, bound, steps: int):
+    """`bound` moved by `steps` of its row's least units, up if positive: a float, 10**-36 of a rate, else 1."""
+    if row.codec is NUMBER:
+        for _ in range(abs(steps)):
+            bound = math.nextafter(bound, math.copysign(math.inf, steps))
+        return bound
+    return bound + steps * (Fraction(1, 10**RATE_DIGITS) if row.codec is RATE else 1)
+
+
+@pytest.mark.parametrize("table, row, side", BOUNDS, ids=[f"{row.key}-{side}" for _, row, side in BOUNDS])
+@given(steps=st.integers(-3, 3))
+@example(steps=0)
+@example(steps=-1)
+@example(steps=1)
+@settings(max_examples=10, deadline=None)
+def test_a_bounded_value_is_accepted_exactly_within_its_bounds(table, row, side, steps):
+    value = _stepped(row, getattr(row, side), steps)
+    entry = {row.key: row.codec.write(value)}
+    if table == "protocol":  # the least faucet is taken only beside a genesis credit no larger
+        doc = {"protocol": {"genesis_balance_ether": ETHER.write(1), **entry}}
+    else:
+        doc = {"scenarios": [{"kind": "sybil", "name": "s", **entry}]}
+    doc = json.loads(json.dumps(doc))
+    if (row.minimum is None or row.minimum <= value) and (row.maximum is None or value <= row.maximum):
+        parse_run_config(doc)
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(PREFIXES[table] + row.key)} must be "):
+            parse_run_config(doc)
+
+
+def _bound_words(row) -> str:
+    """The words in which check_bounds states the row's bounds, taken from its refusal of NaN."""
+    with pytest.raises(ConfigError) as refused:
+        check_bounds(types.SimpleNamespace(**{row.attr: math.nan}), (row,), "")
+    return str(refused.value).removeprefix(f"{row.key} must be ")
+
+
 def test_readme_names_every_key_of_both_tables():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("## Config keys"):].split("\n## ")[0]
-    rows = set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
-    assert rows == {row.key for row in PROTOCOL_FIELDS + SCENARIO_FIELDS}
+    checks = dict(re.findall(r"^\| `(\w+)` \|.*\| ([^|]*) \|$", section, re.MULTILINE))
+    assert set(checks) == {row.key for row in PROTOCOL_FIELDS + SCENARIO_FIELDS}
+    for row in PROTOCOL_FIELDS + SCENARIO_FIELDS:
+        if (row.minimum, row.maximum) != (None, None):
+            assert _bound_words(row) in checks[row.key], row.key
