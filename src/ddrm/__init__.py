@@ -20,6 +20,8 @@ from .adversary import (
 from .config import (
     REVIEW_FUND_SEED,
     REVIEW_SUBSIDY,
+    GasRow,
+    GasSchedule,
     ProtocolConfig,
     RunConfig,
     default_config_doc,
@@ -31,8 +33,6 @@ from .ledger import (
     WEI_PER_ETHER,
     WEI_PER_GWEI,
     EventRecord,
-    GasRow,
-    GasSchedule,
     RandomBeacon,
     ether,
     format_ether,

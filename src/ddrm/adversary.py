@@ -37,6 +37,8 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .config import (
+    MAX_COUNT,
+    MAX_PARTICIPANT_ROUNDS,
     NAME,
     OBJECT,
     REVIEW_FUND_SEED,
@@ -124,7 +126,13 @@ class AttackScenario:
     def validate(self) -> None:
         if self.kind not in ALL_KINDS:
             raise ConfigError(f"unknown scenario kind {quoted(self.kind)}")
-        check_bounds(self, SCENARIO_FIELDS, f"scenario {self.name}: ")
+        prefix = f"scenario {self.name}: "
+        check_bounds(self, SCENARIO_FIELDS, prefix)
+        if self.attacker_count * self.fake_identities_per_attacker > MAX_COUNT:
+            raise ConfigError(f"{prefix}attacker_count * fake_identities_per_attacker must be at most {MAX_COUNT}")
+        if self.rounds * (self.honest_count + self.attacker_count) > MAX_PARTICIPANT_ROUNDS:
+            raise ConfigError(f"{prefix}rounds * (honest_count + attacker_count) must be at most"
+                              f" {MAX_PARTICIPANT_ROUNDS}")
 
 
 def parse_scenario(doc, index: int = 0) -> AttackScenario:

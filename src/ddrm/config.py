@@ -7,7 +7,9 @@ rejected so typos fail loudly instead of silently using defaults.
 
 Each config document has one field table, a row per key naming the
 record field, its Codec and its inclusive bounds; it drives the parser, the
-allowed keys, the range checks and an exact writer.
+allowed keys, the range checks and an exact writer. The gas schedule
+(GasSchedule) lives here too: its price and its per-operation units are
+table rows, so check_bounds is the one range check of every config value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, ValidationError
-from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, GasSchedule, ether, json_number, quoted
+from .ledger import GAS_OPS, WEI_PER_ETHER, WEI_PER_GWEI, ether, json_number, quoted
 
 # Fixed by the protocol's funding equations: every listing seeds its review
 # fund with 1 Ether, which underwrites one hundred review submissions.
@@ -42,9 +44,54 @@ USD_DIGITS = 36
 # A scenario name is refused past this many bytes of UTF-8: it names the scenario's files.
 NAME_BYTES = 60
 
-# Each scenario count is refused past this, alone (not their product): the harness loops once per
-# round, participant and Sybil attempt, and 10,000 sybil attackers already take about 30 s.
+# fake_identities_per_attacker and honest_count are refused past this, and so is attacker_count *
+# fake_identities_per_attacker, which bounds attacker_count too: the harness loops once per participant and
+# Sybil attempt.
 MAX_COUNT = 10_000
+
+# rounds, and rounds * (honest_count + attacker_count), are refused past these. Registration grows with the
+# square of the participants, and each round every attacker walks every purchase it has made, so a run grows
+# with rounds * rounds * attackers too. Timed by `ddrm run` on one core (CPython 3.11), collusion, the slowest
+# kind, at 1e-18 Ether a service: 15,000 participants in one round ran in 23 s (20,000 in 39 s); 30
+# attackers for 500 rounds in 22.5 s (15 attackers for 1,000 rounds in 37 s).
+MAX_ROUNDS = 500
+MAX_PARTICIPANT_ROUNDS = 15_000
+
+
+@dataclass(frozen=True)
+class GasRow:
+    gas_limit: int
+    gas_used: int
+
+
+@dataclass(frozen=True)
+class GasSchedule:
+    """Per-operation gas units plus the Wei price per gas unit.
+
+    Charges are gas_used * price_wei; gas_limit is retained as a cap and
+    a schedule where gas_used exceeds gas_limit is rejected as misconfigured.
+    """
+
+    price_wei: int = 2_900_000_000  # 2.9 Gwei
+    # The published table: one (gas_limit, gas_used) row per operation, in GAS_OPS order.
+    rows: dict[str, GasRow] = field(default_factory=lambda: dict(zip(GAS_OPS, (
+        GasRow(272456, 182304), GasRow(99872, 63789), GasRow(106754, 86532),
+    ))))
+
+    def validate(self) -> None:
+        check_bounds(self, (GAS_PRICE,), "gas.")
+        for op in GAS_OPS:
+            if op not in self.rows:
+                raise ConfigError(f"gas.{op} is missing")
+        for op, row in self.rows.items():
+            check_bounds(row, GAS_ROW_FIELDS, f"gas.{op}.")
+            if row.gas_used > row.gas_limit:
+                raise ConfigError(f"gas.{op}.gas_used must be at most its gas_limit")
+
+    def charge(self, op: str) -> int:
+        if op not in self.rows:
+            raise ConfigError(f"no gas schedule entry for operation {op!r}")
+        return self.rows[op].gas_used * self.price_wei
 
 
 @dataclass(frozen=True)
@@ -195,23 +242,21 @@ def _rate_forms(rate: Fraction) -> tuple:
 
 
 def parse_gas_schedule(doc: dict) -> GasSchedule:
-    _require_keys(doc, {"gas_price_gwei", *GAS_OPS}, "gas")
     defaults = GasSchedule()
-    price_wei = defaults.price_wei
-    if "gas_price_gwei" in doc:
-        price_wei = GWEI.read(doc["gas_price_gwei"], "gas.gas_price_gwei")
+    # Each key but an operation's is read by the price row, which refuses any other key as unknown.
+    price = read_fields({key: doc[key] for key in doc if key not in GAS_OPS}, (GAS_PRICE,), "gas", "gas.")
     rows = dict(defaults.rows)
     for op in GAS_OPS:
         row = OBJECT.read(doc.get(op, {}), f"gas.{op}")
         rows[op] = replace(rows[op], **read_fields(row, GAS_ROW_FIELDS, f"gas.{op}", f"gas.{op}."))
-    schedule = GasSchedule(price_wei=price_wei, rows=rows)
+    schedule = GasSchedule(rows=rows, **price)
     schedule.validate()
     return schedule
 
 
 def _gas_forms(gas: GasSchedule) -> tuple:
     rows = {op: {f.key: f.codec.write(getattr(row, f.attr)) for f in GAS_ROW_FIELDS} for op, row in gas.rows.items()}
-    return ({"gas_price_gwei": GWEI.write(gas.price_wei), **rows},)
+    return ({GAS_PRICE.key: GAS_PRICE.codec.write(gas.price_wei), **rows},)
 
 
 ETHER = _units(WEI_PER_ETHER)
@@ -219,8 +264,9 @@ GWEI = _units(WEI_PER_GWEI)
 RATE = Codec(_as_rate, _rate_forms)
 GAS = Codec(lambda value, where: parse_gas_schedule(OBJECT.read(value, where)), _gas_forms)
 
-# One row per ledger.GasRow field.
-GAS_ROW_FIELDS = (Field("gas_limit", "gas_limit", INT), Field("gas_used", "gas_used", INT))
+# The gas document's price, and one row per GasRow field, read from each operation's object in it.
+GAS_PRICE = Field("gas_price_gwei", "price_wei", GWEI, 1)
+GAS_ROW_FIELDS = (Field("gas_limit", "gas_limit", INT, 1), Field("gas_used", "gas_used", INT, 1))
 
 # One row per ProtocolConfig field; validate checks the bounds in this order.
 PROTOCOL_FIELDS = (
@@ -262,9 +308,10 @@ SCENARIO_FIELDS = (
     Field("name", "name", NAME),
     Field("kind", "kind", TEXT),
     Field("seed", "seed", INT),
-    *(Field(key, key, INT, low, MAX_COUNT) for key, low in (
-        ("rounds", 1), ("attacker_count", 0), ("fake_identities_per_attacker", 1), ("honest_count", 0),
-    )),
+    Field("rounds", "rounds", INT, 1, MAX_ROUNDS),
+    Field("attacker_count", "attacker_count", INT, 0),
+    Field("fake_identities_per_attacker", "fake_identities_per_attacker", INT, 1, MAX_COUNT),
+    Field("honest_count", "honest_count", INT, 0, MAX_COUNT),
     Field("service_cost_ether", "service_cost_wei", ETHER, 1),
     Field("target_own", "target_own", BOOL),
     Field("honest_vote_probability", "honest_vote_probability", NUMBER, 0, 1),

@@ -1,7 +1,8 @@
 """Simulated append-only ledger: accounts, gas metering, event log, ticks.
 
 Money is integer Wei throughout (1 Ether = 10**18 Wei, 1 Gwei = 10**9 Wei);
-arithmetic is exact and balances can never go negative. Every state change
+arithmetic is exact and balances can never go negative. Gas is charged by a
+config.GasSchedule, which holds every rule on its values. Every state change
 appends an EventRecord to a hash chain:
 
     hash = sha256("{seq}|{tick}|{kind}|{payload_json}|{prev_hash}")
@@ -36,17 +37,19 @@ import re
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
     ChainBroken,
-    ConfigError,
     InsufficientFunds,
     MalformedEvent,
     PoolTooSmall,
     UnknownAccount,
     ValidationError,
 )
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import GasSchedule
 
 WEI_PER_GWEI = 10**9
 WEI_PER_ETHER = 10**18
@@ -101,47 +104,6 @@ def format_ether(wei: int, places: int = 6) -> str:
     units = (2 * abs(wei) * scale + WEI_PER_ETHER) // (2 * WEI_PER_ETHER)  # in 10**-places Ether, half up
     sign = "-" if wei < 0 else ""
     return f"{sign}{units // scale}.{units % scale:0{places}d}" if places else f"{sign}{units}"
-
-
-@dataclass(frozen=True)
-class GasRow:
-    gas_limit: int
-    gas_used: int
-
-
-@dataclass(frozen=True)
-class GasSchedule:
-    """Per-operation gas units plus the Wei price per gas unit.
-
-    Charges are gas_used * price_wei; gas_limit is retained as a cap and
-    a schedule where gas_used exceeds gas_limit is rejected as misconfigured.
-    """
-
-    price_wei: int = 2_900_000_000  # 2.9 Gwei
-    rows: dict[str, GasRow] = field(
-        default_factory=lambda: {
-            OP_ADD_SERVICE: GasRow(272456, 182304),
-            OP_REQUEST_SERVICE: GasRow(99872, 63789),
-            OP_ENDORSE_REVIEW: GasRow(106754, 86532),
-        }
-    )
-
-    def validate(self) -> None:
-        if self.price_wei <= 0:
-            raise ConfigError("gas price must be strictly positive")
-        for op in GAS_OPS:
-            if op not in self.rows:
-                raise ConfigError(f"gas schedule missing entry for {op}")
-        for op, row in self.rows.items():
-            if row.gas_used <= 0 or row.gas_limit <= 0:
-                raise ConfigError(f"gas units for {op} must be strictly positive")
-            if row.gas_used > row.gas_limit:
-                raise ConfigError(f"gas_used exceeds gas_limit for {op}")
-
-    def charge(self, op: str) -> int:
-        if op not in self.rows:
-            raise ConfigError(f"no gas schedule entry for operation {op!r}")
-        return self.rows[op].gas_used * self.price_wei
 
 
 _encode_str = json.encoder.encode_basestring_ascii

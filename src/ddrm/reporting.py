@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 from .adversary import ScenarioMetrics
+from .config import GasSchedule
 from .ledger import (
     OP_ADD_SERVICE,
     OP_ENDORSE_REVIEW,
     OP_REQUEST_SERVICE,
     WEI_PER_GWEI,
-    GasSchedule,
     format_ether,
 )
 
@@ -99,7 +99,7 @@ def gas_table_json(rows: list[GasReportRow]) -> list[dict]:
             "function_name": r.function_name,
             "gas_limit": r.gas_limit,
             "gas_used": r.gas_used,
-            "gas_price_gwei": str(r.gas_price_gwei),
+            "gas_price_gwei": f"{r.gas_price_gwei:f}",
             "total_ether": f"{r.total_ether:.6f}",
             "total_usd": f"{r.total_usd:.3f}",
         }

@@ -315,14 +315,35 @@ MUTANTS = (
     # Each row's bounds, checked by one function that refuses NaN too.
     Mutant("bound-lets-nan-through", "src/ddrm/config.py",
            "if not low <= value <= high:", "if value < low or value > high:", "tests/test_cli.py"),
-    Mutant("scenario-counts-unbounded", "src/ddrm/config.py",
-           "Field(key, key, INT, low, MAX_COUNT)", "Field(key, key, INT, low)", "tests/test_config.py"),
+    Mutant("rounds-unbounded", "src/ddrm/config.py",
+           'Field("rounds", "rounds", INT, 1, MAX_ROUNDS)', 'Field("rounds", "rounds", INT, 1)', "tests/test_config.py"),
+    Mutant("honest-count-unbounded", "src/ddrm/config.py",
+           'Field("honest_count", "honest_count", INT, 0, MAX_COUNT)', 'Field("honest_count", "honest_count", INT, 0)',
+           "tests/test_config.py"),
     Mutant("scenario-bounds-unchecked", "src/ddrm/adversary.py",
-           'check_bounds(self, SCENARIO_FIELDS, f"scenario {self.name}: ")', "None", "tests/test_config.py"),
+           "check_bounds(self, SCENARIO_FIELDS, prefix)", "None", "tests/test_config.py"),
     Mutant("protocol-bounds-unchecked", "src/ddrm/config.py",
            'check_bounds(self, PROTOCOL_FIELDS, "protocol.")', "None", "tests/test_config.py"),
     Mutant("name-may-be-empty", "src/ddrm/config.py",
            "    if not name:\n", "    if False:\n", "tests/test_config.py"),
+    Mutant("gas-price-unchecked", "src/ddrm/config.py",
+           'check_bounds(self, (GAS_PRICE,), "gas.")', "None", "tests/test_config.py"),
+    Mutant("gas-units-unchecked", "src/ddrm/config.py",
+           'check_bounds(row, GAS_ROW_FIELDS, f"gas.{op}.")', "None", "tests/test_config.py"),
+    Mutant("gas-used-unbounded", "src/ddrm/config.py",
+           'Field("gas_used", "gas_used", INT, 1)', 'Field("gas_used", "gas_used", INT)', "tests/test_cli.py"),
+    Mutant("gas-used-may-pass-limit", "src/ddrm/config.py",
+           "if row.gas_used > row.gas_limit:", "if False:", "tests/test_cli.py"),
+    # Products of scenario counts, which no single row bounds.
+    Mutant("sybil-attempts-unbounded", "src/ddrm/adversary.py",
+           "if self.attacker_count * self.fake_identities_per_attacker > MAX_COUNT:", "if False:",
+           "tests/test_config.py"),
+    Mutant("participant-rounds-unbounded", "src/ddrm/adversary.py",
+           "if self.rounds * (self.honest_count + self.attacker_count) > MAX_PARTICIPANT_ROUNDS:", "if False:",
+           "tests/test_config.py"),
+    Mutant("gwei-in-scientific-notation", "src/ddrm/reporting.py",
+           '"gas_price_gwei": f"{r.gas_price_gwei:f}",', '"gas_price_gwei": str(r.gas_price_gwei),',
+           "tests/test_cli.py"),
     # A withdrawn service takes no purchase, no second withdrawal and no replenishment.
     Mutant("replenish-takes-withdrawn-service", "src/ddrm/marketplace.py",
            "self._listed(self._owned_service(provider, service_id))\n        if amount < 0:",

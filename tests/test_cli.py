@@ -339,6 +339,15 @@ class TestUntrustedNumbers:
             {"scenarios": [{**SCENARIO, "attacker_count": 10**21}]},
             {"scenarios": [{**SCENARIO, "fake_identities_per_attacker": 10**21}]},
             {"scenarios": [{**SCENARIO, "honest_count": 10**21}]},
+            # Each count within its row, but 10**8 Sybil attempts, or consumer-rounds, would not end either.
+            {"scenarios": [{**SCENARIO, "attacker_count": 10_000, "fake_identities_per_attacker": 10_000}]},
+            {"scenarios": [{**SCENARIO, "honest_count": 10_000, "rounds": 10_000}]},
+            # Each round an attacker walks every purchase it has made: at 1e-18 Ether a service, 15000 rounds
+            # of one attacker, or 7500 of two, would take minutes.
+            {"scenarios": [{**SCENARIO, "rounds": 15_000, "attacker_count": 1, "honest_count": 0,
+                            "service_cost_ether": "0.000000000000000001"}]},
+            {"scenarios": [{**SCENARIO, "kind": "collusion", "rounds": 7_500, "attacker_count": 2, "honest_count": 0,
+                            "service_cost_ether": "0.000000000000000001"}]},
         ],
         ids=[
             "usd-nan", "usd-inf", "discount-nan", "genesis-sub-wei", "genesis-overflow", "genesis-tiny",
@@ -347,7 +356,8 @@ class TestUntrustedNumbers:
             "genesis-blank-underscore", "genesis-underscore", "genesis-tab-newline", "usd-blank-underscore",
             "discount-blank-underscore", "gas-price-blank-underscore",
             "probability-nan", "probability-inf", "probability-minus-inf",
-            "rounds-huge", "attackers-huge", "fakes-huge", "honest-huge",
+            "rounds-huge", "attackers-huge", "fakes-huge", "honest-huge", "sybil-attempts", "consumer-rounds",
+            "attacker-rounds", "collusion-rounds",
         ],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, doc):
@@ -514,8 +524,13 @@ class TestGasTable:
 
     @pytest.mark.parametrize(
         "price, printed",
-        [("1234567890123456789012345678.9", "1234567890123456789012345678.9"), (1e30, "1" + "0" * 30)],
-        ids=["29-digit", "1e30"],
+        [
+            ("1234567890123456789012345678.9", "1234567890123456789012345678.9"),
+            (1e30, "1" + "0" * 30),
+            ("0.000000001", "0.000000001"),
+            ("0.0000001", "0.0000001"),
+        ],
+        ids=["29-digit", "1e30", "one-wei", "100-wei"],
     )
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_huge_gas_price_prints_exact_gwei(self, tmp_path, capsys, price, printed, fmt):
@@ -536,10 +551,24 @@ class TestGasTable:
         main(["gas-table", "--config", str(path)])
         assert "200000" in capsys.readouterr().out
 
-    def test_invalid_gas_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "gas, message",
+        [
+            ({"gas_price_gwei": 0}, "gas.gas_price_gwei must be at least 1e-09"),
+            ({"gas_price_gwei": "-1"}, "gas.gas_price_gwei must be at least 1e-09"),
+            ({"add_service": {"gas_used": 0}}, "gas.add_service.gas_used must be at least 1"),
+            ({"endorse_review": {"gas_limit": 0}}, "gas.endorse_review.gas_limit must be at least 1"),
+            ({"add_service": {"gas_limit": 1, "gas_used": 2}},
+             "gas.add_service.gas_used must be at most its gas_limit"),
+        ],
+        ids=["price-zero", "price-negative", "used-zero", "limit-zero", "used-above-limit"],
+    )
+    @pytest.mark.parametrize("command", ["gas-table", "run"])
+    def test_invalid_gas_config_exits_2(self, tmp_path, capsys, gas, message, command):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"protocol": {"gas": {"add_service": {"gas_limit": 1, "gas_used": 2}}}}))
-        assert main(["gas-table", "--config", str(path)]) == EXIT_CONFIG
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), "protocol": {"gas": gas}}))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_submit_review_gas_row_is_an_unknown_key(self, tmp_path, capsys):
         # Reviews are paid from the service's review fund; no gas row charges them.

@@ -19,26 +19,36 @@ from ddrm.config import (
     BOOL,
     ETHER,
     GAS,
+    GAS_PRICE,
+    GAS_ROW_FIELDS,
     INT,
     MAX_COUNT,
+    MAX_ROUNDS,
     NUMBER,
     PROTOCOL_FIELDS,
     RATE,
     RATE_DIGITS,
     SCENARIO_FIELDS,
+    GasRow,
     check_bounds,
     parse_protocol_config,
     protocol_doc,
 )
 from ddrm.errors import ConfigError
-from ddrm.ledger import GAS_OPS, GasRow
+from ddrm.ledger import GAS_OPS
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = {"protocol": (ProtocolConfig, PROTOCOL_FIELDS), "scenario": (AttackScenario, SCENARIO_FIELDS)}
-PREFIXES = {"protocol": "protocol.", "scenario": "scenario s: "}
+# Every table with a bounded row, by the prefix check_bounds names its keys with.
+BOUNDED = {
+    "protocol.": PROTOCOL_FIELDS,
+    "scenario s: ": SCENARIO_FIELDS,
+    "gas.": (GAS_PRICE,),
+    "gas.add_service.": GAS_ROW_FIELDS,
+}
 BOUNDS = [
-    (table, row, side)
-    for table, (_, rows) in TABLES.items()
+    (prefix, row, side)
+    for prefix, rows in BOUNDED.items()
     for row in rows
     for side in ("minimum", "maximum")
     if getattr(row, side) is not None
@@ -184,10 +194,16 @@ def test_protocol_doc_round_trips_every_accepted_document(doc):
         ({"scenarios": [{"kind": "sybil", "honest_vote_probability": 10**400}]},
          "scenario sybil-0: honest_vote_probability must be at least 0 and at most 1"),
         ({"scenarios": [{"kind": "sybil", "name": "first"}, {"kind": "sybil", "name": "second", "rounds": 0}]},
-         "scenario second: rounds must be at least 1 and at most 10000"),
+         "scenario second: rounds must be at least 1 and at most 500"),
+        ({"scenarios": [{"kind": "sybil", "rounds": MAX_ROUNDS + 1, "honest_count": 0}]},
+         "scenario sybil-0: rounds must be at least 1 and at most 500"),
         ({"scenarios": [{"kind": "sybil", "name": ""}]}, "scenario #0: name must not be empty"),
         ({"scenarios": [{"kind": "sybil", "honest_count": MAX_COUNT + 1}]},
          "scenario sybil-0: honest_count must be at least 0 and at most 10000"),
+        ({"scenarios": [{"kind": "sybil", "attacker_count": 101, "fake_identities_per_attacker": 100}]},
+         "scenario sybil-0: attacker_count * fake_identities_per_attacker must be at most 10000"),
+        ({"scenarios": [{"kind": "sybil", "rounds": MAX_ROUNDS, "honest_count": 29, "attacker_count": 2}]},
+         "scenario sybil-0: rounds * (honest_count + attacker_count) must be at most 15000"),
         ({"scenarios": [{"kind": "sybil", "service_cost_ether": "0"}]},
          "scenario sybil-0: service_cost_ether must be at least 1e-18"),
         ({"scenarios": [{"kind": "sybil", "honest_vote_probability": math.nextafter(1, 2)}]},
@@ -204,8 +220,9 @@ def test_protocol_doc_round_trips_every_accepted_document(doc):
         ({"scenarios": [{"kind": ["sybil"]}]}, "kind must be a string"),
         ({"scenarios": [{"kind": "k" * 100}]}, "unknown scenario kind 'kkk"),
     ],
-    ids=["protocol-int", "protocol-list", "probability-past-a-float", "second-scenario-rounds", "empty-name",
-         "count-past-max", "ether-zero", "probability-next-float", "genesis-zero", "rate-past-one",
+    ids=["protocol-int", "protocol-list", "probability-past-a-float", "second-scenario-rounds", "rounds-past-max",
+         "empty-name", "count-past-max", "sybil-attempts-past-max", "participant-rounds-past-max", "ether-zero",
+         "probability-next-float", "genesis-zero", "rate-past-one",
          "override-lifetime-zero", "overrides-int", "gas-row-int", "gas-row-unknown-key", "gas-limit-string",
          "kind-list", "long-kind"],
 )
@@ -224,24 +241,29 @@ def _stepped(row, bound, steps: int):
     return bound + steps * (Fraction(1, 10**RATE_DIGITS) if row.codec is RATE else 1)
 
 
-@pytest.mark.parametrize("table, row, side", BOUNDS, ids=[f"{row.key}-{side}" for _, row, side in BOUNDS])
+@pytest.mark.parametrize("prefix, row, side", BOUNDS, ids=[f"{row.key}-{side}" for _, row, side in BOUNDS])
 @given(steps=st.integers(-3, 3))
 @example(steps=0)
 @example(steps=-1)
 @example(steps=1)
 @settings(max_examples=10, deadline=None)
-def test_a_bounded_value_is_accepted_exactly_within_its_bounds(table, row, side, steps):
+def test_a_bounded_value_is_accepted_exactly_within_its_bounds(prefix, row, side, steps):
     value = _stepped(row, getattr(row, side), steps)
     entry = {row.key: row.codec.write(value)}
-    if table == "protocol":  # the least faucet is taken only beside a genesis credit no larger
-        doc = {"protocol": {"genesis_balance_ether": ETHER.write(1), **entry}}
-    else:
-        doc = {"scenarios": [{"kind": "sybil", "name": "s", **entry}]}
+    doc = {
+        # The least faucet is taken only beside a genesis credit no larger.
+        "protocol.": {"protocol": {"genesis_balance_ether": ETHER.write(1), **entry}},
+        # Partner counts as small as their rows allow, so each count's maximum fits the bounds on products.
+        "scenario s: ": {"scenarios": [{"kind": "sybil", "name": "s", "rounds": 1, "honest_count": 0, **entry}]},
+        "gas.": {"protocol": {"gas": entry}},
+        # The partner unit keeps gas_used <= gas_limit for every value drawn, a few units from the bound 1.
+        "gas.add_service.": {"protocol": {"gas": {"add_service": {"gas_limit": 10**6, "gas_used": 1, **entry}}}},
+    }[prefix]
     doc = json.loads(json.dumps(doc))
     if (row.minimum is None or row.minimum <= value) and (row.maximum is None or value <= row.maximum):
         parse_run_config(doc)
     else:
-        with pytest.raises(ConfigError, match=f"^{re.escape(PREFIXES[table] + row.key)} must be "):
+        with pytest.raises(ConfigError, match=f"^{re.escape(prefix + row.key)} must be "):
             parse_run_config(doc)
 
 
@@ -260,3 +282,5 @@ def test_readme_names_every_key_of_both_tables():
     for row in PROTOCOL_FIELDS + SCENARIO_FIELDS:
         if (row.minimum, row.maximum) != (None, None):
             assert _bound_words(row) in checks[row.key], row.key
+    for row in (GAS_PRICE, *GAS_ROW_FIELDS):  # the gas object's rows, all stated in its one check cell
+        assert f"`{row.key}` {_bound_words(row)}" in checks["gas"], row.key

@@ -126,6 +126,19 @@ class TestGasCharges:
         with pytest.raises(ConfigError):
             GasSchedule(rows=rows).validate()
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            (GasSchedule(price_wei=0), "gas.gas_price_gwei must be at least 1e-09"),
+            (GasSchedule(rows={op: row for op, row in GasSchedule().rows.items() if op != OP_ENDORSE_REVIEW}),
+             "gas.endorse_review is missing"),
+        ],
+        ids=["price-zero", "no-endorse-review-row"],
+    )
+    def test_ledger_refuses_a_bad_schedule(self, schedule, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            Ledger(schedule, 1)
+
 
 class TestEtherAndWei:
     """ether and format_ether are exact both ways, at any size up to a uint256."""
