@@ -27,6 +27,12 @@ Each attack kind is one AttackPolicy row in POLICIES: when its attackers
 register, buy, rate, review, vote, re-register and claim refunds. The
 runner reads only that row, never the kind. A rater's budget is simply its
 account balance: raters act until the ledger refuses to fund them.
+
+The runner keeps no copy of protocol state. Its own records are the
+attackers' cards (by participant id, in registration order, the attacker
+provider included), the consumers in registration order, the ground truth
+and its counters (extras); exclusion, balances and listings are read from
+the simulation.
 """
 
 from __future__ import annotations
@@ -62,9 +68,8 @@ from .endorsement import (
     text_digest,
 )
 from .errors import ConfigError, DdrmError, DuplicateCard, InsufficientFunds, MalformedEvent
-from .identity import ROLE_CONSUMER, ROLE_PROVIDER, STATUS_EXCLUDED
+from .identity import ROLE_CONSUMER, ROLE_PROVIDER
 from .ledger import ether, iter_log_lines, quoted
-from .marketplace import STATUS_LISTED
 from .sim import Simulation
 from .tokens import BURNED
 
@@ -163,29 +168,14 @@ class ScenarioMetrics:
         return asdict(self)
 
 
-def rating_band(rating: int) -> str:
-    if rating >= 4:
-        return "positive"
-    if rating <= 2:
-        return "negative"
-    return "neutral"
-
-
 def band_matches(rating: int, quality: str) -> bool:
-    band = rating_band(rating)
-    return (band == "positive" and quality == GOOD) or (band == "negative" and quality == BAD)
+    """A rating of 4-5 matches a Good service, 1-2 a Bad one; 3 matches neither."""
+    return (rating >= 4 and quality == GOOD) or (rating <= 2 and quality == BAD)
 
 
 def expected_badge(rating: int, quality: str) -> str:
     """The badge a perfectly informed jury would assign."""
     return BADGE_AUTHENTIC if band_matches(rating, quality) else BADGE_FRAUDULENT
-
-
-@dataclass
-class Member:
-    pid: str
-    attacker: bool
-    card: str
 
 
 @dataclass
@@ -219,8 +209,8 @@ class ScenarioRunner:
         self.protocol = parse_protocol_config(scenario.overrides, base=base) if scenario.overrides else base
         self.seed = scenario.seed if scenario.seed is not None else default_seed
         self.sim = Simulation(self.protocol, self.seed)
-        self.members: dict[str, Member] = {}
-        self.consumers: list[str] = []
+        self.attackers: dict[str, str] = {}  # pid -> card, in registration order; the provider too
+        self.consumers: list[str] = []       # in registration order
         self.ground_truth: dict[str, str] = {}
         self.target_providers: list[str] = []
         self.attacker_service: str | None = None
@@ -248,12 +238,6 @@ class ScenarioRunner:
             self._deny(exc)
             return None
 
-    def _attackers(self) -> list[str]:
-        return [pid for pid, m in self.members.items() if m.attacker]
-
-    def _is_attacker(self, pid: str) -> bool:
-        return pid in self.members and self.members[pid].attacker
-
     def _set_up(self, op, *args):
         """Run one population operation; money the config leaves too short is a config error."""
         try:
@@ -261,9 +245,12 @@ class ScenarioRunner:
         except InsufficientFunds as exc:  # a faucet or genesis credit too small for the population
             raise ConfigError(f"scenario {self.scenario.name}: {exc}") from exc
 
-    def _add_member(self, card: str, attacker: bool, roles) -> str:
-        pid = self._set_up(self.sim.register, card, roles)
-        self.members[pid] = Member(pid=pid, attacker=attacker, card=card)
+    def _add_member(self, card: str, attacker: bool, role: str) -> str:
+        pid = self._set_up(self.sim.register, card, {role})
+        if attacker:
+            self.attackers[pid] = card
+        if role == ROLE_CONSUMER:
+            self.consumers.append(pid)
         return pid
 
     # -- population --
@@ -274,10 +261,10 @@ class ScenarioRunner:
         # DRET deltas are tracked for the service the attack aims at: the
         # attackers' own listing when they list one, the victim's otherwise.
         if not self_listing:
-            target = self._add_member("honest-provider-0", False, {ROLE_PROVIDER})
+            target = self._add_member("honest-provider-0", False, ROLE_PROVIDER)
             self.ground_truth[self._set_up(self.sim.add_service, target, s.service_cost_wei)] = GOOD
         if self.policy.lists_service or self_listing:
-            target = self._add_member("attacker-provider-0", True, {ROLE_PROVIDER})
+            target = self._add_member("attacker-provider-0", True, ROLE_PROVIDER)
             self.attacker_service = self._set_up(self.sim.add_service, target, s.service_cost_wei)
             self.ground_truth[self.attacker_service] = BAD
         self.target_providers = [target]
@@ -288,14 +275,14 @@ class ScenarioRunner:
                 for _ in range(s.fake_identities_per_attacker):
                     self.extras["sybil_registrations_attempted"] += 1
                     try:
-                        self._add_member(card, True, {ROLE_CONSUMER})
+                        self._add_member(card, True, ROLE_CONSUMER)
                         self.extras["sybil_registrations_succeeded"] += 1
                     except DuplicateCard as exc:
                         self._deny(exc)
 
         def register_honest():
             for i in range(s.honest_count):
-                self._add_member(f"honest-card-{i}", False, {ROLE_CONSUMER})
+                self._add_member(f"honest-card-{i}", False, ROLE_CONSUMER)
 
         # Early attackers register before honest consumers, to be among a
         # service's earliest reviewers.
@@ -303,14 +290,12 @@ class ScenarioRunner:
         for register in order:
             register()
 
-        self.consumers = [pid for pid in self.members if ROLE_CONSUMER in self.sim.identity.get(pid).roles]
-
         self.sim.ledger.append_event(
             "ScenarioSetup",
             {
                 "scenario": s.name,
                 "kind": s.kind,
-                "attackers": self._attackers(),
+                "attackers": list(self.attackers),
                 "ground_truth": dict(self.ground_truth),
                 "target_providers": list(self.target_providers),
             },
@@ -318,17 +303,17 @@ class ScenarioRunner:
 
     # -- per-round behavior --
 
-    def _buys_this_round(self, member: Member, rnd: int) -> bool:
-        if member.attacker:
+    def _buys_this_round(self, attacker: bool, rnd: int) -> bool:
+        if attacker:
             return rnd in self.policy.buys
         # Honest consumers purchase once, in round 1 (round 2 when attackers
         # must be the earliest reviewers).
         return rnd == (2 if self.policy.early else 1)
 
-    def _rating_for(self, member: Member, service_id: str) -> int:
+    def _rating_for(self, attacker: bool, service_id: str) -> int:
         quality = self.ground_truth[service_id]
         beacon = self.sim.ledger.beacon
-        if not member.attacker:
+        if not attacker:
             return beacon.randint(4, 5) if quality == GOOD else beacon.randint(1, 2)
         if self.policy.trashes or self.attacker_service not in (None, service_id):
             return 1  # trash everything, or every rival of the attackers' own listing
@@ -336,59 +321,57 @@ class ScenarioRunner:
 
     def _purchase_phase(self, rnd: int) -> None:
         for pid in self.consumers:
-            member = self.members[pid]
-            if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
-                self._maybe_whitewash(member)
+            if not self.sim.identity.get(pid).active:
+                self._maybe_whitewash(pid)
                 continue
-            if not self._buys_this_round(member, rnd):
+            if not self._buys_this_round(pid in self.attackers, rnd):
                 continue
             for service_id in self.ground_truth:
                 self._attempt(self.sim.buy_service, pid, service_id)
         self._replenish_funds()
 
-    def _maybe_whitewash(self, member: Member) -> None:
+    def _maybe_whitewash(self, pid: str) -> None:
         """Excluded attackers try to shed their history with the same card."""
-        if not (self.policy.whitewash and member.attacker) or member.pid in self._whitewash_done:
+        if not (self.policy.whitewash and pid in self.attackers) or pid in self._whitewash_done:
             return
-        self._whitewash_done.add(member.pid)
+        self._whitewash_done.add(pid)
         for _ in range(self.scenario.fake_identities_per_attacker):
             self.extras["whitewash_reregistrations_attempted"] += 1
-            if self._attempt(self.sim.register, member.card, {ROLE_CONSUMER}) is not None:
+            if self._attempt(self.sim.register, self.attackers[pid], {ROLE_CONSUMER}) is not None:
                 self.extras["whitewash_reregistrations_succeeded"] += 1
+
+    def _starved_services(self) -> list[str]:
+        """Services whose fund cannot pay one review subsidy; a run never withdraws one or excludes its provider."""
+        return [sid for sid in self.ground_truth if self.sim.ledger.balance(sid) < REVIEW_SUBSIDY]
 
     def _replenish_funds(self) -> None:
         """Providers keep their services reviewable by topping up dry funds."""
-        for service_id in self.ground_truth:
-            service = self.sim.market.get_service(service_id)
-            provider = service.provider
-            if service.status != STATUS_LISTED or self.sim.ledger.balance(service_id) >= REVIEW_SUBSIDY:
-                continue
-            if self.sim.identity.get(provider).status == STATUS_EXCLUDED:
-                continue
+        for service_id in self._starved_services():
+            provider = self.sim.market.get_service(service_id).provider
             self._attempt(self.sim.replenish_fund, provider, service_id, REVIEW_FUND_SEED)
 
     def _review_phase(self, rnd: int) -> None:
         for pid in self.consumers:
-            member = self.members[pid]
-            if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
+            if not self.sim.identity.get(pid).active:
                 continue
-            if member.attacker and self.policy.reviews != "purchases":
+            attacker = pid in self.attackers
+            if attacker and self.policy.reviews != "purchases":
                 if self.policy.reviews == "fabricated":
-                    self._fabricated_reviews(member)
+                    self._fabricated_reviews(pid)
                 continue  # "none": the fraud is the refund claim, not the review
             for purchase_id in self.sim.market.purchases_by_consumer.get(pid, ()):
                 purchase = self.sim.market.purchases[purchase_id]
                 if self.sim.tokens.srat_for_purchase(purchase_id).state == BURNED:
                     continue
-                rating = self._rating_for(member, purchase.service_id)
+                rating = self._rating_for(attacker, purchase.service_id)
                 digest = text_digest(f"{pid}|{purchase_id}|round {rnd}")
                 self._attempt(self.sim.submit_review, pid, purchase_id, rating, digest)
 
-    def _fabricated_reviews(self, member: Member) -> None:
-        """Review attempts without any purchase: a foreign id and a bogus id."""
-        foreign = min(self.sim.market.purchases, default=None)
+    def _fabricated_reviews(self, pid: str) -> None:
+        """Review attempts without any purchase: the first one filed and a bogus id."""
+        foreign = next(iter(self.sim.market.purchases), None)
         for purchase_id in filter(None, [foreign, "PUR-99999"]):
-            self._attempt(self.sim.submit_review, member.pid, purchase_id, 1, text_digest("fabricated"))
+            self._attempt(self.sim.submit_review, pid, purchase_id, 1, text_digest("fabricated"))
 
     # -- endorsement machinery --
 
@@ -422,6 +405,7 @@ class ScenarioRunner:
             return 0
         quality = self.ground_truth[service_id]
         quorum = self.protocol.endorsement_quorum
+        attackers = self.attackers
         cast = 0
 
         def has_srdt(pid):
@@ -429,14 +413,14 @@ class ScenarioRunner:
 
         # Wave 1: attackers boost allied reviews up to quorum, or bury the
         # oldest enemy review, depending on the attack's aim.
-        for pid in [p for p in roster if self._is_attacker(p)]:
+        for pid in [p for p in roster if p in attackers]:
             if not has_srdt(pid):
                 continue
             ally_pick = enemy_pick = None
             for review in pending:
                 if pid in review.endorsers:
                     continue
-                if self._is_attacker(review.reviewer):
+                if review.reviewer in attackers:
                     if ally_pick is None and review.upvotes + review.downvotes < quorum:
                         ally_pick = review
                 elif enemy_pick is None:
@@ -444,14 +428,14 @@ class ScenarioRunner:
             choice = (enemy_pick or ally_pick) if self.policy.enemy_first else (ally_pick or enemy_pick)
             if choice is None:
                 continue
-            vote = VOTE_UP if self._is_attacker(choice.reviewer) else VOTE_DOWN
+            vote = VOTE_UP if choice.reviewer in attackers else VOTE_DOWN
             cast += self._vote(pid, choice, vote)
 
         # Wave 2: honest endorsers, mismatched (suspect) reviews first. Their
         # votes spend only their own SRDTs and the tick stands still, so which
         # attackers still hold one is fixed for the whole wave.
-        available = [p for p in roster if not self._is_attacker(p) and has_srdt(p)]
-        attacker_pool = [p for p in roster if self._is_attacker(p) and has_srdt(p)]
+        available = [p for p in roster if p not in attackers and has_srdt(p)]
+        attacker_pool = [p for p in roster if p in attackers and has_srdt(p)]
         marked = [(not band_matches(r.rating, quality), r) for r in pending]
         for hostile, review in sorted(marked, key=lambda m: not m[0]):  # stable: suspects, then ordinary
             if not available:
@@ -501,11 +485,8 @@ class ScenarioRunner:
             for voter in claim.panel:
                 if voter in claim.votes:
                     continue
-                member = self.members.get(voter)
-                if member is None:
-                    continue
-                if member.attacker:
-                    vote = VOTE_APPROVE if self._is_attacker(claim.claimant) else VOTE_REJECT
+                if voter in self.attackers:
+                    vote = VOTE_APPROVE if claim.claimant in self.attackers else VOTE_REJECT
                 else:
                     vote = VOTE_APPROVE if quality == BAD else VOTE_REJECT
                 self._attempt(self.sim.vote_refund, voter, claim_id, vote)
@@ -516,8 +497,8 @@ class ScenarioRunner:
 
     def _file_false_claims(self) -> None:
         claimed = {claim.purchase_id for claim in self.sim.reviews.claims.values()}
-        for pid in self._attackers():
-            if self.sim.identity.get(pid).status == STATUS_EXCLUDED:
+        for pid in self.attackers:
+            if not self.sim.identity.get(pid).active:
                 continue
             for purchase_id in self.sim.market.purchases_by_consumer.get(pid, ()):
                 # A refused claim is retried next round while the window allows.
@@ -535,17 +516,13 @@ class ScenarioRunner:
             for phase in phases:
                 phase(rnd)
                 self.sim.advance_tick()
-        market = self.sim.market
+        market, attackers = self.sim.market, self.attackers
         self.extras["victim_revenue_wei"] = sum(
             p.price_paid
             for p in market.purchases.values()
-            if self._is_attacker(p.consumer) and not self._is_attacker(market.services[p.service_id].provider)
+            if p.consumer in attackers and market.services[p.service_id].provider not in attackers
         )
-        self.extras["review_starved_services"] = [
-            s.service_id
-            for s in market.services.values()
-            if s.status == STATUS_LISTED and self.sim.ledger.balance(s.service_id) < REVIEW_SUBSIDY
-        ]
+        self.extras["review_starved_services"] = self._starved_services()
         return ScenarioResult(
             scenario=self.scenario,
             metrics=self._live_metrics(),
@@ -557,13 +534,13 @@ class ScenarioRunner:
         sim = self.sim
         reviews = sim.reviews.reviews.values()
         return _metrics(
-            (set(self._attackers()), self.ground_truth, set(self.target_providers)),
+            (self.attackers, self.ground_truth, set(self.target_providers)),
             [(r.service_id, r.reviewer, r.rating, r.badge) for r in reviews if r.badge != BADGE_PENDING],
             sim.ledger.spent,
             Counter(r.reviewer for r in reviews),
             Counter(c.claimant for c in sim.reviews.claims.values() if c.outcome == OUTCOME_APPROVED),
             sim.tokens.dret,
-            sum(1 for p in sim.identity.participants.values() if p.status == STATUS_EXCLUDED),
+            sum(1 for p in sim.identity.participants.values() if not p.active),
         )
 
 

@@ -188,7 +188,7 @@ class ReviewBoard:
         token = self.tokens.active_srdt_for(endorser, review.service_id)
         if token is None:
             raise NoValidSrdt(f"{endorser} holds no usable SRDT for {review.service_id}")
-        if self.ledger.balance(endorser) < self.ledger.gas_cost(OP_ENDORSE_REVIEW):
+        if self.ledger.balance(endorser) < self.ledger.gas.charge(OP_ENDORSE_REVIEW):
             raise InsufficientFunds(f"{endorser} cannot pay endorsement gas")
 
         self.ledger.charge_gas(endorser, OP_ENDORSE_REVIEW)

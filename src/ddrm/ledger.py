@@ -272,9 +272,6 @@ class Ledger:
 
     # -- gas --
 
-    def gas_cost(self, op: str) -> int:
-        return self.gas.charge(op)
-
     def charge_gas(self, payer: str, op: str) -> int:
         """Move gas_used(op) * price from payer into the gas sink."""
         amount = self.gas.charge(op)

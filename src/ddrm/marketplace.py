@@ -80,7 +80,7 @@ class Marketplace:
             raise ValidationError(f"{provider} lacks the {ROLE_PROVIDER} role")
         if s_cost <= 0:
             raise ValidationError("service cost must be strictly positive")
-        gas = self.ledger.gas_cost(OP_ADD_SERVICE)
+        gas = self.ledger.gas.charge(OP_ADD_SERVICE)
         if self.ledger.balance(provider) < gas + REVIEW_FUND_SEED:
             raise InsufficientFunds(f"{provider} cannot cover listing gas plus fund seed")
 
@@ -117,7 +117,7 @@ class Marketplace:
             rate = self.config.srdt_discount
             discount = service.s_cost * rate.numerator // rate.denominator
             price = service.s_cost - discount
-        gas = self.ledger.gas_cost(OP_REQUEST_SERVICE)
+        gas = self.ledger.gas.charge(OP_REQUEST_SERVICE)
         if self.ledger.balance(consumer) < gas + price:
             raise InsufficientFunds(f"{consumer} cannot cover purchase gas plus price")
 
@@ -184,7 +184,7 @@ class Marketplace:
             raise ValidationError("replenish amount cannot be negative")
         if amount == 0:
             return self.ledger.balance(service_id)
-        gas = self.ledger.gas_cost(OP_ADD_SERVICE)
+        gas = self.ledger.gas.charge(OP_ADD_SERVICE)
         if self.ledger.balance(provider) < amount + gas:
             raise InsufficientFunds(f"{provider} cannot cover replenishment plus gas")
         self.ledger.charge_gas(provider, OP_ADD_SERVICE)

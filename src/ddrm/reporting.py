@@ -49,8 +49,7 @@ def gas_table_rows(schedule: GasSchedule, usd_per_ether: Decimal) -> list[GasRep
     rows = []
     for op, caller, name in GAS_TABLE_OPS:
         row = schedule.rows[op]
-        wei = row.gas_used * schedule.price_wei
-        total_ether = Decimal(format_ether(wei))
+        total_ether = Decimal(format_ether(schedule.charge(op)))
         with localcontext() as ctx:
             # Room for every digit of the exact product and for the three
             # places the quantize pads it to: the default 28 digits overflow

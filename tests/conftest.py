@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ddrm import ProtocolConfig, Simulation, ether, text_digest
+from ddrm import AttackScenario, ProtocolConfig, Simulation, ether, text_digest
 from ddrm.identity import ROLE_CONSUMER, ROLE_PROVIDER
 from ddrm.ledger import EVENTS, ZERO_DIGEST, _misfit, canonical_payload, iter_log_lines, record_hash
 
@@ -67,6 +67,15 @@ def canonical_scenarios() -> list:
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     return demo.SCENARIOS
+
+
+# The attack kinds that tests/test_fixed_points.py also pins at 192 honest raters.
+AT_SCALE_KINDS = ("bad_mouthing", "collusion", "false_refund", "whitewashing")
+
+
+def at_scale_scenario(kind: str):
+    """A 192-honest, 32-attacker run of `kind`: the paths whose per-key lookups only carry work at scale."""
+    return AttackScenario(name=f"{kind}-192", kind=kind, rounds=12, honest_count=192, attacker_count=32, seed=2024)
 
 
 def assert_payloads_fit_events(ledger) -> set:

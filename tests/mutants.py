@@ -148,7 +148,7 @@ MUTANTS = (
     Mutant("no-override-check", "src/ddrm/config.py",
            "parse_protocol_config(scenario.overrides, base=protocol)", "None", "tests/test_cli.py"),
     Mutant("register-unwrapped", "src/ddrm/adversary.py",
-           "pid = self._set_up(self.sim.register, card, roles)", "pid = self.sim.register(card, roles)",
+           "pid = self._set_up(self.sim.register, card, {role})", "pid = self.sim.register(card, {role})",
            "tests/test_cli.py"),
     Mutant("add-service-unwrapped", "src/ddrm/adversary.py",
            "self._set_up(self.sim.add_service, target, s.service_cost_wei)] = GOOD",
@@ -210,6 +210,21 @@ MUTANTS = (
            "after // interval - before // interval", "after // interval", "tests/test_tokens.py"),
     Mutant("harness-reviews-burned-purchases", "src/ddrm/adversary.py",
            "if self.sim.tokens.srat_for_purchase(purchase_id).state == BURNED:", "if False:",
+           "tests/test_fixed_points.py"),
+    # The runner's one record of who attacks, and the rules it reads rather than restates.
+    Mutant("attacker-provider-not-an-attacker", "src/ddrm/adversary.py",
+           'self._add_member("attacker-provider-0", True, ROLE_PROVIDER)',
+           'self._add_member("attacker-provider-0", False, ROLE_PROVIDER)', "tests/test_fixed_points.py"),
+    Mutant("providers-are-consumers", "src/ddrm/adversary.py",
+           "if role == ROLE_CONSUMER:", "if role:", "tests/test_fixed_points.py"),
+    Mutant("starved-at-one-subsidy", "src/ddrm/adversary.py",
+           "self.sim.ledger.balance(sid) < REVIEW_SUBSIDY", "self.sim.ledger.balance(sid) <= REVIEW_SUBSIDY",
+           "tests/test_adversary.py"),
+    Mutant("rating-3-matches", "src/ddrm/adversary.py",
+           "(rating >= 4 and quality == GOOD)", "(rating >= 3 and quality == GOOD)", "tests/test_adversary.py"),
+    Mutant("review-phase-reads-exclusion-inverted", "src/ddrm/adversary.py",
+           "            if not self.sim.identity.get(pid).active:\n                continue\n            attacker =",
+           "            if self.sim.identity.get(pid).active:\n                continue\n            attacker =",
            "tests/test_fixed_points.py"),
     Mutant("id-without-plus-one", "src/ddrm/marketplace.py",
            'f"PUR-{len(self.purchases) + 1:05d}"', 'f"PUR-{len(self.purchases):05d}"', "tests/test_properties.py"),
@@ -278,8 +293,9 @@ MUTANTS = (
            "price_gwei = (Decimal(schedule.price_wei) / WEI_PER_GWEI).normalize()",
            "tests/test_cli.py"),
     Mutant("format-ether-at-decimal-precision", "src/ddrm/reporting.py",
-           "total_ether = Decimal(format_ether(wei))",
-           'total_ether = (Decimal(wei) / 10**18).quantize(Decimal("0.000001"))', "tests/test_cli.py"),
+           "total_ether = Decimal(format_ether(schedule.charge(op)))",
+           'total_ether = (Decimal(schedule.charge(op)) / 10**18).quantize(Decimal("0.000001"))',
+           "tests/test_cli.py"),
     # Money lives only in ledger accounts, and one full sum over them checks conservation.
     Mutant("fund-seed-moved-before-check", "src/ddrm/marketplace.py",
            "        if self.ledger.balance(provider) < gas + REVIEW_FUND_SEED:\n"

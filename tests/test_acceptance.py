@@ -71,8 +71,8 @@ class TestCriterion2EquationBookkeeping:
             provider = sim.register("prov", {ROLE_PROVIDER})
             consumers = [sim.register(f"c{i}", {ROLE_CONSUMER}) for i in range(2)]
             services = []
-            add_gas = sim.ledger.gas_cost("add_service")
-            buy_gas = sim.ledger.gas_cost("request_service")
+            add_gas = sim.ledger.gas.charge("add_service")
+            buy_gas = sim.ledger.gas.charge("request_service")
             for _ in range(rng.randint(2, 5)):
                 if not services or rng.random() < 0.4:
                     cost = ether(1) * rng.randint(1, 50) // 100
@@ -237,7 +237,7 @@ class TestCriterion6AttackSuite:
         )
         res = run_scenario(sc)
         fakes = res.metrics.attacker_reviews_accepted
-        gas_buy = res.sim.ledger.gas_cost(OP_REQUEST_SERVICE)
+        gas_buy = res.sim.ledger.gas.charge(OP_REQUEST_SERVICE)
         floor = fakes * (sc.service_cost_wei + gas_buy) + math.ceil(fakes / 100) * ether(1)
         assert fakes > 0
         assert res.metrics.attacker_spend_wei >= floor

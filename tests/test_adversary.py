@@ -18,15 +18,26 @@ from ddrm.adversary import (
     KIND_SYBIL,
     KIND_WHITEWASHING,
     ScenarioMetrics,
+    ScenarioRunner,
     expected_badge,
 )
-from ddrm.config import REVIEW_FUND_SEED
+from ddrm.config import REVIEW_FUND_SEED, REVIEW_SUBSIDY, REVIEWS_PER_ETHER
 from ddrm.endorsement import BADGE_AUTHENTIC, BADGE_FRAUDULENT, BADGE_PENDING, OUTCOME_APPROVED, VOTE_APPROVE
 from ddrm.errors import ChainBroken, ConfigError, MalformedEvent
 from ddrm.identity import ROLE_CONSUMER
 from ddrm.ledger import OP_ADD_SERVICE, iter_log_lines
+from ddrm.marketplace import STATUS_LISTED
 
-from conftest import exported_log, forged_log, make_sim, provider_and_service, reviewed_purchase
+from conftest import (
+    AT_SCALE_KINDS,
+    at_scale_scenario,
+    canonical_scenarios,
+    exported_log,
+    forged_log,
+    make_sim,
+    provider_and_service,
+    reviewed_purchase,
+)
 
 
 def scenario(kind, **kw):
@@ -93,7 +104,7 @@ class TestBallotStuffing:
         res = run_scenario(sc)
         fakes = res.metrics.attacker_reviews_accepted
         assert fakes > 0
-        gas_buy = res.sim.ledger.gas_cost("request_service")
+        gas_buy = res.sim.ledger.gas.charge("request_service")
         floor = fakes * (sc.service_cost_wei + gas_buy) + math.ceil(fakes / 100) * ether(1)
         assert res.metrics.attacker_spend_wei >= floor
 
@@ -196,7 +207,7 @@ class TestDeterminismAndReplay:
             sim.vote_refund(member, claim_id, VOTE_APPROVE)
         assert sim.reviews.claims[claim_id].outcome == OUTCOME_APPROVED
         spent = sim.ledger.spent[provider]
-        assert spent == sim.ledger.gas_cost(OP_ADD_SERVICE) + REVIEW_FUND_SEED + ether("0.5")
+        assert spent == sim.ledger.gas.charge(OP_ADD_SERVICE) + REVIEW_FUND_SEED + ether("0.5")
         assert replay_verify(exported_log(sim.ledger)).attacker_spend_wei == spent
 
     def test_truncated_log_breaks_chain(self):
@@ -291,3 +302,48 @@ class TestPopulationAndConfig:
         )
         res = run_scenario(sc)
         assert res.sim.config.penalty_threshold == 1
+
+
+class TestRunnerRecords:
+    """The facts the runner relies on instead of checking them each round."""
+
+    @pytest.mark.parametrize(
+        "sc", canonical_scenarios() + [at_scale_scenario(k) for k in AT_SCALE_KINDS], ids=lambda s: s.name
+    )
+    def test_only_consumers_endorse_and_every_listing_stays(self, sc):
+        runner = ScenarioRunner(sc)
+        res = runner.run()
+        consumers = set(runner.consumers)
+        rostered = set()
+        for rec in iter_log_lines(res.log_text()):
+            if rec.kind in ("SelectionRun", "EndorsersBootstrapped"):
+                rostered.update(rec.payload["roster"])
+        panels = {pid for claim in res.sim.reviews.claims.values() for pid in claim.panel}
+        assert rostered and rostered <= consumers
+        assert bool(panels) == (sc.kind == KIND_FALSE_REFUND) and panels <= consumers
+        # No run withdraws a service or excludes a provider, so no fund is ever out of reach.
+        services = res.sim.market.services.values()
+        assert all(s.status == STATUS_LISTED for s in services)
+        assert all(res.sim.identity.get(s.provider).active for s in services)
+
+    @pytest.mark.parametrize("honest, left, starved", [
+        (REVIEWS_PER_ETHER - 1, REVIEW_SUBSIDY, False),
+        (REVIEWS_PER_ETHER, 0, True),
+    ])
+    def test_a_fund_is_starved_below_one_subsidy(self, honest, left, starved):
+        # One listing, one round: each honest review takes one subsidy from the 1-Ether fund.
+        res = run_scenario(scenario(KIND_CONSTANT_ATTACK, attacker_count=0, honest_count=honest, rounds=1))
+        (service,) = res.sim.market.services
+        assert res.sim.ledger.balance(service) == left
+        assert res.extras["review_starved_services"] == ([service] if starved else [])
+
+    def test_expected_badge_by_rating_and_quality(self):
+        authentic, fraudulent = BADGE_AUTHENTIC, BADGE_FRAUDULENT
+        # rating: (badge on a Good service, badge on a Bad one); a 3 matches neither quality.
+        assert {r: (expected_badge(r, GOOD), expected_badge(r, BAD)) for r in range(1, 6)} == {
+            1: (fraudulent, authentic),
+            2: (fraudulent, authentic),
+            3: (fraudulent, fraudulent),
+            4: (authentic, fraudulent),
+            5: (authentic, fraudulent),
+        }

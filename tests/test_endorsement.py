@@ -474,7 +474,7 @@ class TestRefunds:
         sim = arena.sim
         claim_id = arena.file()
         # Drain the provider below the refund amount via fund replenishment.
-        gas = sim.ledger.gas_cost("add_service")
+        gas = sim.ledger.gas.charge("add_service")
         drain = sim.ledger.balance(arena.provider) - gas - ether("0.4")
         sim.replenish_fund(arena.provider, arena.service, drain)
         assert sim.ledger.balance(arena.provider) < ether("0.5")

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from ddrm import AttackScenario, ProtocolConfig, default_config_doc, parse_run_config, run_scenario
+from ddrm import ProtocolConfig, default_config_doc, parse_run_config, run_scenario
 from ddrm.adversary import ScenarioMetrics
+
+from conftest import at_scale_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,13 +29,34 @@ SCENARIOS = _demo.SCENARIOS
 
 PINNED = json.loads((ROOT / "bench" / "fixed_points.json").read_text())["canonical_log_hashes"]
 
-# AttackScenario(name=f"{kind}-192", kind=kind, rounds=12, honest_count=192,
-# attacker_count=32, seed=2024): final log hash of each run.
+# at_scale_scenario(kind): final log hash of each run.
 AT_SCALE = {
     "collusion": "5e624894bceed1743a62ccc156d0df4a9876d175607d15a5cbe147fa17510c8b",
     "bad_mouthing": "09e5ce0b4ba11adc46f6e7c81d0577ff5fea6924c1ae2ae454d5b00241e93679",
     "whitewashing": "50a562e393354cd97203a7fb64c5f28006bb8801dc524f368221d94c8b9f811f",
     "false_refund": "6783ba42893ac46406f79e93fb1d02f8356dc4a06b2dad32ed9828bdafcf3ebb",
+}
+
+# The same four runs: metrics and extras, in CANONICAL_RESULTS' layout. A
+# denial leaves no event, so only these pin the denial counts of the
+# fund-exhaustion paths (dry review funds and raters out of money).
+AT_SCALE_RESULTS = {
+    "bad_mouthing": (
+        (1.0, 176065366754000000000, 352, 10, 0, 0, 0),
+        (32, 32, 0, 0, 176000000000000000000, {"FundExhausted": 164}, []),
+    ),
+    "collusion": (
+        (1.0, 298614493679100000000, 587, 20, 4, 0, 0),
+        (32, 32, 0, 0, 154000000000000000000, {"FundExhausted": 424, "InsufficientFunds": 141}, []),
+    ),
+    "false_refund": (
+        (1.0, 16005919619200000000, 0, 0, 0, 0, 1),
+        (32, 32, 0, 0, 16000000000000000000, {"FundExhausted": 92, "NoEndorsersAvailable": 32}, []),
+    ),
+    "whitewashing": (
+        (1.0, 176065366754000000000, 352, 10, 0, 0, 0),
+        (32, 32, 0, 0, 176000000000000000000, {"FundExhausted": 164}, []),
+    ),
 }
 
 # The canonical ballot-stuffing scenario with target_own=False: the attackers
@@ -85,12 +108,8 @@ def test_canonical_log_hash_unchanged(scenario):
     assert run_scenario(scenario).final_log_hash() == PINNED[scenario.name]
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
-def test_canonical_metrics_and_extras_unchanged(scenario):
-    result = run_scenario(scenario)
-    metrics, (sybil_tried, sybil_ok, whitewash_tried, whitewash_ok, revenue, denials, starved) = (
-        CANONICAL_RESULTS[scenario.name]
-    )
+def assert_results(result, pinned):
+    metrics, (sybil_tried, sybil_ok, whitewash_tried, whitewash_ok, revenue, denials, starved) = pinned
     assert result.metrics == ScenarioMetrics(*metrics)
     assert result.extras == {
         "sybil_registrations_attempted": sybil_tried,
@@ -104,6 +123,11 @@ def test_canonical_metrics_and_extras_unchanged(scenario):
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+def test_canonical_metrics_and_extras_unchanged(scenario):
+    assert_results(run_scenario(scenario), CANONICAL_RESULTS[scenario.name])
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_target_own_false_log_hash_unchanged(scenario):
     # Only ballot stuffing reads target_own; every other kind logs the same run either way.
     expected = BALLOT_STUFFING_COMPETITOR if scenario.kind == "ballot_stuffing" else PINNED[scenario.name]
@@ -112,10 +136,12 @@ def test_target_own_false_log_hash_unchanged(scenario):
 
 @pytest.mark.parametrize("kind", sorted(AT_SCALE))
 def test_log_hash_at_192_honest_unchanged(kind):
-    scenario = AttackScenario(
-        name=f"{kind}-192", kind=kind, rounds=12, honest_count=192, attacker_count=32, seed=2024
-    )
-    assert run_scenario(scenario).final_log_hash() == AT_SCALE[kind]
+    assert run_scenario(at_scale_scenario(kind)).final_log_hash() == AT_SCALE[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(AT_SCALE_RESULTS))
+def test_metrics_and_extras_at_192_honest_unchanged(kind):
+    assert_results(run_scenario(at_scale_scenario(kind)), AT_SCALE_RESULTS[kind])
 
 
 def test_every_pinned_scenario_is_run():

@@ -269,7 +269,7 @@ def test_snapshot_holds_every_fund_and_the_sink():
     snapshot = sim.snapshot()
     for name in ("accounts", "spent"):
         assert {*services, GAS_SINK, "FAUCET", provider} == set(snapshot[name])
-    assert snapshot["accounts"][GAS_SINK] == 2 * sim.ledger.gas_cost("add_service")
+    assert snapshot["accounts"][GAS_SINK] == 2 * sim.ledger.gas.charge("add_service")
     assert [snapshot["accounts"][sid] for sid in services] == [REVIEW_FUND_SEED] * 2
 
 
@@ -431,7 +431,7 @@ def test_purchase_deltas_exact_for_arbitrary_prices(cost_ether, buys):
     provider = sim.register("prov", {ROLE_PROVIDER})
     cost = cost_ether * ether(1) // 1000
     service = sim.add_service(provider, cost)
-    gas = sim.ledger.gas_cost("request_service")
+    gas = sim.ledger.gas.charge("request_service")
     for i in range(buys):
         consumer = sim.register(f"cons-{i}", {ROLE_CONSUMER})
         provider_before = sim.ledger.balance(provider)
